@@ -286,19 +286,19 @@ def build_parser():
     p = sub.add_parser("flow", help="integrate the boundary-length flow")
     p.add_argument("surface")
     p.add_argument("--t-end", type=float, required=True, dest="t_end")
-    p.add_argument("--rel-tol", type=float, default=1e-8, dest="rel_tol")
-    p.add_argument("--abs-tol", type=float, default=1e-10, dest="abs_tol")
-    p.add_argument("--cusp-tol", type=float, default=1e-6, dest="cusp_tol")
-    p.add_argument("--length-cap", type=float, default=600.0, dest="length_cap")
-    p.add_argument("--sample-dt", type=float, default=None, dest="sample_dt")
+    p.add_argument("--rel-tol", type=float, default=FlowOptions.rel_tol, dest="rel_tol")
+    p.add_argument("--abs-tol", type=float, default=FlowOptions.abs_tol, dest="abs_tol")
+    p.add_argument("--cusp-tol", type=float, default=FlowOptions.cusp_tol, dest="cusp_tol")
+    p.add_argument("--length-cap", type=float, default=FlowOptions.length_cap, dest="length_cap")
+    p.add_argument("--sample-dt", type=float, default=FlowOptions.sample_dt, dest="sample_dt")
     p.add_argument("--out", default="trace.csv")
     p.set_defaults(func=_cmd_flow)
 
     p = sub.add_parser("prescribe", help="solve for factors with given boundary lengths")
     p.add_argument("surface")
     p.add_argument("--target", required=True, help="CSV boundary_index,target_length")
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--max-iter", type=int, default=100, dest="max_iter")
+    p.add_argument("--tol", type=float, default=SolveOptions.grad_tol)
+    p.add_argument("--max-iter", type=int, default=SolveOptions.max_iter, dest="max_iter")
     p.add_argument("--out", default="w.csv")
     p.set_defaults(func=_cmd_prescribe)
 

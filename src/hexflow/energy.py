@@ -10,17 +10,18 @@ integral is evaluated by adaptive Gauss-Legendre quadrature along the
 straight segment; the integrand is analytic on the open segment and the
 default order-32 rule typically converges in a single panel.
 
-The Newton solver never feeds these values into its step computation:
-they serve as the line-search merit and as diagnostics.
+The Newton solver reads the energy once per solve, for the first entry
+of its objective trace; otherwise these values serve as diagnostics and
+as the reference the tests check B against.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .conformal import in_domain
+from .conformal import edge_length, in_domain
 from .errors import DomainError, QuadratureError
-from .hexagon import _acosh_exp, _logcosh, hexagon_arcs
+from .hexagon import hexagon_arcs
 
 
 @dataclass(frozen=True)
@@ -74,22 +75,12 @@ def _adaptive(f, a, b, tol, depth, nodes, weights):
     )
 
 
-def _check_face_point(l0_sides, w_point, label):
-    for l0, (pa, pb) in zip(l0_sides, ((1, 2), (2, 0), (0, 1))):
-        if w_point[pa] + w_point[pb] + _logcosh(0.5 * l0) <= 0.0:
-            raise DomainError(
-                f"{label} ({w_point[0]!r}, {w_point[1]!r}, {w_point[2]!r}) outside "
-                f"the face's admissible set"
-            )
-
-
-def _face_arcs_at(l0_sides, w_point):
-    c = [_logcosh(0.5 * l0) for l0 in l0_sides]
-    sides = []
-    for lc, (pa, pb) in zip(c, ((1, 2), (2, 0), (0, 1))):
-        u = w_point[pa] + w_point[pb] + lc
-        sides.append(2.0 * _acosh_exp(u))
-    return hexagon_arcs(*sides)
+def _face_sides_at(l0_sides, w_point):
+    """Rescaled slot lengths of one face; DomainError outside its admissible set."""
+    return tuple(
+        edge_length(l0, w_point[pa], w_point[pb])
+        for l0, (pa, pb) in zip(l0_sides, ((1, 2), (2, 0), (0, 1)))
+    )
 
 
 def segment_energy(l0_sides, w_from, w_to, quad=DEFAULT_QUADRATURE):
@@ -101,15 +92,15 @@ def segment_energy(l0_sides, w_from, w_to, quad=DEFAULT_QUADRATURE):
     """
     w_from = tuple(float(v) for v in w_from)
     w_to = tuple(float(v) for v in w_to)
-    _check_face_point(l0_sides, w_from, "segment start")
-    _check_face_point(l0_sides, w_to, "segment end")
+    _face_sides_at(l0_sides, w_from)
+    _face_sides_at(l0_sides, w_to)
     delta = tuple(b - a for a, b in zip(w_from, w_to))
     if all(d == 0.0 for d in delta):
         return 0.0
 
     def integrand(s):
         point = tuple(a + s * d for a, d in zip(w_from, delta))
-        arcs = _face_arcs_at(l0_sides, point)
+        arcs = hexagon_arcs(*_face_sides_at(l0_sides, point))
         return arcs[0] * delta[0] + arcs[1] * delta[1] + arcs[2] * delta[2]
 
     nodes, weights = _gl_nodes(quad.order)

@@ -123,15 +123,21 @@ def _arc_direct(lc, la, lb):
     return _acosh1p(q)
 
 
-def _arc_log(lc, la, lb):
-    """Arc opposite lc in the log domain; valid for arbitrarily large sides."""
+def _log_q(lc, la, lb):
+    """log(cosh(theta) - 1) for the arc opposite lc: the q-form of
+    :func:`_arc_direct` in the log domain, valid for arbitrarily large sides."""
     lcc, lca, lcb = _logcosh(lc), _logcosh(la), _logcosh(lb)
     lsa, lsb = _logsinh(la), _logsinh(lb)
     # cosh^2 la + cosh^2 lb - 1 = 1 + sinh^2 la + sinh^2 lb, a sum of
     # non-negative terms in every regime.
     log_a2b2m1 = _logaddexp(0.0, _logaddexp(2.0 * lsa, 2.0 * lsb))
     log_den = _logaddexp(lca + lcb, lsa + lsb)
-    log_q = _logaddexp(lcc, log_a2b2m1 - log_den) - (lsa + lsb)
+    return _logaddexp(lcc, log_a2b2m1 - log_den) - (lsa + lsb)
+
+
+def _arc_log(lc, la, lb):
+    """Arc opposite lc in the log domain; valid for arbitrarily large sides."""
+    log_q = _log_q(lc, la, lb)
     if log_q > 690.0:
         # arccosh(1+q) = log(2q) + O(1/q)
         return LN2 + log_q
@@ -172,12 +178,7 @@ def hexagon_sides(theta_i, theta_j, theta_k):
     / (sinh theta_i sinh theta_j), and cyclic images.  Inverse of
     :func:`hexagon_arcs`; sides grow without bound as any arc approaches 0.
     """
-    _check_sides(theta_i, theta_j, theta_k)
-    return (
-        _arc(theta_i, theta_j, theta_k),
-        _arc(theta_j, theta_k, theta_i),
-        _arc(theta_k, theta_i, theta_j),
-    )
+    return hexagon_arcs(theta_i, theta_j, theta_k)
 
 
 @dataclass(frozen=True)
@@ -222,11 +223,7 @@ def coefficient_matrix(a, b, c):
 
 def _log_sinh_arc(lc, la, lb):
     """log(sinh(theta)) for the arc opposite lc, via the stable q-form."""
-    lcc, lca, lcb = _logcosh(lc), _logcosh(la), _logcosh(lb)
-    lsa, lsb = _logsinh(la), _logsinh(lb)
-    log_a2b2m1 = _logaddexp(0.0, _logaddexp(2.0 * lsa, 2.0 * lsb))
-    log_den = _logaddexp(lca + lcb, lsa + lsb)
-    log_q = _logaddexp(lcc, log_a2b2m1 - log_den) - (lsa + lsb)
+    log_q = _log_q(lc, la, lb)
     # sinh(theta) = sqrt(q (q + 2))
     return 0.5 * (log_q + _logaddexp(log_q, LN2))
 
@@ -248,15 +245,13 @@ def _arc_jacobian_log(l1, l2, l3):
     lm1 = tuple(LN2 + 2.0 * _logsinh(0.5 * l) for l in (l1, l2, l3))
     log_pref = _log_sinh_arc(l3, l1, l2) + ls[1] + ls[0]
 
-    def ratio_pair(r, s, t):
-        # (lc[t] + a_r a_s)/(lc[s] - 1-den) style diagonal summand:
-        # (cosh l_t + cosh l_r cosh l_s) / (cosh l_den - 1) assembled by caller
-        return _logaddexp(lc[t], lc[r] + lc[s])
-
     # diagonal: M11 = (c+ab)/(b-1) + (b+ac)/(c-1) and cyclic images
-    d1 = _logaddexp(ratio_pair(0, 1, 2) - lm1[1], ratio_pair(0, 2, 1) - lm1[2])
-    d2 = _logaddexp(ratio_pair(0, 1, 2) - lm1[0], ratio_pair(1, 2, 0) - lm1[2])
-    d3 = _logaddexp(ratio_pair(0, 2, 1) - lm1[0], ratio_pair(1, 2, 0) - lm1[1])
+    c_ab = _logaddexp(lc[2], lc[0] + lc[1])
+    b_ac = _logaddexp(lc[1], lc[0] + lc[2])
+    a_bc = _logaddexp(lc[0], lc[1] + lc[2])
+    d1 = _logaddexp(c_ab - lm1[1], b_ac - lm1[2])
+    d2 = _logaddexp(c_ab - lm1[0], a_bc - lm1[2])
+    d3 = _logaddexp(b_ac - lm1[0], a_bc - lm1[1])
 
     def signed_off(p, q, r, denom):
         # (cosh l_p + cosh l_q - cosh l_r + 1) / (cosh l_denom - 1)

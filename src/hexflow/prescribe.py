@@ -8,12 +8,14 @@ gradient of the strictly concave objective
 
 so solving B(w) = target means maximizing G.  The iteration solves
 H(w) d = target - B(w) with the (negative-definite) boundary Jacobian H,
-then backtracks until the trial point is safely admissible and, while the
-residual is still large, until the energy merit satisfies an Armijo
-increase.  Once the residual enters the quadratic basin (below 1e-3) the
-Armijo test is dropped: true energy increments there fall below the
-quadrature tolerance, so testing them would only compare noise, while the
-undamped Newton step is reliable.
+then backtracks until the trial point is safely admissible and the merit
+satisfies an Armijo increase.  Since the gradient of G is B - target, the
+merit change along a step is the line integral
+
+    G(w + alpha d) - G(w) = int_0^alpha <B(w + s d) - target, d> ds,
+
+evaluated by a fixed Gauss-Legendre rule.  It never subtracts two large
+energy totals, so the test stays meaningful down to the final residuals.
 """
 
 import math
@@ -24,7 +26,7 @@ import numpy as np
 import scipy.linalg
 
 from .conformal import boundary_jacobian, boundary_lengths, _edge_slack
-from .energy import DEFAULT_QUADRATURE, QuadratureSpec, total_energy
+from .energy import total_energy
 from .errors import ConvergenceError
 
 
@@ -32,8 +34,8 @@ from .errors import ConvergenceError
 class SolveOptions:
     """Newton controls: residual tolerance (inf-norm on B(w) - target),
     iteration cap, backtracking factor, smallest step scale tried, strict
-    interior cushion (on e^(w_a+w_b) cosh(l0/2) - 1), Armijo parameter,
-    and the quadrature used for the energy merit."""
+    interior cushion (on e^(w_a+w_b) cosh(l0/2) - 1) and Armijo
+    parameter."""
 
     grad_tol: float = 1e-10
     max_iter: int = 100
@@ -41,7 +43,6 @@ class SolveOptions:
     min_step: float = 1e-9
     margin: float = 1e-12
     armijo: float = 1e-4
-    quadrature: QuadratureSpec = DEFAULT_QUADRATURE
 
     def __post_init__(self):
         if not self.grad_tol > 0.0:
@@ -56,6 +57,10 @@ class SolveOptions:
 
 @dataclass
 class SolveResult:
+    """Outcome of :func:`solve_prescribed`.  ``objective_trace[k]`` is the
+    merit G(w_k) = total_energy(w_k) - <target, w_k> at iterate k and
+    ``residual_trace[k]`` is |B(w_k) - target|_inf."""
+
     factors: np.ndarray
     iterations: int
     residual: float
@@ -67,6 +72,20 @@ class SolveResult:
 def _interior_slack(tri, l0, w):
     """min_e (e^(w_a + w_b) cosh(l0_e/2) - 1); positive inside the domain."""
     return min(math.expm1(u) for u in _edge_slack(tri, l0, w).values())
+
+
+# Nodes and weights on [-1, 1] of the rule that integrates the merit change.
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
+
+
+def _merit_gain(tri, l0, target, w, step, alpha):
+    """G(w + alpha step) - G(w), the integral of <B - target, step> along
+    the segment; both endpoints admissible, so every node is."""
+    half = 0.5 * alpha
+    return half * sum(
+        weight * float((boundary_lengths(tri, l0, w + (half * (1.0 + x)) * step) - target) @ step)
+        for x, weight in zip(_GL_NODES, _GL_WEIGHTS)
+    )
 
 
 def solve_prescribed(tri, l0, target, opts=None, start=None):
@@ -90,19 +109,25 @@ def solve_prescribed(tri, l0, target, opts=None, start=None):
 
     w = np.zeros(tri.n_boundaries) if start is None else np.asarray(start, dtype=float).copy()
     B = boundary_lengths(tri, l0, w)
-    objective = [total_energy(tri, l0, w, opts.quadrature) - float(target @ w)]
+    objective = [total_energy(tri, l0, w) - float(target @ w)]
     residuals = [float(np.max(np.abs(B - target)))]
 
-    for iteration in range(opts.max_iter):
+    for iteration in range(opts.max_iter + 1):
         residual = residuals[-1]
-        if residual <= opts.grad_tol:
-            return SolveResult(
-                factors=w,
-                iterations=iteration,
-                residual=residual,
-                objective_trace=objective,
-                residual_trace=residuals,
-                converged=True,
+        result = SolveResult(
+            factors=w,
+            iterations=iteration,
+            residual=residual,
+            objective_trace=objective,
+            residual_trace=residuals,
+            converged=residual <= opts.grad_tol,
+        )
+        if result.converged:
+            return result
+        if iteration == opts.max_iter:
+            raise ConvergenceError(
+                f"no convergence in {opts.max_iter} iterations (residual {residual:.3e})",
+                partial=result,
             )
 
         H = boundary_jacobian(tri, l0, w)
@@ -117,56 +142,20 @@ def solve_prescribed(tri, l0, target, opts=None, start=None):
             step = grad / float(np.max(np.abs(H)))
 
         slope = float(grad @ step)
-        use_armijo = residual >= 1e-3
         alpha = 1.0
-        accepted = False
         while alpha >= opts.min_step:
-            trial = w + alpha * step
-            if _interior_slack(tri, l0, trial) > opts.margin:
-                if not use_armijo:
-                    accepted = True
-                    break
-                g_trial = total_energy(tri, l0, trial, opts.quadrature) - float(target @ trial)
-                if g_trial >= objective[-1] + opts.armijo * alpha * slope:
-                    accepted = True
+            if _interior_slack(tri, l0, w + alpha * step) > opts.margin:
+                gain = _merit_gain(tri, l0, target, w, step, alpha)
+                if gain >= opts.armijo * alpha * slope:
                     break
             alpha *= opts.backtrack
-        if not accepted:
+        else:
             raise ConvergenceError(
                 f"line search failed at iteration {iteration} (residual {residual:.3e})",
-                partial=SolveResult(
-                    factors=w,
-                    iterations=iteration,
-                    residual=residual,
-                    objective_trace=objective,
-                    residual_trace=residuals,
-                    converged=False,
-                ),
+                partial=result,
             )
 
         w = w + alpha * step
         B = boundary_lengths(tri, l0, w)
-        objective.append(total_energy(tri, l0, w, opts.quadrature) - float(target @ w))
+        objective.append(objective[-1] + gain)
         residuals.append(float(np.max(np.abs(B - target))))
-
-    residual = residuals[-1]
-    if residual <= opts.grad_tol:
-        return SolveResult(
-            factors=w,
-            iterations=opts.max_iter,
-            residual=residual,
-            objective_trace=objective,
-            residual_trace=residuals,
-            converged=True,
-        )
-    raise ConvergenceError(
-        f"no convergence in {opts.max_iter} iterations (residual {residual:.3e})",
-        partial=SolveResult(
-            factors=w,
-            iterations=opts.max_iter,
-            residual=residual,
-            objective_trace=objective,
-            residual_trace=residuals,
-            converged=False,
-        ),
-    )

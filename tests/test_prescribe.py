@@ -122,3 +122,11 @@ class TestSolvePrescribed:
         assert result.converged
         got = boundary_lengths(tri, l0, result.factors)
         assert got[0] == pytest.approx(2.5, abs=1e-9)
+
+    @pytest.mark.parametrize("fixture_name", ["pants", "tetra"])
+    def test_large_uniform_target_converges(self, fixture_name, request):
+        tri, l0 = request.getfixturevalue(fixture_name)
+        target = np.full(tri.n_boundaries, 20.0)
+        result = solve_prescribed(tri, l0, target)
+        assert result.converged
+        assert np.max(np.abs(boundary_lengths(tri, l0, result.factors) - target)) <= 1e-9
