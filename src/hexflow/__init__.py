@@ -10,12 +10,14 @@ lengths by damped Newton iteration.
 
 from .conformal import (
     DomainCheck,
+    SurfaceGeometry,
     boundary_jacobian,
     boundary_lengths,
     edge_length,
     face_hexagon,
     face_sides,
     in_domain,
+    surface_geometry,
 )
 from .energy import (
     DEFAULT_QUADRATURE,
@@ -86,6 +88,7 @@ __all__ = [
     "QuadratureSpec",
     "SolveOptions",
     "SolveResult",
+    "SurfaceGeometry",
     "TraceTable",
     "ValidationReport",
     "Violation",
@@ -109,6 +112,7 @@ __all__ = [
     "segment_energy",
     "serialize_surface",
     "solve_prescribed",
+    "surface_geometry",
     "total_energy",
     "trace_csv",
     "validate",

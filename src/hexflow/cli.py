@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .conformal import boundary_jacobian, boundary_lengths, edge_length, face_hexagon, in_domain
+from .conformal import boundary_jacobian, boundary_lengths, in_domain, surface_geometry
 from .errors import ConvergenceError, DomainError, HexflowError, ParseError
 from .flow import FlowOptions, cusp_report, integrate_flow, trace_csv
 from .prescribe import SolveOptions, solve_prescribed
@@ -115,16 +115,14 @@ def _cmd_lengths(args):
     check = in_domain(tri, metric, w)
     if not check.ok:
         raise DomainError(f"factors outside the admissible domain (margin {check.margin!r})")
-    B = boundary_lengths(tri, metric, w)
+    geometry = surface_geometry(tri, metric, w)
+    B = geometry.boundary
     chi = euler_characteristic(tri)
     edge_rows = [
-        (e.edge_id, e.b_i, e.b_j, edge_length(metric[e.edge_id], w[e.b_i - 1], w[e.b_j - 1]))
-        for e in tri.edges
+        (e.edge_id, e.b_i, e.b_j, length)
+        for e, length in zip(tri.edges, geometry.edge_lengths.tolist())
     ]
-    face_rows = []
-    for f in tri.faces:
-        hexagon = face_hexagon(tri, metric, w, f)
-        face_rows.append((f.face_id, hexagon.arcs))
+    face_rows = [(f.face_id, arcs) for f, arcs in zip(tri.faces, geometry.arcs.tolist())]
 
     if args.format == "json":
         payload = {

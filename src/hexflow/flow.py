@@ -11,7 +11,10 @@ cap rather than by reaching the limit.
 The stepper is classical Runge-Kutta 4 with a step-doubling error
 estimate and PI step-size control; the problem is smooth and non-stiff
 (the flow decays), so an explicit method with modest tolerances tracks it
-accurately.
+accurately.  Every right-hand side is one call of the array kernel
+:func:`.boundary_lengths`; the geometry recorded at accepted steps and
+samples (shortest edge, longest arc, B) comes from one
+:func:`.surface_geometry` call per factor.
 """
 
 import math
@@ -20,9 +23,10 @@ from typing import Optional
 
 import numpy as np
 
-from .conformal import boundary_lengths, edge_length, face_sides, in_domain
+from .conformal import boundary_lengths, in_domain, surface_geometry
+from .conformal import edge_length, face_sides  # noqa: F401 - sites the tracer in bench/tracing.py wraps
 from .errors import ConvergenceError, DomainError
-from .hexagon import hexagon_arcs
+from .hexagon import hexagon_arcs  # noqa: F401 - a site the tracer in bench/tracing.py wraps
 
 
 @dataclass(frozen=True)
@@ -92,32 +96,24 @@ class FlowTrace:
 
 def cusp_report(tri, l0, w):
     """Pure diagnostics of the rescaled geometry at w."""
-    w = np.asarray(w, dtype=float)
     check = in_domain(tri, l0, w)
     if not check.ok:
         raise DomainError(f"factor outside the admissible domain (margin {check.margin!r})")
-    B = boundary_lengths(tri, l0, w)
-    min_edge, max_edge, max_arc = _geometry_extremes(tri, l0, w)
+    geometry = surface_geometry(tri, l0, w)
+    min_edge, max_edge, max_arc = _geometry_extremes(geometry)
     return CuspReport(
-        boundary=B,
-        max_boundary=float(np.max(B)),
+        boundary=geometry.boundary,
+        max_boundary=float(np.max(geometry.boundary)),
         min_edge=min_edge,
         max_edge=max_edge,
         max_arc=max_arc,
     )
 
 
-def _geometry_extremes(tri, l0, w):
-    min_edge = math.inf
-    max_edge = 0.0
-    for e in tri.edges:
-        length = edge_length(l0[e.edge_id], w[e.b_i - 1], w[e.b_j - 1])
-        min_edge = min(min_edge, length)
-        max_edge = max(max_edge, length)
-    max_arc = 0.0
-    for face in tri.faces:
-        max_arc = max(max_arc, *hexagon_arcs(*face_sides(tri, l0, w, face)))
-    return min_edge, max_edge, max_arc
+def _geometry_extremes(geometry):
+    """(shortest edge, longest edge, longest arc) of a SurfaceGeometry."""
+    lengths = geometry.edge_lengths
+    return float(lengths.min()), float(lengths.max()), float(geometry.arcs.max())
 
 
 def _rk4(f, w, h, k1=None):
@@ -161,7 +157,7 @@ def integrate_flow(tri, l0, opts):
     rows_t = [0.0]
     rows_w = [w.copy()]
     rows_B = [B.copy()]
-    extremes = _geometry_extremes(tri, l0, w)
+    extremes = _geometry_extremes(surface_geometry(tri, l0, w))
     rows_min_edge = [extremes[0]]
     rows_max_arc = [extremes[2]]
 
@@ -190,7 +186,7 @@ def integrate_flow(tri, l0, opts):
             rows_t.append(t)
             rows_w.append(w.copy())
             rows_B.append(B.copy())
-            min_edge, _, max_arc = _geometry_extremes(tri, l0, w)
+            min_edge, _, max_arc = _geometry_extremes(surface_geometry(tri, l0, w))
             rows_min_edge.append(min_edge)
             rows_max_arc.append(max_arc)
             if float(np.max(B)) < opts.cusp_tol:
@@ -225,7 +221,7 @@ def integrate_flow(tri, l0, opts):
 
 def _sample(tri, l0, accepted, sample_dt):
     """Linear interpolation of w on the sample grid, with the geometry
-    recomputed at each interpolated factor."""
+    (B, shortest edge, longest arc) recomputed at each interpolated factor."""
     t_last = float(accepted.times[-1])
     grid = list(np.arange(0.0, t_last, sample_dt))
     if not grid or grid[-1] < t_last:
@@ -238,8 +234,9 @@ def _sample(tri, l0, accepted, sample_dt):
     min_edge = np.empty(len(times))
     max_arc = np.empty(len(times))
     for r in range(len(times)):
-        lengths[r] = boundary_lengths(tri, l0, factors[r])
-        min_edge[r], _, max_arc[r] = _geometry_extremes(tri, l0, factors[r])
+        geometry = surface_geometry(tri, l0, factors[r])
+        lengths[r] = geometry.boundary
+        min_edge[r], _, max_arc[r] = _geometry_extremes(geometry)
     return TraceTable(
         times=times,
         factors=factors,

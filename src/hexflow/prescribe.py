@@ -25,7 +25,7 @@ from typing import List
 import numpy as np
 import scipy.linalg
 
-from .conformal import boundary_jacobian, boundary_lengths, _edge_slack
+from .conformal import _slack, boundary_jacobian, boundary_lengths
 from .energy import total_energy
 from .errors import ConvergenceError
 
@@ -70,8 +70,9 @@ class SolveResult:
 
 
 def _interior_slack(tri, l0, w):
-    """min_e (e^(w_a + w_b) cosh(l0_e/2) - 1); positive inside the domain."""
-    return min(math.expm1(u) for u in _edge_slack(tri, l0, w).values())
+    """min_e (e^(w_a + w_b) cosh(l0_e/2) - 1); positive inside the domain.
+    expm1 is increasing, so this is expm1 of the smallest edge slack."""
+    return math.expm1(float(_slack(tri, l0, w).min()))
 
 
 # Nodes and weights on [-1, 1] of the rule that integrates the merit change.
@@ -107,7 +108,17 @@ def solve_prescribed(tri, l0, target, opts=None, start=None):
     if not np.all(np.isfinite(target) & (target > 0.0)):
         raise ValueError("target must be strictly positive")
 
-    w = np.zeros(tri.n_boundaries) if start is None else np.asarray(start, dtype=float).copy()
+    if start is None:
+        w = np.zeros(tri.n_boundaries)
+    else:
+        w = np.array(start, dtype=float)
+        if w.shape != (tri.n_boundaries,):
+            raise ValueError(
+                f"start must have one entry per boundary component "
+                f"({tri.n_boundaries}), got shape {w.shape}"
+            )
+        if not np.all(np.isfinite(w)):
+            raise ValueError("start must be finite")
     B = boundary_lengths(tri, l0, w)
     objective = [total_energy(tri, l0, w) - float(target @ w)]
     residuals = [float(np.max(np.abs(B - target)))]

@@ -44,9 +44,12 @@ class IdealTriangulation:
     faces: Tuple[Face, ...]
 
     def __post_init__(self):
-        # Cache the id lookup once; the hot loops in conformal.py hit it
-        # for every face slot.
+        # Cache the id lookup once; the scalar conformal.face_sides reads
+        # it for every face slot.
         object.__setattr__(self, "edge_by_id", {e.edge_id: e for e in self.edges})
+        # (metric, arrays) compiled lazily by the array kernel in
+        # conformal.py for the last metric it was called with.
+        object.__setattr__(self, "_compiled", None)
 
     def edge(self, edge_id):
         return self.edge_by_id[edge_id]

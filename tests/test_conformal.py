@@ -5,15 +5,20 @@ import pytest
 
 from hexflow import (
     DomainError,
+    arc_jacobian,
     boundary_jacobian,
     boundary_lengths,
     edge_length,
     face_hexagon,
+    face_sides,
+    hexagon_arcs,
     in_domain,
     parse_surface,
+    surface_geometry,
 )
+from hexflow.hexagon import _logcosh
 
-from conftest import PANTS_EDGE, fd_jacobian, random_in_domain
+from conftest import PANTS_EDGE, fd_jacobian, pants_text, random_in_domain
 
 ACOSH2 = math.acosh(2.0)
 # closed form for the equilateral pants at w = 0: each face is the
@@ -212,3 +217,160 @@ class TestBoundaryJacobian:
         assert H.shape == (1, 1)
         assert H[0, 0] == pytest.approx(total, rel=1e-15)
         assert H[0, 0] < 0.0
+
+
+def _scalar_reference(tri, l0, w, jacobian=True):
+    """Edge lengths, F x 3 arcs, B and H (None unless ``jacobian``) by the
+    per-hexagon reference API, one face and one slot at a time."""
+    n = tri.n_boundaries
+    lengths = np.array([edge_length(l0[e.edge_id], w[e.b_i - 1], w[e.b_j - 1]) for e in tri.edges])
+    arcs = np.zeros((len(tri.faces), 3))
+    B = np.zeros(n)
+    H = np.zeros((n, n)) if jacobian else None
+    for f, face in enumerate(tri.faces):
+        sides = face_sides(tri, l0, w, face)
+        arcs[f] = hexagon_arcs(*sides)
+        for r in range(3):
+            B[face.corners[r] - 1] += arcs[f, r]
+        if jacobian:
+            block = arc_jacobian(*sides)
+            for r in range(3):
+                for s in range(3):
+                    H[face.corners[r] - 1, face.corners[s] - 1] += block[r, s]
+    return lengths, arcs, B, H
+
+
+def _scalar_margin(tri, l0, w):
+    """The domain margin as the scalar edge_length forms each edge slack."""
+    return min(w[e.b_i - 1] + w[e.b_j - 1] + _logcosh(0.5 * l0[e.edge_id]) for e in tri.edges)
+
+
+FIXTURES = ("pants", "tetra", "twin_pants", "second_pants", "torus")
+
+
+class TestArrayKernelOracle:
+    """The compiled array kernel against the scalar per-hexagon reference."""
+
+    @staticmethod
+    def _assert_matches(tri, l0, w):
+        lengths, arcs, B, H = _scalar_reference(tri, l0, w)
+        geometry = surface_geometry(tri, l0, w)
+        np.testing.assert_allclose(geometry.edge_lengths, lengths, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(geometry.arcs, arcs, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(boundary_lengths(tri, l0, w), B, rtol=1e-13, atol=0.0)
+        np.testing.assert_array_equal(geometry.boundary, boundary_lengths(tri, l0, w))
+        H_array = boundary_jacobian(tri, l0, w)
+        assert np.max(np.abs(H_array - H)) <= 1e-12 * np.max(np.abs(H))
+        assert np.array_equal(H_array, H_array.T)
+        return lengths, arcs
+
+    @pytest.mark.parametrize("fixture_name", FIXTURES)
+    def test_random_admissible_factors(self, fixture_name, request):
+        tri, l0 = request.getfixturevalue(fixture_name)
+        rng = np.random.default_rng(26)
+        for _ in range(40):
+            self._assert_matches(tri, l0, random_in_domain(tri, l0, rng, low=-0.3, high=1.5, margin=1e-3))
+
+    @pytest.mark.parametrize("fixture_name", FIXTURES)
+    @pytest.mark.parametrize("level", [8.0, 40.0, 400.0])
+    def test_uniform_factors_take_the_log_domain(self, fixture_name, level, request):
+        tri, l0 = request.getfixturevalue(fixture_name)
+        lengths, _ = self._assert_matches(tri, l0, np.full(tri.n_boundaries, level))
+        # every face has a side > 30 (log-domain arcs); at 400 also > 200
+        # (log-domain Jacobian)
+        assert np.min(lengths) > (200.0 if level == 400.0 else 30.0)
+
+    def test_direct_and_log_faces_in_one_call(self, twin_pants):
+        tri, l0 = twin_pants
+        w = np.array([0.1, 0.0, 0.2, 8.0, 8.5, 9.0])
+        lengths, _ = self._assert_matches(tri, l0, w)
+        assert np.max(lengths[:3]) < 30.0 < np.min(lengths[3:])
+
+    def test_self_edges_near_the_domain_boundary(self, torus):
+        tri, l0 = torus
+        threshold = -math.log(math.cosh(0.6)) / 2.0  # edge 1 (l0 = 1.2) is the first to close
+        for gap in (1e-2, 1e-4, 1e-6):
+            self._assert_matches(tri, l0, np.array([threshold + gap]))
+        # Closest admissible factor: edge 1 has length ~1e-8, whose cosh
+        # rounds to 1; the scalar coefficient matrix rejects it, and so
+        # does the kernel.
+        w = np.array([threshold - 1e-15])
+        while not in_domain(tri, l0, w).ok:
+            w = np.nextafter(w, 1.0)
+        B = _scalar_reference(tri, l0, w, jacobian=False)[2]
+        np.testing.assert_allclose(boundary_lengths(tri, l0, w), B, rtol=1e-13, atol=0.0)
+        with pytest.raises(ValueError, match="cosh values > 1"):
+            arc_jacobian(*face_sides(tri, l0, w, tri.faces[0]))
+        with pytest.raises(ValueError, match="cosh values > 1"):
+            boundary_jacobian(tri, l0, w)
+
+    @pytest.mark.parametrize("fixture_name", FIXTURES)
+    def test_domain_error_where_the_scalar_path_raises(self, fixture_name, request):
+        tri, l0 = request.getfixturevalue(fixture_name)
+        rng = np.random.default_rng(27)
+        outside = 0
+        for _ in range(200):
+            w = rng.uniform(-1.5, 0.5, tri.n_boundaries)
+            try:
+                for face in tri.faces:
+                    face_sides(tri, l0, w, face)
+                scalar_raises = False
+            except DomainError:
+                scalar_raises = True
+            outside += scalar_raises
+            assert in_domain(tri, l0, w).ok is not scalar_raises
+            for kernel in (boundary_lengths, boundary_jacobian, surface_geometry):
+                if scalar_raises:
+                    with pytest.raises(DomainError):
+                        kernel(tri, l0, w)
+                else:
+                    kernel(tri, l0, w)
+        assert 0 < outside < 200
+
+
+class TestFactorEntryChecks:
+    @pytest.mark.parametrize("shape", [(2,), (4,), (3, 1), (1, 3), ()])
+    def test_wrong_shape_raises(self, pants, shape):
+        tri, l0 = pants
+        w = np.zeros(shape)
+        for kernel in (boundary_lengths, boundary_jacobian, in_domain, surface_geometry):
+            with pytest.raises(ValueError, match="one entry per boundary component"):
+                kernel(tri, l0, w)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entry(self, pants, bad):
+        tri, l0 = pants
+        w = np.array([0.1, bad, 0.2])
+        check = in_domain(tri, l0, w)
+        assert check.ok is False
+        assert math.isnan(check.margin)
+        for kernel in (boundary_lengths, boundary_jacobian, surface_geometry):
+            with pytest.raises(ValueError, match="finite"):
+                kernel(tri, l0, w)
+
+    def test_accepts_lists_and_integers(self, pants):
+        tri, l0 = pants
+        assert boundary_lengths(tri, l0, [0, 0, 0]) == pytest.approx([PANTS_B0] * 3, rel=1e-12)
+
+
+class TestCompiledCache:
+    def test_two_metrics_on_one_triangulation_alternate(self, pants):
+        tri, l0_a = pants
+        _, l0_b = parse_surface(pants_text(1.3))
+        _, l0_a_copy = parse_surface(pants_text())  # same lengths, another object
+        w = np.array([0.05, 0.1, 0.15])
+        expected = {}
+        for name, l0 in (("a", l0_a), ("b", l0_b), ("a_copy", l0_a_copy)):
+            expected[name] = _scalar_reference(tri, l0, w, jacobian=False)[2]
+        assert not np.allclose(expected["a"], expected["b"])
+        for name, l0 in (("a", l0_a), ("b", l0_b), ("a", l0_a), ("a_copy", l0_a_copy), ("b", l0_b)) * 2:
+            np.testing.assert_allclose(boundary_lengths(tri, l0, w), expected[name], rtol=1e-13, atol=0.0)
+            assert in_domain(tri, l0, w).margin == _scalar_margin(tri, l0, w)
+
+
+def test_margin_is_exactly_the_scalar_slack(pants, tetra, twin_pants, torus):
+    rng = np.random.default_rng(28)
+    for tri, l0 in (pants, tetra, twin_pants, torus):
+        for _ in range(50):
+            w = rng.uniform(-1.0, 1.0, tri.n_boundaries)
+            assert in_domain(tri, l0, w).margin == _scalar_margin(tri, l0, w)

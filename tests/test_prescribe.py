@@ -51,6 +51,16 @@ class TestSolvePrescribed:
         with pytest.raises(ValueError, match="one entry per boundary"):
             solve_prescribed(tri, l0, [1.0, 1.0])
 
+    def test_rejects_bad_start(self, pants):
+        tri, l0 = pants
+        target = boundary_lengths(tri, l0, np.zeros(3))
+        for start in ([0.1, 0.1], [0.1, 0.1, 0.1, 0.1], [[0.1, 0.1, 0.1]]):
+            with pytest.raises(ValueError, match="start must have one entry per boundary"):
+                solve_prescribed(tri, l0, target, start=start)
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="start must be finite"):
+                solve_prescribed(tri, l0, target, start=[0.1, bad, 0.1])
+
     @pytest.mark.parametrize("fixture_name", ["pants", "tetra", "torus"])
     def test_round_trip_recovery(self, fixture_name, request):
         tri, l0 = request.getfixturevalue(fixture_name)
