@@ -19,13 +19,7 @@ from .conformal import (
     in_domain,
     surface_geometry,
 )
-from .energy import (
-    DEFAULT_QUADRATURE,
-    QuadratureSpec,
-    face_energy,
-    segment_energy,
-    total_energy,
-)
+from .energy import face_energy, segment_energy, total_energy
 from .errors import (
     ConvergenceError,
     DomainError,
@@ -72,7 +66,6 @@ __all__ = [
     "CoefficientMatrix",
     "ConvergenceError",
     "CuspReport",
-    "DEFAULT_QUADRATURE",
     "DomainCheck",
     "DomainError",
     "Edge",
@@ -85,7 +78,6 @@ __all__ = [
     "Metric",
     "ParseError",
     "QuadratureError",
-    "QuadratureSpec",
     "SolveOptions",
     "SolveResult",
     "SurfaceGeometry",

@@ -5,12 +5,16 @@ codes: 0 success, 1 validation failure, 2 numeric failure (iteration cap,
 step underflow, failed checks), 64 usage error.  Every error path prints
 a single machine-parsable line prefixed ``ERROR <code>:``.  Output is
 deterministic: fixed row order, 17 significant digits in CSV, shortest
-round-trip floats in JSON, and a run header restating every default.
+round-trip floats in JSON, and for flow and prescribe a run header
+restating every field of their options dataclass.  The flow flags are the
+FlowOptions fields themselves; prescribe exposes only --tol (grad_tol) and
+--max-iter.
 """
 
 import argparse
 import json
 import sys
+from dataclasses import MISSING, fields
 
 import numpy as np
 
@@ -34,6 +38,12 @@ class _Parser(argparse.ArgumentParser):
 
 def _fmt(x):
     return f"{x:.17g}"
+
+
+def _header(command, opts):
+    """Print the run header: every field of the options object, None as auto."""
+    values = ((f.name, getattr(opts, f.name)) for f in fields(opts))
+    print(f"# {command}" + "".join(f" {name}={'auto' if v is None else _fmt(v)}" for name, v in values))
 
 
 def _load_surface(path, strict=True):
@@ -155,23 +165,8 @@ def _cmd_lengths(args):
 
 def _cmd_flow(args):
     tri, metric = _load_surface(args.surface)
-    opts = FlowOptions(
-        t_end=args.t_end,
-        rel_tol=args.rel_tol,
-        abs_tol=args.abs_tol,
-        sample_dt=args.sample_dt,
-        cusp_tol=args.cusp_tol,
-        length_cap=args.length_cap,
-    )
-    print(
-        "# flow"
-        f" t_end={_fmt(opts.t_end)}"
-        f" rel_tol={_fmt(opts.rel_tol)}"
-        f" abs_tol={_fmt(opts.abs_tol)}"
-        f" cusp_tol={_fmt(opts.cusp_tol)}"
-        f" length_cap={_fmt(opts.length_cap)}"
-        f" sample_dt={'auto' if opts.sample_dt is None else _fmt(opts.sample_dt)}"
-    )
+    opts = FlowOptions(**{f.name: getattr(args, f.name) for f in fields(FlowOptions)})
+    _header("flow", opts)
     trace = integrate_flow(tri, metric, opts)
     with open(args.out, "w", encoding="utf-8") as handle:
         handle.write(trace_csv(trace.sampled, tri.n_boundaries))
@@ -195,18 +190,9 @@ def _cmd_prescribe(args):
     n = tri.n_boundaries
     target = _vector_from_map(_read_indexed_csv(args.target, "target"), n, "target file")
     opts = SolveOptions(grad_tol=args.tol, max_iter=args.max_iter)
-    print(
-        "# prescribe"
-        f" grad_tol={_fmt(opts.grad_tol)}"
-        f" max_iter={opts.max_iter}"
-        f" backtrack={_fmt(opts.backtrack)}"
-        f" margin={_fmt(opts.margin)}"
-    )
+    _header("prescribe", opts)
     try:
         result = solve_prescribed(tri, metric, target, opts)
-    except ValueError as exc:
-        print(f"ERROR 1: {exc}")
-        return 1
     except ConvergenceError as exc:
         print(f"iterations={exc.partial.iterations if exc.partial else args.max_iter}")
         if exc.partial is not None:
@@ -283,12 +269,9 @@ def build_parser():
 
     p = sub.add_parser("flow", help="integrate the boundary-length flow")
     p.add_argument("surface")
-    p.add_argument("--t-end", type=float, required=True, dest="t_end")
-    p.add_argument("--rel-tol", type=float, default=FlowOptions.rel_tol, dest="rel_tol")
-    p.add_argument("--abs-tol", type=float, default=FlowOptions.abs_tol, dest="abs_tol")
-    p.add_argument("--cusp-tol", type=float, default=FlowOptions.cusp_tol, dest="cusp_tol")
-    p.add_argument("--length-cap", type=float, default=FlowOptions.length_cap, dest="length_cap")
-    p.add_argument("--sample-dt", type=float, default=FlowOptions.sample_dt, dest="sample_dt")
+    for f in fields(FlowOptions):
+        flag = "--" + f.name.replace("_", "-")
+        p.add_argument(flag, type=float, required=f.default is MISSING, default=f.default)
     p.add_argument("--out", default="trace.csv")
     p.set_defaults(func=_cmd_flow)
 
@@ -308,25 +291,21 @@ def build_parser():
     return parser
 
 
+_PARSER = build_parser()
+
+
 def run(argv):
     """Execute one CLI invocation; returns the exit status."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except UsageError as exc:
         print(f"ERROR 64: {exc}")
         return 64
     try:
         return args.func(args)
-    except ParseError as exc:
+    except (ParseError, ValueError, DomainError) as exc:
         print(f"ERROR 1: {exc}")
         return 1
-    except (ValueError, DomainError) as exc:
-        print(f"ERROR 1: {exc}")
-        return 1
-    except ConvergenceError as exc:
-        print(f"ERROR 2: {exc}")
-        return 2
     except HexflowError as exc:
         print(f"ERROR 2: {exc}")
         return 2

@@ -11,10 +11,11 @@ cap rather than by reaching the limit.
 The stepper is classical Runge-Kutta 4 with a step-doubling error
 estimate and PI step-size control; the problem is smooth and non-stiff
 (the flow decays), so an explicit method with modest tolerances tracks it
-accurately.  Every right-hand side is one call of the array kernel
-:func:`.boundary_lengths`; the geometry recorded at accepted steps and
-samples (shortest edge, longest arc, B) comes from one
-:func:`.surface_geometry` call per factor.
+accurately.  Every stage right-hand side is one call of the array kernel
+:func:`.boundary_lengths`.  At the start and at each accepted step, one
+:func:`.surface_geometry` call gives both the right-hand side B and the
+recorded geometry (shortest edge, longest arc); it counts as one
+right-hand-side evaluation.  Samples take one such call per factor.
 """
 
 import math
@@ -42,9 +43,9 @@ class FlowOptions:
     t_end: float
     rel_tol: float = 1e-8
     abs_tol: float = 1e-10
-    sample_dt: Optional[float] = None
     cusp_tol: float = 1e-6
     length_cap: float = 600.0
+    sample_dt: Optional[float] = None
 
     def __post_init__(self):
         for name in ("t_end", "rel_tol", "abs_tol", "cusp_tol", "length_cap"):
@@ -144,10 +145,16 @@ def integrate_flow(tri, l0, opts):
         evaluations += 1
         return boundary_lengths(tri, l0, w)
 
+    def accepted_geometry(w):
+        nonlocal evaluations
+        evaluations += 1
+        return surface_geometry(tri, l0, w)
+
     n = tri.n_boundaries
     t = 0.0
     w = np.zeros(n)
-    B = rhs(w)
+    geometry = accepted_geometry(w)
+    B = geometry.boundary
     if not opts.cusp_tol < np.max(B):
         raise ValueError(
             f"cusp_tol {opts.cusp_tol!r} must lie below the initial max "
@@ -157,7 +164,7 @@ def integrate_flow(tri, l0, opts):
     rows_t = [0.0]
     rows_w = [w.copy()]
     rows_B = [B.copy()]
-    extremes = _geometry_extremes(surface_geometry(tri, l0, w))
+    extremes = _geometry_extremes(geometry)
     rows_min_edge = [extremes[0]]
     rows_max_arc = [extremes[2]]
 
@@ -181,12 +188,13 @@ def integrate_flow(tri, l0, opts):
         if err <= 1.0:
             t += h_try
             w = w_fine
-            B = rhs(w)
+            geometry = accepted_geometry(w)
+            B = geometry.boundary
             total_err += err * float(np.max(scale))
             rows_t.append(t)
             rows_w.append(w.copy())
             rows_B.append(B.copy())
-            min_edge, _, max_arc = _geometry_extremes(surface_geometry(tri, l0, w))
+            min_edge, _, max_arc = _geometry_extremes(geometry)
             rows_min_edge.append(min_edge)
             rows_max_arc.append(max_arc)
             if float(np.max(B)) < opts.cusp_tol:

@@ -155,6 +155,10 @@ class TestPrescribeCommand:
             ["prescribe", str(pants_file), "--target", str(target), "--out", str(out_file)],
         )
         assert code == 0
+        assert out.splitlines()[0] == (
+            "# prescribe grad_tol=1e-10 max_iter=100 backtrack=0.5 min_step=1.0000000000000001e-09"
+            " margin=9.9999999999999998e-13 armijo=0.0001"
+        )
         lines = out_file.read_text().splitlines()
         assert lines[0] == "boundary_index,w"
         assert len(lines) == 4
@@ -203,6 +207,28 @@ class TestCheckJacobianCommand:
         _, a = invoke(capsys, ["check-jacobian", str(pants_file), "--samples", "10"])
         _, b = invoke(capsys, ["check-jacobian", str(pants_file), "--samples", "10"])
         assert a == b
+
+
+class TestConsecutiveRuns:
+    """One parser serves every run; no flag value carries over to the next."""
+
+    def test_lengths_format_does_not_leak(self, capsys, pants_file):
+        code, out = invoke(capsys, ["lengths", str(pants_file), "--format", "json"])
+        assert code == 0 and out.startswith("{")
+        code, out = invoke(capsys, ["lengths", str(pants_file)])
+        assert code == 0
+        assert out.splitlines()[0] == "edge,b_i,b_j,length"
+
+    def test_flow_cusp_tol_does_not_leak(self, capsys, tmp_path, pants_file):
+        argv = ["flow", str(pants_file), "--t-end", "5", "--out", str(tmp_path / "trace.csv")]
+        code, out = invoke(capsys, argv + ["--cusp-tol", "1e-3"])
+        assert code == 0 and " cusp_tol=0.001 " in out.splitlines()[0]
+        code, out = invoke(capsys, argv)
+        assert code == 0
+        assert out.splitlines()[0] == (
+            "# flow t_end=5 rel_tol=1e-08 abs_tol=1e-10 cusp_tol=9.9999999999999995e-07"
+            " length_cap=600 sample_dt=auto"
+        )
 
 
 class TestUsageErrors:

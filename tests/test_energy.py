@@ -1,12 +1,13 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
+from hexflow import energy
 from hexflow import (
     DomainError,
     QuadratureError,
-    QuadratureSpec,
     boundary_jacobian,
     boundary_lengths,
     edge_length,
@@ -28,6 +29,30 @@ def face_arcs(l0_sides, w):
         edge_length(l0_sides[2], w[0], w[1]),
     )
     return np.array(hexagon_arcs(*sides))
+
+
+def mp_face_energy(l0_sides, w, dps=30):
+    """Integral of the arc 1-form from 0 to w in mpmath.  Each arc is
+    2 asinh(sqrt(q/2)) with cosh(theta) - 1 = q = (cosh l_c + cosh(l_a - l_b))
+    / (sinh l_a sinh l_b), which does not cancel when the sides are long."""
+    with mp.workdps(dps):
+        l0 = [mp.mpf(float(v)) for v in l0_sides]
+        w = [mp.mpf(float(v)) for v in w]
+
+        def integrand(s):
+            p = [s * v for v in w]
+            sides = [
+                2 * mp.acosh(mp.exp(p[a] + p[b]) * mp.cosh(l / 2))
+                for l, (a, b) in zip(l0, ((1, 2), (2, 0), (0, 1)))
+            ]
+            total = mp.mpf(0)
+            for i in range(3):
+                lc, la, lb = sides[i], sides[(i + 1) % 3], sides[(i + 2) % 3]
+                q = (mp.cosh(lc) + mp.cosh(la - lb)) / (mp.sinh(la) * mp.sinh(lb))
+                total += 2 * mp.asinh(mp.sqrt(q / 2)) * w[i]
+            return total
+
+        return float(mp.quad(integrand, [0, 1]))
 
 
 class TestFaceEnergy:
@@ -63,22 +88,22 @@ class TestFaceEnergy:
             )
             assert abs(straight - detour) < 1e-8
 
+    @pytest.mark.parametrize("w", [(5.0, 5.0, 5.0), (20.0, 1.0, 3.0), (60.0, 60.0, 0.1)])
+    def test_matches_high_precision_integral_at_large_factors(self, w):
+        assert face_energy(L0_SIDES, w) == pytest.approx(mp_face_energy(L0_SIDES, w), rel=1e-12)
+
     def test_out_of_domain_endpoint(self):
         with pytest.raises(DomainError):
             face_energy(L0_SIDES, (-0.5, -0.5, 0.0))
 
-    def test_quadrature_failure_reported(self):
-        strict = QuadratureSpec(order=2, tolerance=1e-16, max_depth=1)
+    def test_quadrature_failure_reported(self, monkeypatch):
+        nodes, weights = np.polynomial.legendre.leggauss(2)
+        monkeypatch.setattr(energy, "_NODES", nodes)
+        monkeypatch.setattr(energy, "_WEIGHTS", weights)
+        monkeypatch.setattr(energy, "_TOLERANCE", 1e-16)
+        monkeypatch.setattr(energy, "_MAX_DEPTH", 1)
         with pytest.raises(QuadratureError):
-            face_energy(L0_SIDES, (0.4, 0.8, 1.2), strict)
-
-    def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            QuadratureSpec(order=1)
-        with pytest.raises(ValueError):
-            QuadratureSpec(tolerance=0.0)
-        with pytest.raises(ValueError):
-            QuadratureSpec(max_depth=0)
+            face_energy(L0_SIDES, (0.4, 0.8, 1.2))
 
 
 class TestTotalEnergy:
