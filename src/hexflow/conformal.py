@@ -110,10 +110,10 @@ def _compile(tri, l0):
 
 
 def _compiled(tri, l0):
-    """The compiled arrays of (tri, l0), cached on tri for the last metric.
-    Both objects are immutable, so the same metric object means the same
-    lengths."""
-    cached = tri._compiled
+    """The compiled arrays of (tri, l0), cached on tri as ``_compiled`` for
+    the last metric.  Both objects are immutable, so the same metric object
+    means the same lengths."""
+    cached = getattr(tri, "_compiled", None)
     if cached is not None and cached[0] is l0:
         return cached[1]
     compiled = _compile(tri, l0)

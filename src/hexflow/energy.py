@@ -10,6 +10,10 @@ integral is evaluated by adaptive Gauss-Legendre quadrature along the
 straight segment; the integrand is analytic on the open segment and the
 order-32 rule typically converges in a single panel.
 
+:func:`total_energy` integrates all faces at once, E(w) = int_0^1
+<B(s w), w> ds on the array kernel, to the per-face tolerance times F;
+:func:`segment_energy` and :func:`face_energy` are the scalar reference.
+
 The Newton solver reads the energy once per solve, for the first entry
 of its objective trace; otherwise these values serve as diagnostics and
 as the reference the tests check B against.
@@ -17,7 +21,7 @@ as the reference the tests check B against.
 
 import numpy as np
 
-from .conformal import edge_length, in_domain
+from .conformal import boundary_lengths, edge_length, in_domain
 from .errors import DomainError, QuadratureError
 from .hexagon import hexagon_arcs
 
@@ -92,17 +96,16 @@ def face_energy(l0_sides, w):
 
 
 def total_energy(tri, l0, w):
-    """Sum of the face energies, each face reading its factor triple
-    through its corner components.  Strictly concave in w; its gradient
-    is the boundary-length map."""
+    """E(w) = int_0^1 <B(s w), w> ds, the sum of the face energies.
+    Strictly concave in w; its gradient is the boundary-length map."""
     w = np.asarray(w, dtype=float)
     check = in_domain(tri, l0, w)
     if not check.ok:
         raise DomainError(f"factor outside the admissible domain (margin {check.margin!r})")
-    base = (0.0, 0.0, 0.0)
-    total = 0.0
-    for face in tri.faces:
-        l0_sides = tuple(l0[eid] for eid in face.opposite_edges)
-        w_face = tuple(w[c - 1] for c in face.corners)
-        total += segment_energy(l0_sides, base, w_face)
-    return total
+    if not w.any():
+        return 0.0
+
+    def integrand(s):
+        return float(boundary_lengths(tri, l0, s * w) @ w)
+
+    return _adaptive(integrand, 0.0, 1.0, _TOLERANCE * len(tri.faces), _MAX_DEPTH)

@@ -96,10 +96,8 @@ class FlowTrace:
 
 
 def cusp_report(tri, l0, w):
-    """Pure diagnostics of the rescaled geometry at w."""
-    check = in_domain(tri, l0, w)
-    if not check.ok:
-        raise DomainError(f"factor outside the admissible domain (margin {check.margin!r})")
+    """Pure diagnostics of the rescaled geometry at w; DomainError outside
+    the domain, ValueError on a non-finite factor."""
     geometry = surface_geometry(tri, l0, w)
     min_edge, max_edge, max_arc = _geometry_extremes(geometry)
     return CuspReport(

@@ -30,27 +30,25 @@ from .energy import total_energy
 from .errors import ConvergenceError
 
 
+# Line search: backtracking factor, smallest step scale tried, strict
+# interior cushion (on e^(w_a+w_b) cosh(l0/2) - 1) and Armijo parameter.
+_BACKTRACK = 0.5
+_MIN_STEP = 1e-9
+_MARGIN = 1e-12
+_ARMIJO = 1e-4
+
+
 @dataclass(frozen=True)
 class SolveOptions:
-    """Newton controls: residual tolerance (inf-norm on B(w) - target),
-    iteration cap, backtracking factor, smallest step scale tried, strict
-    interior cushion (on e^(w_a+w_b) cosh(l0/2) - 1) and Armijo
-    parameter."""
+    """Newton controls: residual tolerance (inf-norm on B(w) - target) and
+    iteration cap."""
 
     grad_tol: float = 1e-10
     max_iter: int = 100
-    backtrack: float = 0.5
-    min_step: float = 1e-9
-    margin: float = 1e-12
-    armijo: float = 1e-4
 
     def __post_init__(self):
         if not self.grad_tol > 0.0:
             raise ValueError(f"grad_tol must be positive, got {self.grad_tol!r}")
-        if not 0.0 < self.backtrack < 1.0:
-            raise ValueError(f"backtrack factor must lie in (0, 1), got {self.backtrack!r}")
-        if self.margin < 0.0:
-            raise ValueError(f"margin must be >= 0, got {self.margin!r}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter!r}")
 
@@ -154,12 +152,12 @@ def solve_prescribed(tri, l0, target, opts=None, start=None):
 
         slope = float(grad @ step)
         alpha = 1.0
-        while alpha >= opts.min_step:
-            if _interior_slack(tri, l0, w + alpha * step) > opts.margin:
+        while alpha >= _MIN_STEP:
+            if _interior_slack(tri, l0, w + alpha * step) > _MARGIN:
                 gain = _merit_gain(tri, l0, target, w, step, alpha)
-                if gain >= opts.armijo * alpha * slope:
+                if gain >= _ARMIJO * alpha * slope:
                     break
-            alpha *= opts.backtrack
+            alpha *= _BACKTRACK
         else:
             raise ConvergenceError(
                 f"line search failed at iteration {iteration} (residual {residual:.3e})",

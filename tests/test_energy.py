@@ -13,6 +13,7 @@ from hexflow import (
     edge_length,
     face_energy,
     hexagon_arcs,
+    parse_surface,
     segment_energy,
     total_energy,
 )
@@ -20,6 +21,24 @@ from hexflow import (
 from conftest import PANTS_EDGE, fd_jacobian, random_in_domain
 
 L0_SIDES = (PANTS_EDGE, PANTS_EDGE, PANTS_EDGE)
+
+
+def pants_copies(count):
+    """Disjoint union of ``count`` copies of the pants fixture; copy k has
+    components 3k+1..3k+3, edges 3k+1..3k+3 and faces 2k+1, 2k+2."""
+    lines = ["surface pantscopies", f"boundaries {3 * count}"]
+    for k in range(count):
+        a, b, c = 3 * k + 1, 3 * k + 2, 3 * k + 3
+        lines += [f"edge {e} {i} {j} {PANTS_EDGE!r}" for e, i, j in ((a, b, c), (b, c, a), (c, a, b))]
+        lines += [f"face {2 * k + f} {a} {b} {c} {a} {b} {c}" for f in (1, 2)]
+    return parse_surface("\n".join(lines) + "\n")
+
+
+def sum_of_face_energies(tri, l0, w):
+    return sum(
+        face_energy(tuple(l0[eid] for eid in face.opposite_edges), tuple(w[c - 1] for c in face.corners))
+        for face in tri.faces
+    )
 
 
 def face_arcs(l0_sides, w):
@@ -175,6 +194,21 @@ class TestTotalEnergy:
             whole = total_energy(tri, l0, w)
             parts = total_energy(tri1, l01, w1) + total_energy(tri2, l02, w2)
             assert whole == pytest.approx(parts, abs=1e-14)
+        # F = 2000: the tolerance scales with the face count, so the whole
+        # surface converges as the per-face integrals do.
+        count = 1000
+        tri, l0 = pants_copies(count)
+        for w_copy in (np.array([20.0, 1.0, 5.0]), np.array([0.4, 0.8, 1.2])):
+            whole = total_energy(tri, l0, np.tile(w_copy, count))
+            assert whole == pytest.approx(count * total_energy(tri1, l01, w_copy), rel=1e-12)
+
+    def test_equals_sum_of_face_energies(self, pants, tetra, twin_pants, second_pants, torus):
+        rng = np.random.default_rng(35)
+        for tri, l0 in (pants, tetra, twin_pants, second_pants, torus):
+            points = [random_in_domain(tri, l0, rng, low=-0.3, high=1.5) for _ in range(3)]
+            points += [np.full(tri.n_boundaries, value) for value in (5.0, 20.0)]
+            for w in points:
+                assert total_energy(tri, l0, w) == pytest.approx(sum_of_face_energies(tri, l0, w), rel=1e-13)
 
     def test_out_of_domain(self, pants):
         tri, l0 = pants

@@ -6,6 +6,7 @@ from scipy.integrate import solve_ivp
 
 from hexflow import (
     ConvergenceError,
+    DomainError,
     FlowOptions,
     cusp_report,
     edge_length,
@@ -154,8 +155,10 @@ class TestCuspReport:
 
     def test_rejects_out_of_domain(self, pants):
         tri, l0 = pants
-        with pytest.raises(Exception):
+        with pytest.raises(DomainError):
             cusp_report(tri, l0, np.array([-0.9, 0.0, 0.0]))
+        with pytest.raises(ValueError):
+            cusp_report(tri, l0, np.array([math.nan, 0.0, 0.0]))
 
 
 class TestTraceCsv:

@@ -16,10 +16,6 @@ class TestSolveOptions:
         with pytest.raises(ValueError):
             SolveOptions(grad_tol=0.0)
         with pytest.raises(ValueError):
-            SolveOptions(backtrack=1.0)
-        with pytest.raises(ValueError):
-            SolveOptions(margin=-1.0)
-        with pytest.raises(ValueError):
             SolveOptions(max_iter=0)
 
 
