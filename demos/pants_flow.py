@@ -1,11 +1,18 @@
 """Integrating the boundary-length flow dw/dt = B(w) on the pair of pants:
-monotone quantities, cusp formation, and the observed decay rate."""
+monotone quantities, cusp formation, and the closed-form long-time limit."""
 
 import math
 
 import numpy as np
 
-from hexflow import FlowOptions, cusp_report, integrate_flow, parse_surface, total_energy
+from hexflow import (
+    FlowOptions,
+    cusp_report,
+    flow_limit,
+    integrate_flow,
+    parse_surface,
+    total_energy,
+)
 
 PANTS = f"""
 surface pants
@@ -48,14 +55,15 @@ print(f"max boundary length {final.max_boundary:.3e}")
 print(f"min edge length     {final.min_edge:.2f}")
 print(f"largest arc         {final.max_arc:.3e}")
 
-# Observed decay rate: fit B ~ C * t^p on the tail of the trace.  The
-# late-time rate is very close to p = -1 (B ~ 1/(2t)); no claim beyond the
-# observation is made.
-print("\n== observed decay of B(t) ==")
-times = trace.accepted.times
-peak_b = trace.accepted.lengths.max(axis=1)
-tail = times > times[-1] / 10.0
-p, logc = np.polyfit(np.log(times[tail]), np.log(peak_b[tail]), 1)
-print(f"tail fit B ~ C t^p: p = {p:.4f}, C = {math.exp(logc):.4f}")
-print(f"compare 1/(2t) at t = {times[-1]:.0f}: {1 / (2 * times[-1]):.3e} "
-      f"vs measured {peak_b[-1]:.3e}")
+# Long-time limit: for long sides the arc at corner k is e^(-2 w_k) times
+# lambda_opp / (lambda_adj lambda_adj') with lambda = cosh(l0/2), so
+# B_k ~ K_k e^(-2 w_k), w_k = (1/2) ln(2 K_k t) + o(1) and t B_k -> 1/2.
+print("\n== the long-time limit ==")
+K, c = flow_limit(tri, l0)
+t = trace.accepted.times[-1]
+w = trace.accepted.factors[-1]
+print(f"K = {K[0]:.6f}: two corners, each 2 / (2 * 2) as lambda = cosh(arccosh 2) = 2")
+print(f"c = 1/2 ln(2K) = {c[0]:.6f}")
+print(f"at t = {t:.1f}:")
+print(f"t * B           {t * final.max_boundary:.6f}  (limit 1/2)")
+print(f"w - c - 1/2 ln t {np.max(np.abs(w - c - 0.5 * math.log(t))):.3e}  (= w - 1/2 ln(2Kt), limit 0)")

@@ -33,6 +33,7 @@ from .flow import (
     FlowTrace,
     TraceTable,
     cusp_report,
+    flow_limit,
     integrate_flow,
     trace_csv,
 )
@@ -96,6 +97,7 @@ __all__ = [
     "face_energy",
     "face_hexagon",
     "face_sides",
+    "flow_limit",
     "hexagon_arcs",
     "hexagon_sides",
     "in_domain",

@@ -8,14 +8,19 @@ bound (each hexagon degenerates toward an ideal triangle).  A numerical
 run therefore cuts off by a boundary-length threshold or an edge-length
 cap rather than by reaching the limit.
 
-The stepper is classical Runge-Kutta 4 with a step-doubling error
-estimate and PI step-size control; the problem is smooth and non-stiff
-(the flow decays), so an explicit method with modest tolerances tracks it
-accurately.  Every stage right-hand side is one call of the array kernel
-:func:`.boundary_lengths`.  At the start and at each accepted step, one
-:func:`.surface_geometry` call gives both the right-hand side B and the
-recorded geometry (shortest edge, longest arc); it counts as one
-right-hand-side evaluation.  Samples take one such call per factor.
+The stepper is the embedded Dormand-Prince 5(4) pair (Dormand & Prince,
+J. Comput. Appl. Math. 6 (1980)) with PI step-size control, run in log
+time tau = ln(1 + t) on dw/dtau = e^tau B(w).  Along the flow w drifts
+like (1/2) ln t (see :func:`flow_limit`), which is smooth in tau, so steps
+in tau stay long where steps in t would have to grow without bound.  Each
+stage right-hand side is one call of the array kernel
+:func:`.boundary_lengths`.  The last stage is one :func:`.surface_geometry`
+call at the trial point, which gives the error estimate, the first stage
+of the next step ("first same as last") and, once the step is accepted,
+the recorded geometry (shortest edge, longest arc); it counts as one
+right-hand-side evaluation, so an attempted step costs six.  The samples
+come from each accepted step's 4th-order dense output and take one
+:func:`.surface_geometry` call per factor.
 """
 
 import math
@@ -24,10 +29,36 @@ from typing import Optional
 
 import numpy as np
 
-from .conformal import boundary_lengths, in_domain, surface_geometry
+from .conformal import _compiled, boundary_lengths, in_domain, surface_geometry
 from .conformal import edge_length, face_sides  # noqa: F401 - sites the tracer in bench/tracing.py wraps
 from .errors import ConvergenceError, DomainError
 from .hexagon import hexagon_arcs  # noqa: F401 - a site the tracer in bench/tracing.py wraps
+
+# The Dormand-Prince 5(4) tableau and its 4th-order dense output, the
+# values of scipy.integrate.RK45 (a test checks them).  They are written
+# out because importing scipy.integrate adds ~23 MiB to a process; the
+# driver is our own because RK45 clamps rel_tol at 100 eps (with a
+# warning) and measures the error in an RMS norm.
+_C = np.array([0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1])
+_A = np.array([
+    [0, 0, 0, 0, 0],
+    [1 / 5, 0, 0, 0, 0],
+    [3 / 40, 9 / 40, 0, 0, 0],
+    [44 / 45, -56 / 15, 32 / 9, 0, 0],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
+])
+_B = np.array([35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])
+_E = np.array([-71 / 57600, 0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40])
+_P = np.array([
+    [1, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
+    [0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
+    [0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632],
+    [0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
+    [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
+])
 
 
 @dataclass(frozen=True)
@@ -36,8 +67,8 @@ class FlowOptions:
 
     The run stops at ``t_end``, or earlier once max_i B_i < ``cusp_tol``
     or the shortest edge exceeds ``length_cap`` (kept below the cosh
-    overflow threshold near 710).  ``sample_dt`` spaces the interpolated
-    trace grid; None picks t_end / 100.
+    overflow threshold near 710).  ``sample_dt`` spaces the sampled trace
+    grid; None picks a hundredth of the final time.
     """
 
     t_end: float
@@ -84,9 +115,10 @@ class TraceTable:
 
 @dataclass
 class FlowTrace:
-    """Accepted integrator steps at full resolution plus the interpolated
-    sample grid; monotonicity statements hold at the accepted steps (the
-    linear interpolation used for sampling need not preserve them)."""
+    """Accepted integrator steps at full resolution plus the sample grid,
+    whose factors come from each step's 4th-order dense output;
+    monotonicity statements hold at the accepted steps (the dense output
+    need not preserve them between steps)."""
 
     accepted: TraceTable
     sampled: TraceTable
@@ -99,38 +131,61 @@ def cusp_report(tri, l0, w):
     """Pure diagnostics of the rescaled geometry at w; DomainError outside
     the domain, ValueError on a non-finite factor."""
     geometry = surface_geometry(tri, l0, w)
-    min_edge, max_edge, max_arc = _geometry_extremes(geometry)
+    lengths = geometry.edge_lengths
     return CuspReport(
         boundary=geometry.boundary,
         max_boundary=float(np.max(geometry.boundary)),
-        min_edge=min_edge,
-        max_edge=max_edge,
-        max_arc=max_arc,
+        min_edge=float(lengths.min()),
+        max_edge=float(lengths.max()),
+        max_arc=float(geometry.arcs.max()),
     )
 
 
-def _geometry_extremes(geometry):
-    """(shortest edge, longest edge, longest arc) of a SurfaceGeometry."""
-    lengths = geometry.edge_lengths
-    return float(lengths.min()), float(lengths.max()), float(geometry.arcs.max())
+def flow_limit(tri, l0):
+    """Long-time limit of the flow: (K, c) with c = (1/2) ln(2K).
+
+    For long sides the arc at corner k is e^(-2 w_k) lambda_opp /
+    (lambda_adj lambda_adj'), with lambda_e = cosh(l0_e / 2) (Penner's
+    horocyclic arcs for the lambda-lengths lambda_e), so B_k ~ K_k e^(-2 w_k)
+    with K_k the sum of these ratios over the corners at k.  Hence along the
+    flow w_k(t) = (1/2) ln(2 K_k t) + o(1) = c_k + (1/2) ln t + o(1), and
+    t B_k(t) -> 1/2.
+    """
+    compiled = _compiled(tri, l0)
+    log_lam = compiled.log_cosh0[compiled.slots[0]]
+    ratios = np.exp(2.0 * log_lam - log_lam.sum(axis=1, keepdims=True))
+    K = np.bincount(compiled.corners, weights=ratios.ravel(), minlength=tri.n_boundaries)
+    return K, 0.5 * np.log(2.0 * K)
 
 
-def _rk4(f, w, h, k1=None):
-    if k1 is None:
-        k1 = f(w)
-    k2 = f(w + (0.5 * h) * k1)
-    k3 = f(w + (0.5 * h) * k2)
-    k4 = f(w + h * k3)
-    return w + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _row(geometry):
+    """(B, shortest edge, longest arc): what a trace row records of a
+    SurfaceGeometry."""
+    return geometry.boundary, float(geometry.edge_lengths.min()), float(geometry.arcs.max())
+
+
+def _table(times, factors, rows):
+    lengths, min_edge, max_arc = (np.array(column) for column in zip(*rows))
+    return TraceTable(
+        times=np.array(times),
+        factors=np.array(factors),
+        lengths=lengths,
+        sum_sq=np.einsum("ij,ij->i", lengths, lengths),
+        min_edge=min_edge,
+        max_arc=max_arc,
+    )
 
 
 def integrate_flow(tri, l0, opts):
     """Integrate the flow from w = 0 and return its trace.
 
-    Positivity of B keeps every stage point admissible, so a domain
+    Positivity of B keeps the flow admissible, and on a step short
+    enough for the error test every stage point lies above w (the pair
+    has negative weights, but they cancel to first order), so a domain
     violation mid-run indicates an integrator defect and raises
     DomainError rather than being treated as bad input.  The error
-    estimate per step is the step-doubling difference scaled by 1/15.
+    estimate per step is the difference of the embedded 5th- and
+    4th-order solutions; the 5th-order one is kept.
     """
     check = in_domain(tri, l0, np.zeros(tri.n_boundaries))
     if not check.ok:  # pragma: no cover - a positive metric always admits 0
@@ -143,62 +198,64 @@ def integrate_flow(tri, l0, opts):
         evaluations += 1
         return boundary_lengths(tri, l0, w)
 
-    def accepted_geometry(w):
+    def geometry_at(w):
         nonlocal evaluations
         evaluations += 1
         return surface_geometry(tri, l0, w)
 
     n = tri.n_boundaries
-    t = 0.0
+    tau = t = 0.0
     w = np.zeros(n)
-    geometry = accepted_geometry(w)
+    geometry = geometry_at(w)
     B = geometry.boundary
     if not opts.cusp_tol < np.max(B):
         raise ValueError(
             f"cusp_tol {opts.cusp_tol!r} must lie below the initial max "
             f"boundary length {float(np.max(B))!r}"
         )
-
-    rows_t = [0.0]
-    rows_w = [w.copy()]
-    rows_B = [B.copy()]
-    extremes = _geometry_extremes(geometry)
-    rows_min_edge = [extremes[0]]
-    rows_max_arc = [extremes[2]]
-
-    h = min(0.1 / float(np.max(B)), opts.t_end)
+    times, factors, rows = [0.0], [w], [_row(geometry)]
+    # (tau, h, w, h K^T P) of each accepted step: its dense output.
+    steps = []
+    # Stage slopes dw/dtau = e^tau B; row 0 is the FSAL row.
+    K = np.empty((7, n))
+    K[0] = B
+    tau_end = math.log1p(opts.t_end)
+    h = min(0.1 / float(np.max(B)), tau_end)
     err_prev = 1.0
     total_err = 0.0
     stop_reason = "t_end"
 
     while True:
-        remaining = opts.t_end - t
-        if remaining <= 1e-12 * opts.t_end:
+        remaining = tau_end - tau
+        if remaining <= 1e-12 * tau_end:
             break
         h_try = min(h, remaining)
-        if h_try < 1e-13 * max(1.0, abs(t)):
-            raise ConvergenceError(f"step size underflow at t = {t!r} (h = {h_try!r})")
-        w_big = _rk4(rhs, w, h_try, k1=B)
-        w_mid = _rk4(rhs, w, 0.5 * h_try, k1=B)
-        w_fine = _rk4(rhs, w_mid, 0.5 * h_try)
-        scale = opts.abs_tol + opts.rel_tol * np.maximum(np.abs(w), np.abs(w_fine))
-        err = float(np.max(np.abs(w_fine - w_big) / scale)) / 15.0
+        if h_try < 1e-13 * max(1.0, tau):
+            raise ConvergenceError(
+                f"step size underflow at t = {t!r} (h = {h_try!r} in ln(1 + t))"
+            )
+        for s in range(1, 6):
+            K[s] = math.exp(tau + _C[s] * h_try) * rhs(w + h_try * (_A[s, :s] @ K[:s]))
+        w_new = w + h_try * (_B @ K[:6])
+        trial = geometry_at(w_new)
+        K[6] = math.exp(tau + h_try) * trial.boundary
+        scale = opts.abs_tol + opts.rel_tol * np.maximum(np.abs(w), np.abs(w_new))
+        err = float(np.max(np.abs(h_try * (_E @ K)) / scale))
         if err <= 1.0:
-            t += h_try
-            w = w_fine
-            geometry = accepted_geometry(w)
-            B = geometry.boundary
+            steps.append((tau, h_try, w, h_try * (K.T @ _P)))
+            landing = h_try == remaining
+            tau = tau_end if landing else tau + h_try
+            t = opts.t_end if landing else math.expm1(tau)
+            w, B = w_new, trial.boundary
+            K[0] = K[6]
             total_err += err * float(np.max(scale))
-            rows_t.append(t)
-            rows_w.append(w.copy())
-            rows_B.append(B.copy())
-            min_edge, _, max_arc = _geometry_extremes(geometry)
-            rows_min_edge.append(min_edge)
-            rows_max_arc.append(max_arc)
+            times.append(t)
+            factors.append(w)
+            rows.append(_row(trial))
             if float(np.max(B)) < opts.cusp_tol:
                 stop_reason = "cusp_tol"
                 break
-            if min_edge > opts.length_cap:
+            if rows[-1][1] > opts.length_cap:
                 stop_reason = "length_cap"
                 break
             grow = 0.9 * err ** -0.14 * err_prev ** 0.08 if err > 0.0 else 5.0
@@ -207,50 +264,29 @@ def integrate_flow(tri, l0, opts):
         else:
             h = h_try * max(0.1, 0.9 * err ** -0.2)
 
-    accepted = TraceTable(
-        times=np.array(rows_t),
-        factors=np.array(rows_w),
-        lengths=np.array(rows_B),
-        sum_sq=np.array([float(np.dot(b, b)) for b in rows_B]),
-        min_edge=np.array(rows_min_edge),
-        max_arc=np.array(rows_max_arc),
-    )
-    sampled = _sample(tri, l0, accepted, opts.sample_dt or float(accepted.times[-1]) / 100.0)
     return FlowTrace(
-        accepted=accepted,
-        sampled=sampled,
+        accepted=_table(times, factors, rows),
+        sampled=_sample(tri, l0, steps, t, opts.sample_dt or t / 100.0),
         stop_reason=stop_reason,
         error_estimate=total_err,
         rhs_evaluations=evaluations,
     )
 
 
-def _sample(tri, l0, accepted, sample_dt):
-    """Linear interpolation of w on the sample grid, with the geometry
-    (B, shortest edge, longest arc) recomputed at each interpolated factor."""
-    t_last = float(accepted.times[-1])
+def _sample(tri, l0, steps, t_last, sample_dt):
+    """The factors on the sample grid from the dense output of the accepted
+    step holding each sample time, with the geometry (B, shortest edge,
+    longest arc) recomputed at each sampled factor."""
     grid = list(np.arange(0.0, t_last, sample_dt))
     if not grid or grid[-1] < t_last:
         grid.append(t_last)
     times = np.array(grid)
-    factors = np.empty((len(times), accepted.factors.shape[1]))
-    for col in range(accepted.factors.shape[1]):
-        factors[:, col] = np.interp(times, accepted.times, accepted.factors[:, col])
-    lengths = np.empty_like(factors)
-    min_edge = np.empty(len(times))
-    max_arc = np.empty(len(times))
-    for r in range(len(times)):
-        geometry = surface_geometry(tri, l0, factors[r])
-        lengths[r] = geometry.boundary
-        min_edge[r], _, max_arc[r] = _geometry_extremes(geometry)
-    return TraceTable(
-        times=times,
-        factors=factors,
-        lengths=lengths,
-        sum_sq=np.einsum("ij,ij->i", lengths, lengths),
-        min_edge=min_edge,
-        max_arc=max_arc,
-    )
+    step_tau, step_h, step_w, step_hq = (np.array(column) for column in zip(*steps))
+    tau = np.log1p(times)
+    k = np.clip(np.searchsorted(step_tau, tau, side="right") - 1, 0, len(steps) - 1)
+    theta = (tau - step_tau[k]) / step_h[k]
+    factors = step_w[k] + np.einsum("snj,sj->sn", step_hq[k], theta[:, None] ** np.arange(1, 5))
+    return _table(times, factors, [_row(surface_geometry(tri, l0, w)) for w in factors])
 
 
 def trace_csv(table, n_boundaries):

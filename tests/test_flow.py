@@ -2,23 +2,27 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
+from scipy.integrate import RK45, solve_ivp
 
 from hexflow import (
     ConvergenceError,
     DomainError,
     FlowOptions,
+    boundary_lengths,
     cusp_report,
     edge_length,
+    flow_limit,
     hexagon_arcs,
     integrate_flow,
     total_energy,
     trace_csv,
 )
+from hexflow import flow as flow_module
 
 from conftest import PANTS_EDGE
 
 PANTS_B0 = 2.0 * math.acosh(7.0 / 6.0)
+FIXTURES = ("pants", "tetra", "torus", "twin_pants", "second_pants")
 
 
 def scalar_pants_rhs(x):
@@ -130,6 +134,56 @@ class TestIntegrateFlow:
             assert trace.sampled.sum_sq[r] == pytest.approx(
                 float(np.sum(np.asarray(w) * 0 + trace.sampled.lengths[r] ** 2)), rel=1e-12
             )
+
+    def test_tableau_is_scipys_dormand_prince(self):
+        for name in ("A", "B", "C", "E", "P"):
+            assert np.array_equal(getattr(flow_module, "_" + name), getattr(RK45, name)), name
+
+    def test_samples_match_reference(self, tetra):
+        tri, l0 = tetra
+        trace = integrate_flow(tri, l0, FlowOptions(t_end=1e6, cusp_tol=1e-4))
+        times = trace.sampled.times
+        ref = solve_ivp(
+            lambda _, y: boundary_lengths(tri, l0, y),
+            [0.0, times[-1]],
+            np.zeros(tri.n_boundaries),
+            rtol=1e-12,
+            atol=1e-14,
+            t_eval=times,
+        )
+        assert np.max(np.abs(trace.sampled.factors - ref.y.T)) <= 1e-6
+
+    def test_evaluation_count(self, tetra):
+        tri, l0 = tetra
+        trace = integrate_flow(tri, l0, FlowOptions(t_end=1e6, cusp_tol=1e-4))
+        assert trace.stop_reason == "cusp_tol"
+        assert trace.rhs_evaluations <= 700
+
+
+class TestFlowLimit:
+    @pytest.mark.parametrize("name", FIXTURES)
+    def test_matches_per_face_loop(self, request, name):
+        tri, l0 = request.getfixturevalue(name)
+        lam = {e.edge_id: math.cosh(0.5 * l0[e.edge_id]) for e in tri.edges}
+        expected = np.zeros(tri.n_boundaries)
+        for face in tri.faces:
+            for t in range(3):
+                opp, adj, adj2 = (face.opposite_edges[(t + s) % 3] for s in range(3))
+                expected[face.corners[t] - 1] += lam[opp] / (lam[adj] * lam[adj2])
+        K, c = flow_limit(tri, l0)
+        assert K == pytest.approx(expected, rel=1e-14)
+        assert c == pytest.approx(0.5 * np.log(2.0 * expected), rel=1e-14, abs=1e-15)
+
+    @pytest.mark.parametrize("name", FIXTURES)
+    def test_flow_tends_to_limit(self, request, name):
+        tri, l0 = request.getfixturevalue(name)
+        trace = integrate_flow(tri, l0, FlowOptions(t_end=1e9, cusp_tol=1e-6))
+        assert trace.stop_reason == "cusp_tol"
+        _, c = flow_limit(tri, l0)
+        t = trace.accepted.times[-1]
+        w, B = trace.accepted.factors[-1], trace.accepted.lengths[-1]
+        assert np.max(np.abs(w - c - 0.5 * math.log(t))) <= 1e-5
+        assert np.max(np.abs(t * B - 0.5)) <= 1e-5
 
 
 class TestCuspReport:
