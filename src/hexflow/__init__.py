@@ -10,12 +10,14 @@ lengths by damped Newton iteration.
 
 from .conformal import (
     DomainCheck,
+    GeometryRows,
     SurfaceGeometry,
     boundary_jacobian,
     boundary_lengths,
     edge_length,
     face_hexagon,
     face_sides,
+    geometry_rows,
     in_domain,
     surface_geometry,
 )
@@ -73,6 +75,7 @@ __all__ = [
     "Face",
     "FlowOptions",
     "FlowTrace",
+    "GeometryRows",
     "HexagonGeometry",
     "HexflowError",
     "IdealTriangulation",
@@ -98,6 +101,7 @@ __all__ = [
     "face_hexagon",
     "face_sides",
     "flow_limit",
+    "geometry_rows",
     "hexagon_arcs",
     "hexagon_sides",
     "in_domain",

@@ -25,9 +25,18 @@ ln cosh(l0/2); the compiled form is cached on the triangulation for the
 last metric seen.  Every evaluation then works on whole arrays: the
 per-edge slack u = w_a + w_b + ln cosh(l0/2), the edge lengths, the F x 3
 arcs (the cancellation-free q-form for faces whose sides are all <= 30,
-the log-domain form otherwise), B by one ``bincount`` over the
-face-ordered corners and H from the closed-form coefficient matrix.  The
-sums run in the same order as a loop over faces and slots.  The scalar
+the log-domain form on the other faces' three sides) and B by one
+``bincount`` over the face-ordered corners.  H comes from the
+closed-form coefficient matrix.  The sums run in the same order as a
+loop over faces and slots.
+
+The kernel evaluates a stack of factors, one per row, in one pass:
+:func:`geometry_rows` takes an (m, n) stack and returns B, the shortest
+edge and the longest arc of every row.  Rows run in blocks of at most
+``_BLOCK_EDGES`` edge values, so a block's temporaries stay in cache; B
+is one ``bincount`` over the corners offset by n per row, which keeps
+each row's face order, so every row is bit-identical to a single-factor
+call (a single factor is a stack of one row).  The scalar
 :func:`edge_length`, :func:`face_sides` and :func:`face_hexagon`, with
 :func:`.hexagon_arcs` and :func:`.arc_jacobian`, are the per-hexagon
 reference API the kernel is tested against.
@@ -57,6 +66,11 @@ _JACOBIAN_DIRECT_MIN = 1e-7
 _JACOBIAN_DIRECT_MAX = 200.0
 # Row-major 3x3 block from (M_11, M_22, M_33, M_12, M_23, M_13).
 _BLOCK_LAYOUT = [0, 3, 5, 3, 1, 4, 5, 4, 2]
+# Row r holds the slot order rotated by r: side t of a face, then t+1, t+2.
+_ROTATIONS = np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
+# A block of factor rows holds at most this many edge values (rows x E),
+# and always at least one row.
+_BLOCK_EDGES = 1024
 
 
 class DomainCheck(NamedTuple):
@@ -74,8 +88,17 @@ class SurfaceGeometry(NamedTuple):
     boundary: np.ndarray
 
 
+class GeometryRows(NamedTuple):
+    """What :func:`geometry_rows` returns for an (m, n) stack of factors:
+    B of every row (m, n), the shortest edge (m,) and the longest arc (m,)."""
+
+    boundary: np.ndarray
+    min_edge: np.ndarray
+    max_arc: np.ndarray
+
+
 class _Compiled(NamedTuple):
-    ends: np.ndarray  # (2, E) 0-based components joined by each edge
+    ends: tuple  # two (E,) arrays, the 0-based components joined by each edge
     log_cosh0: np.ndarray  # (E,) ln cosh(l0/2)
     slots: np.ndarray  # (3, F, 3) edge index in slot t, t+1, t+2 (mod 3)
     corners: np.ndarray  # (3F,) 0-based component of each corner, face by face
@@ -92,7 +115,7 @@ def _base_length(l0, edge_id):
 def _compile(tri, l0):
     n = tri.n_boundaries
     index = {e.edge_id: k for k, e in enumerate(tri.edges)}
-    ends = np.array([[e.b_i - 1 for e in tri.edges], [e.b_j - 1 for e in tri.edges]], dtype=np.intp)
+    ends = tuple(np.array([[e.b_i - 1 for e in tri.edges], [e.b_j - 1 for e in tri.edges]], dtype=np.intp))
     # The scalar _logcosh, so the slack (and the domain margin) is exactly
     # that of edge_length.
     log_cosh0 = np.array([_logcosh(0.5 * _base_length(l0, e.edge_id)) for e in tri.edges])
@@ -132,16 +155,23 @@ def _factor(tri, w):
     return w
 
 
+def _finite(w):
+    if not np.isfinite(w).all():
+        raise ValueError(f"factor entries must be finite, got {w!r}")
+    return w
+
+
+def _edge_slack(compiled, w):
+    """u_e = w_a + w_b + ln cosh(l0_e/2) along the last axis of w."""
+    a, b = compiled.ends
+    return w.take(a, axis=-1) + w.take(b, axis=-1) + compiled.log_cosh0
+
+
 def _slack(tri, l0, w):
     """Per-edge slack u_e = w_a + w_b + ln cosh(l0_e/2), in ``tri.edges``
     order; w is admissible iff every u_e > 0.  Raises ValueError unless w
     is a finite vector of shape (n,)."""
-    w = _factor(tri, w)
-    if not np.isfinite(w).all():
-        raise ValueError(f"factor entries must be finite, got {w!r}")
-    compiled = _compiled(tri, l0)
-    w_a, w_b = w[compiled.ends]
-    return w_a + w_b + compiled.log_cosh0
+    return _edge_slack(_compiled(tri, l0), _finite(_factor(tri, w)))
 
 
 def _acosh1p_array(q):
@@ -175,18 +205,16 @@ def _logsinh_array(x):
     return np.where(x < 1.0, np.log(np.sinh(small)), large - LN2 + np.log1p(-np.exp(-2.0 * large)))
 
 
-def _edge_lengths(tri, l0, w):
-    """(compiled arrays, rescaled edge lengths 2 arccosh(e^u)), as
-    :func:`edge_length` computes them; ValueError on a factor that is not
-    a finite (n,) vector, DomainError outside the domain."""
-    u = _slack(tri, l0, w)
+def _lengths(u):
+    """Rescaled edge lengths 2 arccosh(e^u), as :func:`edge_length`
+    computes them; DomainError unless every slack is positive."""
     margin = u.min()
     if not margin > 0.0:
         raise DomainError(
             f"factor outside the admissible domain: an edge slack "
             f"w_a + w_b + ln cosh(l0/2) is {float(margin)!r} <= 0"
         )
-    return _compiled(tri, l0), 2.0 * _acosh_exp_array(u)
+    return 2.0 * _acosh_exp_array(u)
 
 
 def _q_form(cc, ca, cb, sa, sb):
@@ -197,19 +225,27 @@ def _q_form(cc, ca, cb, sa, sb):
     return (cc + (ca * ca + cb * cb - 1.0) / (ca * cb + sab)) / sab
 
 
+def _gather(x, index):
+    """x gathered along its last axis, with the first axis of index moved
+    to the front, so that the result unpacks into one array per rotation.
+    A single row takes plain indexing, the cheaper form of the same gather."""
+    return x[index] if x.ndim == 1 else x.take(index, axis=-1).swapaxes(0, 1)
+
+
 def _arcs_direct(lengths, slots):
-    """Arc opposite slot t of every face, by the q-form; exact while every
-    side is <= 30."""
-    cc, ca, cb = np.cosh(lengths)[slots]
-    sa, sb = np.sinh(lengths)[slots[1:]]
+    """Arc opposite slot t of every face of every row, by the q-form;
+    exact while every side is <= 30."""
+    cc, ca, cb = _gather(np.cosh(lengths), slots)
+    sa, sb = _gather(np.sinh(lengths), slots[1:])
     return _acosh1p_array(_q_form(cc, ca, cb, sa, sb))
 
 
-def _arcs_log(lengths, slots):
-    """The same arcs by the log-domain q-form of :func:`.hexagon._arc_log`."""
-    log_cosh, log_sinh = _logcosh_array(lengths), _logsinh_array(lengths)
-    lcc, lca, lcb = log_cosh[slots]
-    lsa, lsb = log_sinh[slots[1:]]
+def _arcs_log(sides):
+    """The same arcs by the log-domain q-form of :func:`.hexagon._arc_log`,
+    for k faces given by their (k, 3) sides in slot order."""
+    log_cosh, log_sinh = _logcosh_array(sides), _logsinh_array(sides)
+    lcc, lca, lcb = _gather(log_cosh, _ROTATIONS)
+    lsa, lsb = _gather(log_sinh, _ROTATIONS[1:])
     lsab = lsa + lsb
     log_a2b2m1 = np.logaddexp(0.0, np.logaddexp(2.0 * lsa, 2.0 * lsb))
     log_den = np.logaddexp(lca + lcb, lsab)
@@ -220,16 +256,29 @@ def _arcs_log(lengths, slots):
 
 
 def _face_arcs(compiled, lengths):
-    """F x 3 arcs; each face takes the log-domain branch iff a side exceeds 30."""
+    """(..., F, 3) arcs of the (..., E) edge lengths; each face of each
+    row takes the log-domain branch iff a side exceeds 30."""
     slots = compiled.slots
     if lengths.max() <= _LOG_DOMAIN_THRESHOLD:
         return _arcs_direct(lengths, slots)
     # Clipped sides keep the direct pass finite; its values on the log
     # faces are overwritten.
     arcs = _arcs_direct(np.minimum(lengths, _LOG_DOMAIN_THRESHOLD), slots)
-    log_faces = np.flatnonzero(lengths[slots[0]].max(axis=1) > _LOG_DOMAIN_THRESHOLD)
-    arcs[log_faces] = _arcs_log(lengths, slots[:, log_faces])
+    sides = lengths.take(slots[0], axis=-1)
+    log_faces = np.nonzero(sides.max(axis=-1) > _LOG_DOMAIN_THRESHOLD)
+    arcs[log_faces] = _arcs_log(sides[log_faces])
     return arcs
+
+
+def _geometry(compiled, w, corners):
+    """Edge lengths (..., E), arcs (..., F, 3) and B (..., n) of a finite
+    factor (n,) or stack (m, n); DomainError if any row leaves the domain.
+    ``corners`` holds the corners of row r offset by n r, for at least
+    the rows of w."""
+    lengths = _lengths(_edge_slack(compiled, w))
+    arcs = _face_arcs(compiled, lengths)
+    B = np.bincount(corners[: arcs.size], weights=arcs.ravel(), minlength=w.size)
+    return lengths, arcs, B.reshape(w.shape)
 
 
 def in_domain(tri, l0, w):
@@ -280,10 +329,33 @@ def face_hexagon(tri, l0, w, face):
 def surface_geometry(tri, l0, w):
     """Edge lengths, face arcs and boundary lengths at w in one pass; B_i
     sums the arcs on component i face by face, slot by slot."""
-    compiled, lengths = _edge_lengths(tri, l0, w)
-    arcs = _face_arcs(compiled, lengths)
-    B = np.bincount(compiled.corners, weights=arcs.ravel(), minlength=tri.n_boundaries)
+    compiled = _compiled(tri, l0)
+    lengths, arcs, B = _geometry(compiled, _finite(_factor(tri, w)), compiled.corners)
     return SurfaceGeometry(edge_lengths=lengths, arcs=arcs, boundary=B)
+
+
+def geometry_rows(tri, l0, w):
+    """B, the shortest edge and the longest arc of every row of the
+    (m, n) stack of factors w, each row bit-identical to a single
+    :func:`surface_geometry` call.
+
+    Raises ValueError unless w is a finite (m, n) array and DomainError
+    if any row lies outside the domain.
+    """
+    w = _finite(np.asarray(w, dtype=float))
+    n = tri.n_boundaries
+    if w.ndim != 2 or w.shape[1] != n:
+        raise ValueError(f"factor rows must have shape (m, {n}), got shape {w.shape}")
+    compiled = _compiled(tri, l0)
+    block = max(1, min(len(w), _BLOCK_EDGES // len(tri.edges)))
+    corners = (compiled.corners + n * np.arange(block)[:, None]).ravel()
+    rows = GeometryRows(np.empty((len(w), n)), np.empty(len(w)), np.empty(len(w)))
+    for start in range(0, len(w), block):
+        part = slice(start, start + block)
+        lengths, arcs, rows.boundary[part] = _geometry(compiled, w[part], corners)
+        rows.min_edge[part] = lengths.min(axis=1)
+        rows.max_arc[part] = arcs.max(axis=(1, 2))
+    return rows
 
 
 def boundary_lengths(tri, l0, w):
@@ -302,7 +374,8 @@ def boundary_jacobian(tri, l0, w):
     admissible domain.  Faces with a side beyond 200 (or below 1e-7)
     take the scalar :func:`.arc_jacobian`.
     """
-    compiled, lengths = _edge_lengths(tri, l0, w)
+    compiled = _compiled(tri, l0)
+    lengths = _lengths(_slack(tri, l0, w))
     n = tri.n_boundaries
     slots = compiled.slots
     scalar = (lengths > _JACOBIAN_DIRECT_MAX) | (lengths < _JACOBIAN_DIRECT_MIN)

@@ -12,7 +12,9 @@ order-32 rule typically converges in a single panel.
 
 :func:`total_energy` integrates all faces at once, E(w) = int_0^1
 <B(s w), w> ds on the array kernel, to the per-face tolerance times F;
-:func:`segment_energy` and :func:`face_energy` are the scalar reference.
+each panel's nodes are one batched kernel call (:func:`.geometry_rows`).
+:func:`segment_energy` and :func:`face_energy` are the scalar reference,
+one :func:`.hexagon_arcs` call per node.
 
 The Newton solver reads the energy once per solve, for the first entry
 of its objective trace; otherwise these values serve as diagnostics and
@@ -21,7 +23,7 @@ as the reference the tests check B against.
 
 import numpy as np
 
-from .conformal import boundary_lengths, edge_length, in_domain
+from .conformal import edge_length, geometry_rows, in_domain
 from .errors import DomainError, QuadratureError
 from .hexagon import hexagon_arcs
 
@@ -35,9 +37,10 @@ _MAX_DEPTH = 12
 
 
 def _gl_panel(f, a, b):
+    """The rule on [a, b]; f maps the array of nodes to their values."""
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    return half * sum(wt * f(mid + half * x) for x, wt in zip(_NODES, _WEIGHTS))
+    return half * sum(wt * v for v, wt in zip(f(mid + half * _NODES), _WEIGHTS))
 
 
 def _adaptive(f, a, b, tol, depth):
@@ -81,7 +84,7 @@ def segment_energy(l0_sides, w_from, w_to):
         arcs = hexagon_arcs(*_face_sides_at(l0_sides, point))
         return arcs[0] * delta[0] + arcs[1] * delta[1] + arcs[2] * delta[2]
 
-    return _adaptive(integrand, 0.0, 1.0, _TOLERANCE, _MAX_DEPTH)
+    return _adaptive(lambda nodes: [integrand(s) for s in nodes], 0.0, 1.0, _TOLERANCE, _MAX_DEPTH)
 
 
 def face_energy(l0_sides, w):
@@ -105,7 +108,7 @@ def total_energy(tri, l0, w):
     if not w.any():
         return 0.0
 
-    def integrand(s):
-        return float(boundary_lengths(tri, l0, s * w) @ w)
+    def integrand(nodes):
+        return [float(B @ w) for B in geometry_rows(tri, l0, nodes[:, None] * w).boundary]
 
     return _adaptive(integrand, 0.0, 1.0, _TOLERANCE * len(tri.faces), _MAX_DEPTH)

@@ -19,8 +19,9 @@ call at the trial point, which gives the error estimate, the first stage
 of the next step ("first same as last") and, once the step is accepted,
 the recorded geometry (shortest edge, longest arc); it counts as one
 right-hand-side evaluation, so an attempted step costs six.  The samples
-come from each accepted step's 4th-order dense output and take one
-:func:`.surface_geometry` call per factor.
+come from each accepted step's 4th-order dense output, and their geometry
+is one batched kernel call (:func:`.geometry_rows`) over all sampled
+factors.
 """
 
 import math
@@ -29,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from .conformal import _compiled, boundary_lengths, in_domain, surface_geometry
+from .conformal import _compiled, boundary_lengths, geometry_rows, in_domain, surface_geometry
 from .conformal import edge_length, face_sides  # noqa: F401 - sites the tracer in bench/tracing.py wraps
 from .errors import ConvergenceError, DomainError
 from .hexagon import hexagon_arcs  # noqa: F401 - a site the tracer in bench/tracing.py wraps
@@ -164,15 +165,16 @@ def _row(geometry):
     return geometry.boundary, float(geometry.edge_lengths.min()), float(geometry.arcs.max())
 
 
-def _table(times, factors, rows):
-    lengths, min_edge, max_arc = (np.array(column) for column in zip(*rows))
+def _table(times, factors, lengths, min_edge, max_arc):
+    """A TraceTable from its columns: B, shortest edge and longest arc per row."""
+    lengths = np.array(lengths)
     return TraceTable(
         times=np.array(times),
         factors=np.array(factors),
         lengths=lengths,
         sum_sq=np.einsum("ij,ij->i", lengths, lengths),
-        min_edge=min_edge,
-        max_arc=max_arc,
+        min_edge=np.array(min_edge),
+        max_arc=np.array(max_arc),
     )
 
 
@@ -265,7 +267,7 @@ def integrate_flow(tri, l0, opts):
             h = h_try * max(0.1, 0.9 * err ** -0.2)
 
     return FlowTrace(
-        accepted=_table(times, factors, rows),
+        accepted=_table(times, factors, *zip(*rows)),
         sampled=_sample(tri, l0, steps, t, opts.sample_dt or t / 100.0),
         stop_reason=stop_reason,
         error_estimate=total_err,
@@ -276,7 +278,7 @@ def integrate_flow(tri, l0, opts):
 def _sample(tri, l0, steps, t_last, sample_dt):
     """The factors on the sample grid from the dense output of the accepted
     step holding each sample time, with the geometry (B, shortest edge,
-    longest arc) recomputed at each sampled factor."""
+    longest arc) recomputed at the sampled factors."""
     grid = list(np.arange(0.0, t_last, sample_dt))
     if not grid or grid[-1] < t_last:
         grid.append(t_last)
@@ -286,7 +288,7 @@ def _sample(tri, l0, steps, t_last, sample_dt):
     k = np.clip(np.searchsorted(step_tau, tau, side="right") - 1, 0, len(steps) - 1)
     theta = (tau - step_tau[k]) / step_h[k]
     factors = step_w[k] + np.einsum("snj,sj->sn", step_hq[k], theta[:, None] ** np.arange(1, 5))
-    return _table(times, factors, [_row(surface_geometry(tri, l0, w)) for w in factors])
+    return _table(times, factors, *geometry_rows(tri, l0, factors))
 
 
 def trace_csv(table, n_boundaries):

@@ -16,6 +16,9 @@ merit change along a step is the line integral
 
 evaluated by a fixed Gauss-Legendre rule.  It never subtracts two large
 energy totals, so the test stays meaningful down to the final residuals.
+A trial step is one batched kernel call (:func:`.geometry_rows`) on the
+rule's nodes plus the trial point itself, whose row is B at the next
+iterate once the step is accepted.
 """
 
 import math
@@ -25,7 +28,7 @@ from typing import List
 import numpy as np
 import scipy.linalg
 
-from .conformal import _slack, boundary_jacobian, boundary_lengths
+from .conformal import _slack, boundary_jacobian, boundary_lengths, geometry_rows
 from .energy import total_energy
 from .errors import ConvergenceError
 
@@ -78,13 +81,15 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 
 def _merit_gain(tri, l0, target, w, step, alpha):
-    """G(w + alpha step) - G(w), the integral of <B - target, step> along
-    the segment; both endpoints admissible, so every node is."""
+    """(G(w + alpha step) - G(w), B(w + alpha step)): the gain integrates
+    <B - target, step> along the segment, and the trial point is the last
+    row of the same kernel call; both endpoints admissible, so every node
+    is."""
     half = 0.5 * alpha
-    return half * sum(
-        weight * float((boundary_lengths(tri, l0, w + (half * (1.0 + x)) * step) - target) @ step)
-        for x, weight in zip(_GL_NODES, _GL_WEIGHTS)
-    )
+    scales = np.append(half * (1.0 + _GL_NODES), alpha)
+    B = geometry_rows(tri, l0, w + scales[:, None] * step).boundary
+    gain = half * sum(weight * float((b - target) @ step) for b, weight in zip(B, _GL_WEIGHTS))
+    return gain, B[-1]
 
 
 def solve_prescribed(tri, l0, target, opts=None, start=None):
@@ -154,7 +159,7 @@ def solve_prescribed(tri, l0, target, opts=None, start=None):
         alpha = 1.0
         while alpha >= _MIN_STEP:
             if _interior_slack(tri, l0, w + alpha * step) > _MARGIN:
-                gain = _merit_gain(tri, l0, target, w, step, alpha)
+                gain, B_trial = _merit_gain(tri, l0, target, w, step, alpha)
                 if gain >= _ARMIJO * alpha * slope:
                     break
             alpha *= _BACKTRACK
@@ -164,7 +169,6 @@ def solve_prescribed(tri, l0, target, opts=None, start=None):
                 partial=result,
             )
 
-        w = w + alpha * step
-        B = boundary_lengths(tri, l0, w)
+        w, B = w + alpha * step, B_trial
         objective.append(objective[-1] + gain)
         residuals.append(float(np.max(np.abs(B - target))))

@@ -1,4 +1,6 @@
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -128,3 +130,38 @@ def random_in_domain(tri, l0, rng, low=-0.2, high=1.0, margin=0.05):
         w = rng.uniform(low, high, tri.n_boundaries)
         if in_domain(tri, l0, w).margin > margin:
             return w
+
+
+def generated(faces, seed):
+    """(tri, l0) of the benchmark's seeded random surface with ``faces`` faces."""
+    bench = str(Path(__file__).resolve().parents[1] / "bench")
+    if bench not in sys.path:
+        sys.path.append(bench)
+    from surfaces import random_surface
+
+    surface = random_surface(faces, seed)
+    return surface.tri, surface.l0
+
+
+def block_rows(tri):
+    """Factor rows per block of a batched kernel call on tri."""
+    from hexflow import conformal
+
+    return max(1, conformal._BLOCK_EDGES // len(tri.edges))
+
+
+@pytest.fixture()
+def kernel_calls(monkeypatch):
+    """The calls of the array kernel body made while the test runs: one
+    entry per call, holding the number of factor rows it evaluated."""
+    from hexflow import conformal
+
+    calls = []
+    kernel = conformal._geometry
+
+    def counted(compiled, w, corners):
+        calls.append(w.size // w.shape[-1])
+        return kernel(compiled, w, corners)
+
+    monkeypatch.setattr(conformal, "_geometry", counted)
+    return calls

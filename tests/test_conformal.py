@@ -11,6 +11,7 @@ from hexflow import (
     edge_length,
     face_hexagon,
     face_sides,
+    geometry_rows,
     hexagon_arcs,
     in_domain,
     parse_surface,
@@ -18,7 +19,7 @@ from hexflow import (
 )
 from hexflow.hexagon import _logcosh
 
-from conftest import PANTS_EDGE, fd_jacobian, pants_text, random_in_domain
+from conftest import PANTS_EDGE, block_rows, fd_jacobian, generated, pants_text, random_in_domain
 
 ACOSH2 = math.acosh(2.0)
 # closed form for the equilateral pants at w = 0: each face is the
@@ -374,3 +375,76 @@ def test_margin_is_exactly_the_scalar_slack(pants, tetra, twin_pants, torus):
         for _ in range(50):
             w = rng.uniform(-1.0, 1.0, tri.n_boundaries)
             assert in_domain(tri, l0, w).margin == _scalar_margin(tri, l0, w)
+
+
+def assert_rows_are_single_calls(tri, l0, w):
+    """geometry_rows(w) equals one surface_geometry call per row, bit for
+    bit; returns the longest edge over the rows."""
+    rows = geometry_rows(tri, l0, w)
+    assert rows.boundary.shape == w.shape
+    longest = 0.0
+    for k, factor in enumerate(w):
+        single = surface_geometry(tri, l0, factor)
+        assert np.array_equal(rows.boundary[k], single.boundary)
+        assert rows.min_edge[k] == single.edge_lengths.min()
+        assert rows.max_arc[k] == single.arcs.max()
+        longest = max(longest, single.edge_lengths.max())
+    return longest
+
+
+class TestGeometryRows:
+    """A stack of factors in one kernel pass, block by block."""
+
+    @pytest.mark.parametrize("faces", [2, 4, 20, 200, 2000])
+    @pytest.mark.parametrize("level", [0.3, 3.0, 20.0, 200.0])
+    def test_rows_equal_single_calls(self, faces, level):
+        tri, l0 = generated(faces, 17)
+        rng = np.random.default_rng([faces, int(level)])
+        block = block_rows(tri)
+        longest = max(
+            assert_rows_are_single_calls(tri, l0, rng.uniform(0.0, level, (m, tri.n_boundaries)))
+            for m in (1, block, block + 1)
+        )
+        # Levels 0.3 and 3 keep every face on the direct arcs; at 20 faces
+        # take the log-domain arcs (a side beyond 30); at 200 edge slacks
+        # pass 350, where the lengths switch to 2 (u + ln 2).
+        if level < 20.0:
+            assert longest < 30.0
+        else:
+            assert longest > (2.0 * (350.0 + math.log(2.0)) if level == 200.0 else 30.0)
+
+    def test_self_edges(self, torus):
+        tri, l0 = torus
+        threshold = -math.log(math.cosh(0.6)) / 2.0  # edge 1 (l0 = 1.2) is the first to close
+        rng = np.random.default_rng(29)
+        w = rng.uniform(threshold + 1e-6, 400.0, (block_rows(tri) + 1, 1))
+        w[:3, 0] = threshold + np.array([1e-2, 1e-4, 1e-6])
+        assert_rows_are_single_calls(tri, l0, w)
+
+    def test_empty_stack(self, pants):
+        tri, l0 = pants
+        rows = geometry_rows(tri, l0, np.zeros((0, 3)))
+        assert rows.boundary.shape == (0, 3)
+        assert rows.min_edge.shape == rows.max_arc.shape == (0,)
+
+    @pytest.mark.parametrize("bad_row", [0, 3, "last"])
+    def test_one_inadmissible_row_raises(self, pants, bad_row):
+        tri, l0 = pants
+        w = np.zeros((block_rows(tri) + 2, 3))
+        w[-1 if bad_row == "last" else bad_row] = [-1.0, 0.0, 0.0]
+        with pytest.raises(DomainError):
+            geometry_rows(tri, l0, w)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entry_raises(self, pants, bad):
+        tri, l0 = pants
+        w = np.zeros((4, 3))
+        w[2, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            geometry_rows(tri, l0, w)
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 2, 3), (2, 4), (2, 1), ()])
+    def test_wrong_shape_raises(self, pants, shape):
+        tri, l0 = pants
+        with pytest.raises(ValueError, match="shape"):
+            geometry_rows(tri, l0, np.zeros(shape))

@@ -18,7 +18,7 @@ from hexflow import (
     total_energy,
 )
 
-from conftest import PANTS_EDGE, fd_jacobian, random_in_domain
+from conftest import PANTS_EDGE, fd_jacobian, generated, random_in_domain
 
 L0_SIDES = (PANTS_EDGE, PANTS_EDGE, PANTS_EDGE)
 
@@ -214,3 +214,13 @@ class TestTotalEnergy:
         tri, l0 = pants
         with pytest.raises(DomainError):
             total_energy(tri, l0, np.array([-0.9, 0.0, 0.0]))
+
+
+def test_total_energy_makes_one_kernel_call_per_panel(monkeypatch, kernel_calls):
+    tri, l0 = generated(20, 3)
+    panels = []
+    gl_panel = energy._gl_panel
+    monkeypatch.setattr(energy, "_gl_panel", lambda f, a, b: panels.append((a, b)) or gl_panel(f, a, b))
+    total_energy(tri, l0, np.full(tri.n_boundaries, 5.0))
+    assert len(panels) >= 3
+    assert kernel_calls == [len(energy._NODES)] * len(panels)

@@ -19,7 +19,7 @@ from hexflow import (
 )
 from hexflow import flow as flow_module
 
-from conftest import PANTS_EDGE
+from conftest import PANTS_EDGE, block_rows, generated
 
 PANTS_B0 = 2.0 * math.acosh(7.0 / 6.0)
 FIXTURES = ("pants", "tetra", "torus", "twin_pants", "second_pants")
@@ -158,6 +158,25 @@ class TestIntegrateFlow:
         trace = integrate_flow(tri, l0, FlowOptions(t_end=1e6, cusp_tol=1e-4))
         assert trace.stop_reason == "cusp_tol"
         assert trace.rhs_evaluations <= 700
+
+    def test_samples_take_one_kernel_call_per_block(self, monkeypatch, kernel_calls):
+        tri, l0 = generated(200, 3)
+        sample_calls = []
+        sample = flow_module._sample
+
+        def counted(*args):
+            before = len(kernel_calls)
+            table = sample(*args)
+            sample_calls.extend(kernel_calls[before:])
+            return table
+
+        monkeypatch.setattr(flow_module, "_sample", counted)
+        trace = integrate_flow(tri, l0, FlowOptions(t_end=1e6, cusp_tol=1e-4))
+        assert len(sample_calls) == math.ceil(len(trace.sampled) / block_rows(tri))
+        assert sum(sample_calls) == len(trace.sampled)
+        # Every other kernel call is one right-hand-side evaluation; the
+        # samples do not count as such.
+        assert len(kernel_calls) - len(sample_calls) == trace.rhs_evaluations
 
 
 class TestFlowLimit:

@@ -7,8 +7,9 @@ from hexflow import (
     boundary_lengths,
     solve_prescribed,
 )
+from hexflow import prescribe
 
-from conftest import random_in_domain
+from conftest import generated, random_in_domain
 
 
 class TestSolveOptions:
@@ -136,3 +137,19 @@ class TestSolvePrescribed:
         result = solve_prescribed(tri, l0, target)
         assert result.converged
         assert np.max(np.abs(boundary_lengths(tri, l0, result.factors) - target)) <= 1e-9
+
+
+def test_one_kernel_call_per_trial_step(monkeypatch, kernel_calls):
+    tri, l0 = generated(20, 3)
+    w_star = np.random.default_rng(43).uniform(0.0, 0.5, tri.n_boundaries)
+    target = boundary_lengths(tri, l0, w_star)
+    trials = []
+    merit_gain = prescribe._merit_gain
+    monkeypatch.setattr(prescribe, "_merit_gain", lambda *args: trials.append(args[-1]) or merit_gain(*args))
+    kernel_calls.clear()
+    result = solve_prescribed(tri, l0, target)
+    assert np.max(np.abs(result.factors - w_star)) < 1e-8
+    assert len(trials) >= result.iterations > 0
+    # B at the start, then per trial step one call on the 8 Gauss nodes
+    # and the trial point, whose row is B at the next iterate.
+    assert kernel_calls == [1] + [9] * len(trials)
