@@ -24,7 +24,7 @@ slot orders, face corners, face-block positions in H) and the float array
 ln cosh(l0/2); the compiled form is cached on the triangulation for the
 last metric seen.  Every evaluation then works on whole arrays: the
 per-edge slack u = w_a + w_b + ln cosh(l0/2), the edge lengths, the F x 3
-arcs (the cancellation-free q-form for faces whose sides are all <= 30,
+arcs (the cancellation-free q-form for faces whose sides are all <= 200,
 the log-domain form on the other faces' three sides) and B by one
 ``bincount`` over the face-ordered corners.  H comes from the
 closed-form coefficient matrix.  The sums run in the same order as a
@@ -32,7 +32,8 @@ loop over faces and slots.
 
 The kernel evaluates a stack of factors, one per row, in one pass:
 :func:`geometry_rows` takes an (m, n) stack and returns B, the shortest
-edge and the longest arc of every row.  Rows run in blocks of at most
+edge and the longest arc of every row; callers that read B alone run the
+same blocks without the two reductions.  Rows run in blocks of at most
 ``_BLOCK_EDGES`` edge values, so a block's temporaries stay in cache; B
 is one ``bincount`` over the corners offset by n per row, which keeps
 each row's face order, so every row is bit-identical to a single-factor
@@ -58,12 +59,11 @@ from .hexagon import (
     hexagon_arcs,  # noqa: F401 - a site the tracer in bench/tracing.py wraps
 )
 
-# Faces with a side outside [MIN, MAX] take the scalar arc_jacobian: beyond
-# MAX the cosh products inside the coefficient matrix overflow (near side
-# sums ~709) and the log-domain form is needed; below MIN cosh rounds to 1,
-# which the scalar coefficient matrix rejects.
+# Faces with a side beyond the log-domain threshold (where the cosh products
+# inside the coefficient matrix approach overflow) or below this minimum
+# (where cosh rounds to 1, which the scalar coefficient matrix rejects) take
+# the scalar arc_jacobian.
 _JACOBIAN_DIRECT_MIN = 1e-7
-_JACOBIAN_DIRECT_MAX = 200.0
 # Row-major 3x3 block from (M_11, M_22, M_33, M_12, M_23, M_13).
 _BLOCK_LAYOUT = [0, 3, 5, 3, 1, 4, 5, 4, 2]
 # Row r holds the slot order rotated by r: side t of a face, then t+1, t+2.
@@ -234,7 +234,7 @@ def _gather(x, index):
 
 def _arcs_direct(lengths, slots):
     """Arc opposite slot t of every face of every row, by the q-form;
-    exact while every side is <= 30."""
+    exact while every side is <= 200."""
     cc, ca, cb = _gather(np.cosh(lengths), slots)
     sa, sb = _gather(np.sinh(lengths), slots[1:])
     return _acosh1p_array(_q_form(cc, ca, cb, sa, sb))
@@ -257,7 +257,7 @@ def _arcs_log(sides):
 
 def _face_arcs(compiled, lengths):
     """(..., F, 3) arcs of the (..., E) edge lengths; each face of each
-    row takes the log-domain branch iff a side exceeds 30."""
+    row takes the log-domain branch iff a side exceeds 200."""
     slots = compiled.slots
     if lengths.max() <= _LOG_DOMAIN_THRESHOLD:
         return _arcs_direct(lengths, slots)
@@ -334,6 +334,36 @@ def surface_geometry(tri, l0, w):
     return SurfaceGeometry(edge_lengths=lengths, arcs=arcs, boundary=B)
 
 
+def _stack(tri, w):
+    """w as a float array; ValueError unless it is a finite (m, n) stack."""
+    w = _finite(np.asarray(w, dtype=float))
+    n = tri.n_boundaries
+    if w.ndim != 2 or w.shape[1] != n:
+        raise ValueError(f"factor rows must have shape (m, {n}), got shape {w.shape}")
+    return w
+
+
+def _blocks(tri, l0, w):
+    """The kernel on the (m, n) stack w in blocks of at most _BLOCK_EDGES
+    edge values: yields each block's row slice, edge lengths, arcs and B."""
+    compiled = _compiled(tri, l0)
+    block = max(1, min(len(w), _BLOCK_EDGES // len(tri.edges)))
+    corners = (compiled.corners + tri.n_boundaries * np.arange(block)[:, None]).ravel()
+    for start in range(0, len(w), block):
+        part = slice(start, start + block)
+        yield (part, *_geometry(compiled, w[part], corners))
+
+
+def _boundary_rows(tri, l0, w):
+    """B of every row of the (m, n) stack w: :func:`geometry_rows` without
+    the per-row reductions, for callers that read B alone."""
+    w = _stack(tri, w)
+    B = np.empty(w.shape)
+    for part, _, _, block in _blocks(tri, l0, w):
+        B[part] = block
+    return B
+
+
 def geometry_rows(tri, l0, w):
     """B, the shortest edge and the longest arc of every row of the
     (m, n) stack of factors w, each row bit-identical to a single
@@ -342,17 +372,10 @@ def geometry_rows(tri, l0, w):
     Raises ValueError unless w is a finite (m, n) array and DomainError
     if any row lies outside the domain.
     """
-    w = _finite(np.asarray(w, dtype=float))
-    n = tri.n_boundaries
-    if w.ndim != 2 or w.shape[1] != n:
-        raise ValueError(f"factor rows must have shape (m, {n}), got shape {w.shape}")
-    compiled = _compiled(tri, l0)
-    block = max(1, min(len(w), _BLOCK_EDGES // len(tri.edges)))
-    corners = (compiled.corners + n * np.arange(block)[:, None]).ravel()
-    rows = GeometryRows(np.empty((len(w), n)), np.empty(len(w)), np.empty(len(w)))
-    for start in range(0, len(w), block):
-        part = slice(start, start + block)
-        lengths, arcs, rows.boundary[part] = _geometry(compiled, w[part], corners)
+    w = _stack(tri, w)
+    rows = GeometryRows(np.empty(w.shape), np.empty(len(w)), np.empty(len(w)))
+    for part, lengths, arcs, B in _blocks(tri, l0, w):
+        rows.boundary[part] = B
         rows.min_edge[part] = lengths.min(axis=1)
         rows.max_arc[part] = arcs.max(axis=(1, 2))
     return rows
@@ -378,7 +401,7 @@ def boundary_jacobian(tri, l0, w):
     lengths = _lengths(_slack(tri, l0, w))
     n = tri.n_boundaries
     slots = compiled.slots
-    scalar = (lengths > _JACOBIAN_DIRECT_MAX) | (lengths < _JACOBIAN_DIRECT_MIN)
+    scalar = (lengths > _LOG_DOMAIN_THRESHOLD) | (lengths < _JACOBIAN_DIRECT_MIN)
     has_scalar = scalar.any()
     sides = np.where(scalar, 1.0, lengths) if has_scalar else lengths
     # Slot-rotated cosh/sinh: for face side triple (a, b, c) = cosh of

@@ -12,7 +12,8 @@ order-32 rule typically converges in a single panel.
 
 :func:`total_energy` integrates all faces at once, E(w) = int_0^1
 <B(s w), w> ds on the array kernel, to the per-face tolerance times F;
-each panel's nodes are one batched kernel call (:func:`.geometry_rows`).
+each panel's nodes are one batched kernel call (the B rows of
+:func:`.geometry_rows`).
 :func:`segment_energy` and :func:`face_energy` are the scalar reference,
 one :func:`.hexagon_arcs` call per node.
 
@@ -23,7 +24,7 @@ as the reference the tests check B against.
 
 import numpy as np
 
-from .conformal import edge_length, geometry_rows, in_domain
+from .conformal import _boundary_rows, edge_length, in_domain
 from .errors import DomainError, QuadratureError
 from .hexagon import hexagon_arcs
 
@@ -109,6 +110,6 @@ def total_energy(tri, l0, w):
         return 0.0
 
     def integrand(nodes):
-        return [float(B @ w) for B in geometry_rows(tri, l0, nodes[:, None] * w).boundary]
+        return [float(B @ w) for B in _boundary_rows(tri, l0, nodes[:, None] * w)]
 
     return _adaptive(integrand, 0.0, 1.0, _TOLERANCE * len(tri.faces), _MAX_DEPTH)

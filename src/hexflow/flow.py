@@ -9,10 +9,13 @@ run therefore cuts off by a boundary-length threshold or an edge-length
 cap rather than by reaching the limit.
 
 The stepper is the embedded Dormand-Prince 5(4) pair (Dormand & Prince,
-J. Comput. Appl. Math. 6 (1980)) with PI step-size control, run in log
-time tau = ln(1 + t) on dw/dtau = e^tau B(w).  Along the flow w drifts
-like (1/2) ln t (see :func:`flow_limit`), which is smooth in tau, so steps
-in tau stay long where steps in t would have to grow without bound.  Each
+J. Comput. Appl. Math. 6 (1980)) with PI step-size control, run in the
+scaled log time tau = ln(1 + r t) on dw/dtau = (e^tau / r) B(w).  The rate
+r = max_i B_i(0) is the fastest initial rate, so 1/r is the surface's own
+time scale and B changes on a scale of order one in tau from the first
+step on.  Along the flow w drifts like (1/2) ln t (see :func:`flow_limit`),
+which is smooth in tau, so steps in tau stay long where steps in t would
+have to grow without bound.  Each
 stage right-hand side is one call of the array kernel
 :func:`.boundary_lengths`.  The last stage is one :func:`.surface_geometry`
 call at the trial point, which gives the error estimate, the first stage
@@ -210,19 +213,20 @@ def integrate_flow(tri, l0, opts):
     w = np.zeros(n)
     geometry = geometry_at(w)
     B = geometry.boundary
-    if not opts.cusp_tol < np.max(B):
+    rate = float(np.max(B))
+    if not opts.cusp_tol < rate:
         raise ValueError(
             f"cusp_tol {opts.cusp_tol!r} must lie below the initial max "
-            f"boundary length {float(np.max(B))!r}"
+            f"boundary length {rate!r}"
         )
     times, factors, rows = [0.0], [w], [_row(geometry)]
     # (tau, h, w, h K^T P) of each accepted step: its dense output.
     steps = []
-    # Stage slopes dw/dtau = e^tau B; row 0 is the FSAL row.
+    # Stage slopes dw/dtau = (e^tau / r) B; row 0 is the FSAL row.
     K = np.empty((7, n))
-    K[0] = B
-    tau_end = math.log1p(opts.t_end)
-    h = min(0.1 / float(np.max(B)), tau_end)
+    K[0] = B / rate
+    tau_end = math.log1p(rate * opts.t_end)
+    h = min(0.1, tau_end)
     err_prev = 1.0
     total_err = 0.0
     stop_reason = "t_end"
@@ -234,20 +238,21 @@ def integrate_flow(tri, l0, opts):
         h_try = min(h, remaining)
         if h_try < 1e-13 * max(1.0, tau):
             raise ConvergenceError(
-                f"step size underflow at t = {t!r} (h = {h_try!r} in ln(1 + t))"
+                f"step size underflow at t = {t!r} (h = {h_try!r} in ln(1 + r t), "
+                f"r = {rate!r})"
             )
         for s in range(1, 6):
-            K[s] = math.exp(tau + _C[s] * h_try) * rhs(w + h_try * (_A[s, :s] @ K[:s]))
+            K[s] = math.exp(tau + _C[s] * h_try) / rate * rhs(w + h_try * (_A[s, :s] @ K[:s]))
         w_new = w + h_try * (_B @ K[:6])
         trial = geometry_at(w_new)
-        K[6] = math.exp(tau + h_try) * trial.boundary
+        K[6] = math.exp(tau + h_try) / rate * trial.boundary
         scale = opts.abs_tol + opts.rel_tol * np.maximum(np.abs(w), np.abs(w_new))
         err = float(np.max(np.abs(h_try * (_E @ K)) / scale))
         if err <= 1.0:
             steps.append((tau, h_try, w, h_try * (K.T @ _P)))
             landing = h_try == remaining
             tau = tau_end if landing else tau + h_try
-            t = opts.t_end if landing else math.expm1(tau)
+            t = opts.t_end if landing else math.expm1(tau) / rate
             w, B = w_new, trial.boundary
             K[0] = K[6]
             total_err += err * float(np.max(scale))
@@ -268,23 +273,24 @@ def integrate_flow(tri, l0, opts):
 
     return FlowTrace(
         accepted=_table(times, factors, *zip(*rows)),
-        sampled=_sample(tri, l0, steps, t, opts.sample_dt or t / 100.0),
+        sampled=_sample(tri, l0, steps, rate, t, opts.sample_dt or t / 100.0),
         stop_reason=stop_reason,
         error_estimate=total_err,
         rhs_evaluations=evaluations,
     )
 
 
-def _sample(tri, l0, steps, t_last, sample_dt):
+def _sample(tri, l0, steps, rate, t_last, sample_dt):
     """The factors on the sample grid from the dense output of the accepted
-    step holding each sample time, with the geometry (B, shortest edge,
-    longest arc) recomputed at the sampled factors."""
+    step holding each sample time (steps in tau = ln(1 + rate t)), with the
+    geometry (B, shortest edge, longest arc) recomputed at the sampled
+    factors."""
     grid = list(np.arange(0.0, t_last, sample_dt))
     if not grid or grid[-1] < t_last:
         grid.append(t_last)
     times = np.array(grid)
     step_tau, step_h, step_w, step_hq = (np.array(column) for column in zip(*steps))
-    tau = np.log1p(times)
+    tau = np.log1p(rate * times)
     k = np.clip(np.searchsorted(step_tau, tau, side="right") - 1, 0, len(steps) - 1)
     theta = (tau - step_tau[k]) / step_h[k]
     factors = step_w[k] + np.einsum("snj,sj->sn", step_hq[k], theta[:, None] ** np.arange(1, 5))

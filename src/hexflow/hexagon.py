@@ -47,8 +47,10 @@ import numpy as np
 LN2 = math.log(2.0)
 
 # Direct evaluation is exact and cheap while cosh/sinh and their products
-# stay well inside float range; beyond this the log-domain path takes over.
-_LOG_DOMAIN_THRESHOLD = 30.0
+# stay well inside float range (cosh^2 200 ~ 1e173; the products inside the
+# coefficient matrix overflow once side sums pass ~709); beyond this the
+# log-domain forms of the arcs and of the arc Jacobian take over.
+_LOG_DOMAIN_THRESHOLD = 200.0
 
 
 def acosh_stable(x):
@@ -109,7 +111,7 @@ def _check_sides(*values):
 
 
 def _arc_direct(lc, la, lb):
-    """Arc opposite side lc, adjacent to la and lb; all sides <= 30.
+    """Arc opposite side lc, adjacent to la and lb; all sides <= 200.
 
     cosh(theta) - 1 is formed as
         (cosh lc + (cosh^2 la + cosh^2 lb - 1)/(cosh la cosh lb + sinh la sinh lb))
@@ -283,8 +285,7 @@ def arc_jacobian(l_jk, l_ki, l_ij):
     negative definite.
     """
     _check_sides(l_jk, l_ki, l_ij)
-    # cosh products inside M overflow once side sums pass ~709
-    if max(l_jk, l_ki, l_ij) > 200.0:
+    if max(l_jk, l_ki, l_ij) > _LOG_DOMAIN_THRESHOLD:
         return _arc_jacobian_log(l_jk, l_ki, l_ij)
     m = coefficient_matrix(math.cosh(l_jk), math.cosh(l_ki), math.cosh(l_ij)).matrix
     sinh_theta_k = math.exp(_log_sinh_arc(l_ij, l_jk, l_ki))

@@ -16,9 +16,9 @@ merit change along a step is the line integral
 
 evaluated by a fixed Gauss-Legendre rule.  It never subtracts two large
 energy totals, so the test stays meaningful down to the final residuals.
-A trial step is one batched kernel call (:func:`.geometry_rows`) on the
-rule's nodes plus the trial point itself, whose row is B at the next
-iterate once the step is accepted.
+A trial step is one batched kernel call (the B rows of
+:func:`.geometry_rows`) on the rule's nodes plus the trial point itself,
+whose row is B at the next iterate once the step is accepted.
 """
 
 import math
@@ -28,7 +28,7 @@ from typing import List
 import numpy as np
 import scipy.linalg
 
-from .conformal import _slack, boundary_jacobian, boundary_lengths, geometry_rows
+from .conformal import _boundary_rows, _slack, boundary_jacobian, boundary_lengths
 from .energy import total_energy
 from .errors import ConvergenceError
 
@@ -87,7 +87,7 @@ def _merit_gain(tri, l0, target, w, step, alpha):
     is."""
     half = 0.5 * alpha
     scales = np.append(half * (1.0 + _GL_NODES), alpha)
-    B = geometry_rows(tri, l0, w + scales[:, None] * step).boundary
+    B = _boundary_rows(tri, l0, w + scales[:, None] * step)
     gain = half * sum(weight * float((b - target) @ step) for b, weight in zip(B, _GL_WEIGHTS))
     return gain, B[-1]
 

@@ -273,19 +273,28 @@ class TestArrayKernelOracle:
             self._assert_matches(tri, l0, random_in_domain(tri, l0, rng, low=-0.3, high=1.5, margin=1e-3))
 
     @pytest.mark.parametrize("fixture_name", FIXTURES)
-    @pytest.mark.parametrize("level", [8.0, 40.0, 400.0])
+    @pytest.mark.parametrize("level", [8.0, 40.0])
+    def test_uniform_factors_direct_arcs(self, fixture_name, level, request):
+        tri, l0 = request.getfixturevalue(fixture_name)
+        lengths, _ = self._assert_matches(tri, l0, np.full(tri.n_boundaries, level))
+        # every side lies in (30, 200]: direct arcs and Jacobian
+        assert 30.0 < np.min(lengths) and np.max(lengths) <= 200.0
+
+    @pytest.mark.parametrize("fixture_name", FIXTURES)
+    @pytest.mark.parametrize("level", [55.0, 150.0, 400.0])
     def test_uniform_factors_take_the_log_domain(self, fixture_name, level, request):
         tri, l0 = request.getfixturevalue(fixture_name)
         lengths, _ = self._assert_matches(tri, l0, np.full(tri.n_boundaries, level))
-        # every face has a side > 30 (log-domain arcs); at 400 also > 200
-        # (log-domain Jacobian)
-        assert np.min(lengths) > (200.0 if level == 400.0 else 30.0)
+        # every face has a side > 200 (log-domain arcs and Jacobian); at
+        # 400 the edge slacks pass 350, where the lengths switch to
+        # 2 (u + ln 2)
+        assert np.min(lengths) > (2.0 * (350.0 + math.log(2.0)) if level == 400.0 else 200.0)
 
     def test_direct_and_log_faces_in_one_call(self, twin_pants):
         tri, l0 = twin_pants
-        w = np.array([0.1, 0.0, 0.2, 8.0, 8.5, 9.0])
+        w = np.array([0.1, 0.0, 0.2, 55.0, 55.5, 56.0])
         lengths, _ = self._assert_matches(tri, l0, w)
-        assert np.max(lengths[:3]) < 30.0 < np.min(lengths[3:])
+        assert np.max(lengths[:3]) < 200.0 < np.min(lengths[3:])
 
     def test_self_edges_near_the_domain_boundary(self, torus):
         tri, l0 = torus
@@ -405,13 +414,16 @@ class TestGeometryRows:
             assert_rows_are_single_calls(tri, l0, rng.uniform(0.0, level, (m, tri.n_boundaries)))
             for m in (1, block, block + 1)
         )
-        # Levels 0.3 and 3 keep every face on the direct arcs; at 20 faces
-        # take the log-domain arcs (a side beyond 30); at 200 edge slacks
-        # pass 350, where the lengths switch to 2 (u + ln 2).
+        # Levels 0.3 and 3 keep every side below 30; at 20 sides pass 30
+        # but stay on the direct arcs (sides <= 200); at 200 faces take the
+        # log-domain arcs and edge slacks pass 350, where the lengths switch
+        # to 2 (u + ln 2).
         if level < 20.0:
             assert longest < 30.0
+        elif level == 20.0:
+            assert 30.0 < longest <= 200.0
         else:
-            assert longest > (2.0 * (350.0 + math.log(2.0)) if level == 200.0 else 30.0)
+            assert longest > 2.0 * (350.0 + math.log(2.0))
 
     def test_self_edges(self, torus):
         tri, l0 = torus

@@ -17,6 +17,7 @@ from hexflow import (
     total_energy,
     trace_csv,
 )
+from hexflow import conformal
 from hexflow import flow as flow_module
 
 from conftest import PANTS_EDGE, block_rows, generated
@@ -158,6 +159,24 @@ class TestIntegrateFlow:
         trace = integrate_flow(tri, l0, FlowOptions(t_end=1e6, cusp_tol=1e-4))
         assert trace.stop_reason == "cusp_tol"
         assert trace.rhs_evaluations <= 700
+
+    def test_large_surface_evaluation_count(self, monkeypatch):
+        # Log time scaled by the fastest initial rate (max B(0) = 278 here)
+        # keeps the early steps long, and the sides stay below 200 to the
+        # end, so every call takes the direct arcs.
+        tri, l0 = generated(200, 3)
+        log_calls = []
+        arcs_log = conformal._arcs_log
+
+        def counted(sides):
+            log_calls.append(len(sides))
+            return arcs_log(sides)
+
+        monkeypatch.setattr(conformal, "_arcs_log", counted)
+        trace = integrate_flow(tri, l0, FlowOptions(t_end=1e6, cusp_tol=1e-4))
+        assert trace.stop_reason == "cusp_tol"
+        assert trace.rhs_evaluations <= 700
+        assert log_calls == []
 
     def test_samples_take_one_kernel_call_per_block(self, monkeypatch, kernel_calls):
         tri, l0 = generated(200, 3)

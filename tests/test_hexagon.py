@@ -22,11 +22,16 @@ ACOSH2 = math.acosh(2.0)
 
 
 def mp_arcs(sides, dps=60):
+    """The arcs at ``dps`` digits by the q-form of the kernel: q = cosh(theta)
+    - 1 as a sum of positive terms, then theta = 2 asinh(sqrt(q / 2)), which
+    stays exact for q far below 10^-dps."""
     with mp.workdps(dps):
         s1, s2, s3 = (mp.mpf(float(s)) for s in sides)
 
         def one(lc, la, lb):
-            return mp.acosh((mp.cosh(lc) + mp.cosh(la) * mp.cosh(lb)) / (mp.sinh(la) * mp.sinh(lb)))
+            ca, cb, sa, sb = mp.cosh(la), mp.cosh(lb), mp.sinh(la), mp.sinh(lb)
+            q = (mp.cosh(lc) + (ca * ca + cb * cb - 1) / (ca * cb + sa * sb)) / (sa * sb)
+            return 2 * mp.asinh(mp.sqrt(q / 2))
 
         return [float(one(s1, s2, s3)), float(one(s2, s3, s1)), float(one(s3, s1, s2))]
 
@@ -90,6 +95,39 @@ class TestHexagonArcs:
             hexagon_arcs(1.0, math.nan, 1.0)
         with pytest.raises(ValueError):
             hexagon_sides(1.0, math.inf, 1.0)
+
+
+class TestArcsAgainstQFormReference:
+    """hexagon_arcs against a 400-digit mp_arcs on both sides of the
+    threshold (200) between the direct q-form and its log-domain form."""
+
+    @staticmethod
+    def _ulps(sides):
+        return max(abs(g - r) / math.ulp(r) for g, r in zip(hexagon_arcs(*sides), mp_arcs(sides, dps=400)))
+
+    def test_direct_form_up_to_the_threshold(self):
+        rng = np.random.default_rng(30)
+        cases = [rng.uniform(30.0, 200.0, 3) for _ in range(60)] + [(200.0, 200.0, 200.0)]
+        assert max(self._ulps(sides) for sides in cases) <= 4.0
+
+    def test_one_tiny_side_and_two_near_the_threshold(self):
+        rng = np.random.default_rng(31)
+        for _ in range(20):
+            sides = [rng.uniform(0.5e-8, 2e-8), rng.uniform(190.0, 200.0), rng.uniform(190.0, 200.0)]
+            for shift in range(3):
+                assert self._ulps(np.roll(sides, shift)) <= 4.0
+
+    def test_log_form_beyond_the_threshold(self):
+        # Rounding a side l perturbs a tiny arc e^((l_c - l_a - l_b)/2) by
+        # about eps l / 2 relative, so the log form is held to the error of
+        # rounding its inputs, eps (l_jk + l_ki + l_ij), plus the
+        # smallest subnormal where an arc underflows.
+        rng = np.random.default_rng(32)
+        eps = np.finfo(float).eps
+        for _ in range(60):
+            sides = rng.uniform(200.0, 1000.0, 3)
+            for got, ref in zip(hexagon_arcs(*sides), mp_arcs(sides, dps=400)):
+                assert abs(got - ref) <= eps * sum(sides) * ref + math.ulp(0.0)
 
 
 class TestRoundTrip:
