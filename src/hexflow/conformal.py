@@ -19,25 +19,27 @@ and its Jacobian H below is the (symmetric, negative-definite) Hessian.
 The surface-level functions (:func:`in_domain`, :func:`surface_geometry`,
 :func:`boundary_lengths`, :func:`boundary_jacobian`) run on a compiled
 array kernel.  Each (triangulation, metric) pair is compiled once into
-index arrays (edge endpoints, face slot -> edge in the three rotated
-slot orders, face corners, face-block positions in H) and the float array
-ln cosh(l0/2); the compiled form is cached on the triangulation for the
-last metric seen.  Every evaluation then works on whole arrays: the
-per-edge slack u = w_a + w_b + ln cosh(l0/2), the edge lengths, the F x 3
-arcs (the cancellation-free q-form for faces whose sides are all <= 200,
-the log-domain form on the other faces' three sides) and B by one
-``bincount`` over the face-ordered corners.  H comes from the
-closed-form coefficient matrix.  The sums run in the same order as a
-loop over faces and slots.
+index arrays (edge endpoints, each face's slots in the per-edge table
+below, face corners, face-block positions in H) and the float array
+ln cosh(l0/2), cached on the triangulation for the last metric seen.
+Every evaluation works on whole arrays from the per-edge slack
+u = w_a + w_b + ln cosh(l0/2), with cosh(l/2) = e^u.  On a face whose
+slacks are all <= ln cosh(100) (sides <= 200) the arcs and H read the
+table S = sinh^2(l/2) = expm1(2u), x = e^u, s = sqrt(S) through sums and
+products of positive terms only; other faces take the log-domain arcs
+and the scalar Jacobian of their sides.  Edge lengths 2 arccosh(e^u) are
+formed only where they are read.  B is one ``bincount`` over the
+corners, slot by slot and then face by face; H sums face by face.
 
 The kernel evaluates a stack of factors, one per row, in one pass:
 :func:`geometry_rows` takes an (m, n) stack and returns B, the shortest
-edge and the longest arc of every row; callers that read B alone run the
-same blocks without the two reductions.  Rows run in blocks of at most
-``_BLOCK_EDGES`` edge values, so a block's temporaries stay in cache; B
-is one ``bincount`` over the corners offset by n per row, which keeps
-each row's face order, so every row is bit-identical to a single-factor
-call (a single factor is a stack of one row).  The scalar
+edge (2 arccosh(e^u) of the least slack) and the longest arc of every
+row; callers that read B alone run the same blocks without the two
+reductions.  Rows run in blocks of at most ``_BLOCK_EDGES`` edge values,
+so a block's temporaries stay in cache; B is one ``bincount`` over the
+corners offset by n per row, which keeps each row's sum order, and each
+face picks its branch alone, so every row is bit-identical to a
+single-factor call (a single factor is a stack of one row).  The scalar
 :func:`edge_length`, :func:`face_sides` and :func:`face_hexagon`, with
 :func:`.hexagon_arcs` and :func:`.arc_jacobian`, are the per-hexagon
 reference API the kernel is tested against.
@@ -59,11 +61,9 @@ from .hexagon import (
     hexagon_arcs,  # noqa: F401 - a site the tracer in bench/tracing.py wraps
 )
 
-# Faces with a side beyond the log-domain threshold (where the cosh products
-# inside the coefficient matrix approach overflow) or below this minimum
-# (where cosh rounds to 1, which the scalar coefficient matrix rejects) take
-# the scalar arc_jacobian.
-_JACOBIAN_DIRECT_MIN = 1e-7
+# A face takes the log-domain arcs and the scalar arc_jacobian once a slack
+# passes ln cosh(100), the slack of a side of 200 (the log-domain threshold).
+_LOG_SLACK = _logcosh(0.5 * _LOG_DOMAIN_THRESHOLD)
 # Row-major 3x3 block from (M_11, M_22, M_33, M_12, M_23, M_13).
 _BLOCK_LAYOUT = [0, 3, 5, 3, 1, 4, 5, 4, 2]
 # Row r holds the slot order rotated by r: side t of a face, then t+1, t+2.
@@ -100,8 +100,11 @@ class GeometryRows(NamedTuple):
 class _Compiled(NamedTuple):
     ends: tuple  # two (E,) arrays, the 0-based components joined by each edge
     log_cosh0: np.ndarray  # (E,) ln cosh(l0/2)
-    slots: np.ndarray  # (3, F, 3) edge index in slot t, t+1, t+2 (mod 3)
-    corners: np.ndarray  # (3F,) 0-based component of each corner, face by face
+    # (13, F) positions in the per-edge table [S | x | s] of S in slots
+    # 0, 1, 2, 0, 1 of each face, then of x and of s in slots 1, 2, 0, 1;
+    # rows 0-2 are the edge indices of slots 0-2.
+    table: np.ndarray
+    corners: np.ndarray  # (3F,) 0-based component of each corner, slot by slot
     pairs: np.ndarray  # (9F,) flat position in H of each face-block entry
 
 
@@ -123,11 +126,12 @@ def _compile(tri, l0):
         [[index[eid] for eid in f.opposite_edges] for f in tri.faces], dtype=np.intp
     ).reshape(-1, 3)
     corners = np.array([f.corners for f in tri.faces], dtype=np.intp).reshape(-1, 3) - 1
+    window = slot.T[[0, 1, 2, 0, 1]]
     return _Compiled(
         ends=ends,
         log_cosh0=log_cosh0,
-        slots=np.stack([slot, slot[:, [1, 2, 0]], slot[:, [2, 0, 1]]]),
-        corners=corners.ravel(),
+        table=np.concatenate([window, window[1:] + len(tri.edges), window[1:] + 2 * len(tri.edges)]),
+        corners=corners.T.ravel(),
         pairs=(corners[:, :, None] * n + corners[:, None, :]).ravel(),
     )
 
@@ -182,16 +186,6 @@ def _acosh1p_array(q):
     return np.where(q > 1e8, LN2 + np.log1p(q), np.log1p(small + np.sqrt(small * (small + 2.0))))
 
 
-def _acosh_exp_array(u):
-    """Array form of :func:`.hexagon._acosh_exp`: arccosh(e^u) as
-    arccosh(1 + expm1(u)), and u + ln 2 beyond u = 350 where e^u would
-    overflow.  The common case (all expm1(u) <= 1e8) costs one max."""
-    q = np.expm1(np.minimum(u, 350.0))
-    if q.max() <= 1e8:
-        return np.log1p(q + np.sqrt(q * (q + 2.0)))
-    return np.where(u > 350.0, u + LN2, _acosh1p_array(q))
-
-
 def _logcosh_array(x):
     """Array form of :func:`.hexagon._logcosh`."""
     small = np.minimum(x, 1.0)
@@ -205,39 +199,44 @@ def _logsinh_array(x):
     return np.where(x < 1.0, np.log(np.sinh(small)), large - LN2 + np.log1p(-np.exp(-2.0 * large)))
 
 
-def _lengths(u):
-    """Rescaled edge lengths 2 arccosh(e^u), as :func:`edge_length`
-    computes them; DomainError unless every slack is positive."""
+def _admissible(u):
+    """The slacks u; DomainError unless every one is positive."""
     margin = u.min()
     if not margin > 0.0:
         raise DomainError(
             f"factor outside the admissible domain: an edge slack "
             f"w_a + w_b + ln cosh(l0/2) is {float(margin)!r} <= 0"
         )
-    return 2.0 * _acosh_exp_array(u)
+    return u
 
 
-def _q_form(cc, ca, cb, sa, sb):
-    """cosh(theta) - 1 for the arc opposite the side with cosh cc, from the
-    cosh and sinh of its two neighbours: the cancellation-free sum of
-    positive terms of :func:`.hexagon._arc_direct`."""
-    sab = sa * sb
-    return (cc + (ca * ca + cb * cb - 1.0) / (ca * cb + sab)) / sab
+def _lengths(u):
+    """Edge lengths 2 arccosh(e^u) = 2 (u + ln(1 + sqrt(1 - e^(-2u)))) of
+    positive slacks: a sum of positive terms that never forms e^u."""
+    return 2.0 * (u + np.log1p(np.sqrt(-np.expm1(-2.0 * u))))
 
 
 def _gather(x, index):
     """x gathered along its last axis, with the first axis of index moved
-    to the front, so that the result unpacks into one array per rotation.
-    A single row takes plain indexing, the cheaper form of the same gather."""
-    return x[index] if x.ndim == 1 else x.take(index, axis=-1).swapaxes(0, 1)
+    to the front, so that the result unpacks into one array per rotation."""
+    return x.take(index, axis=-1).swapaxes(0, 1)
 
 
-def _arcs_direct(lengths, slots):
-    """Arc opposite slot t of every face of every row, by the q-form;
-    exact while every side is <= 200."""
-    cc, ca, cb = _gather(np.cosh(lengths), slots)
-    sa, sb = _gather(np.sinh(lengths), slots[1:])
-    return _acosh1p_array(_q_form(cc, ca, cb, sa, sb))
+def _arc_terms(compiled, u):
+    """(S_c, S_a, S_b), N and Q of the arc opposite slot t of every face of
+    the (..., E) slacks, from its sides c = t, a = t+1, b = t+2, with
+    S = sinh^2(l/2) = expm1(2u), x = cosh(l/2) = e^u and s = sinh(l/2):
+    sinh^2(theta/2) = N / (4 Q), N = S_c + D^2, Q = x_a x_b s_a s_b and
+    D = cosh((l_a - l_b)/2) = (1 + S_a + S_b) / (x_a x_b + s_a s_b), all
+    positive terms; 4 Q = sinh l_a sinh l_b."""
+    S = np.expm1(2.0 * u)
+    # (..., 13, F): rows t, t+1, t+2 of a window are slots t, t+1, t+2 of
+    # each face, so every rotation is a contiguous (..., 3, F) slice.
+    G = np.concatenate([S, np.exp(u), np.sqrt(S)], axis=-1).take(compiled.table, axis=-1)
+    Sc, Sa, Sb = G[..., 0:3, :], G[..., 1:4, :], G[..., 2:5, :]
+    xx, ss = G[..., 5:8, :] * G[..., 6:9, :], G[..., 9:12, :] * G[..., 10:13, :]
+    D = (1.0 + Sa + Sb) / (xx + ss)
+    return (Sc, Sa, Sb), Sc + D * D, xx * ss
 
 
 def _arcs_log(sides):
@@ -255,30 +254,32 @@ def _arcs_log(sides):
     return np.where(log_q < -37.0, np.exp(0.5 * (LN2 + np.minimum(log_q, -37.0))), arcs)
 
 
-def _face_arcs(compiled, lengths):
-    """(..., F, 3) arcs of the (..., E) edge lengths; each face of each
-    row takes the log-domain branch iff a side exceeds 200."""
-    slots = compiled.slots
-    if lengths.max() <= _LOG_DOMAIN_THRESHOLD:
-        return _arcs_direct(lengths, slots)
-    # Clipped sides keep the direct pass finite; its values on the log
+def _face_arcs(compiled, u):
+    """(..., 3, F) arcs of the (..., E) slacks, row t the arcs opposite
+    slot t; each face of each row takes the log-domain branch iff a slack
+    exceeds ln cosh(100)."""
+    large = u.max() > _LOG_SLACK
+    # Clipped slacks keep the direct pass finite; its values on the log
     # faces are overwritten.
-    arcs = _arcs_direct(np.minimum(lengths, _LOG_DOMAIN_THRESHOLD), slots)
-    sides = lengths.take(slots[0], axis=-1)
-    log_faces = np.nonzero(sides.max(axis=-1) > _LOG_DOMAIN_THRESHOLD)
-    arcs[log_faces] = _arcs_log(sides[log_faces])
+    _, N, Q = _arc_terms(compiled, np.minimum(u, _LOG_SLACK) if large else u)
+    arcs = 2.0 * np.arcsinh(0.5 * np.sqrt(N / Q))
+    if large:
+        face_u = u.take(compiled.table[:3].T, axis=-1)
+        log_faces = np.nonzero(face_u.max(axis=-1) > _LOG_SLACK)
+        arcs.swapaxes(-1, -2)[log_faces] = _arcs_log(_lengths(face_u[log_faces]))
     return arcs
 
 
-def _geometry(compiled, w, corners):
-    """Edge lengths (..., E), arcs (..., F, 3) and B (..., n) of a finite
+def _geometry(compiled, w, corners=None):
+    """Edge slacks (..., E), arcs (..., F, 3) and B (..., n) of a finite
     factor (n,) or stack (m, n); DomainError if any row leaves the domain.
-    ``corners`` holds the corners of row r offset by n r, for at least
-    the rows of w."""
-    lengths = _lengths(_edge_slack(compiled, w))
-    arcs = _face_arcs(compiled, lengths)
-    B = np.bincount(corners[: arcs.size], weights=arcs.ravel(), minlength=w.size)
-    return lengths, arcs, B.reshape(w.shape)
+    A stack takes ``corners``, the corners of row r offset by n r, for at
+    least the rows of w."""
+    u = _admissible(_edge_slack(compiled, w))
+    arcs = _face_arcs(compiled, u)
+    corners = compiled.corners if corners is None else corners[: arcs.size]
+    B = np.bincount(corners, weights=arcs.ravel(), minlength=w.size)
+    return u, arcs.swapaxes(-1, -2), B.reshape(w.shape)
 
 
 def in_domain(tri, l0, w):
@@ -328,10 +329,9 @@ def face_hexagon(tri, l0, w, face):
 
 def surface_geometry(tri, l0, w):
     """Edge lengths, face arcs and boundary lengths at w in one pass; B_i
-    sums the arcs on component i face by face, slot by slot."""
-    compiled = _compiled(tri, l0)
-    lengths, arcs, B = _geometry(compiled, _finite(_factor(tri, w)), compiled.corners)
-    return SurfaceGeometry(edge_lengths=lengths, arcs=arcs, boundary=B)
+    sums the arcs on component i slot by slot, face by face."""
+    u, arcs, B = _geometry(_compiled(tri, l0), _finite(_factor(tri, w)))
+    return SurfaceGeometry(edge_lengths=_lengths(u), arcs=arcs, boundary=B)
 
 
 def _stack(tri, w):
@@ -345,7 +345,7 @@ def _stack(tri, w):
 
 def _blocks(tri, l0, w):
     """The kernel on the (m, n) stack w in blocks of at most _BLOCK_EDGES
-    edge values: yields each block's row slice, edge lengths, arcs and B."""
+    edge values: yields each block's row slice, edge slacks, arcs and B."""
     compiled = _compiled(tri, l0)
     block = max(1, min(len(w), _BLOCK_EDGES // len(tri.edges)))
     corners = (compiled.corners + tri.n_boundaries * np.arange(block)[:, None]).ravel()
@@ -374,17 +374,25 @@ def geometry_rows(tri, l0, w):
     """
     w = _stack(tri, w)
     rows = GeometryRows(np.empty(w.shape), np.empty(len(w)), np.empty(len(w)))
-    for part, lengths, arcs, B in _blocks(tri, l0, w):
+    for part, u, arcs, B in _blocks(tri, l0, w):
         rows.boundary[part] = B
-        rows.min_edge[part] = lengths.min(axis=1)
+        # The shortest edge is the one of least slack.
+        rows.min_edge[part] = _lengths(u.min(axis=1))
         rows.max_arc[part] = arcs.max(axis=(1, 2))
     return rows
+
+
+def _geometry_row(tri, l0, w):
+    """(B, shortest edge, longest arc) of the finite factor w (n,): one
+    row of :func:`geometry_rows`, bit for bit, without the stack."""
+    u, arcs, B = _geometry(_compiled(tri, l0), w)
+    return B, float(_lengths(u.min())), float(arcs.max())
 
 
 def boundary_lengths(tri, l0, w):
     """The boundary-length map: B_i = sum of the arcs on component i over
     all incident face corners."""
-    return surface_geometry(tri, l0, w).boundary
+    return _geometry(_compiled(tri, l0), _finite(_factor(tri, w)))[2]
 
 
 def boundary_jacobian(tri, l0, w):
@@ -394,34 +402,25 @@ def boundary_jacobian(tri, l0, w):
     sinh l_ki sinh l_jk) through the corner -> component map; repeated
     corners (self-edges) accumulate per slot, face by face in row-major
     block order.  H is symmetric bit-for-bit and negative definite on the
-    admissible domain.  Faces with a side beyond 200 (or below 1e-7)
-    take the scalar :func:`.arc_jacobian`.
+    admissible domain.  Faces with a slack beyond ln cosh(100) (a side
+    beyond 200) take the scalar :func:`.arc_jacobian`.
     """
     compiled = _compiled(tri, l0)
-    lengths = _lengths(_slack(tri, l0, w))
+    u = _admissible(_slack(tri, l0, w))
     n = tri.n_boundaries
-    slots = compiled.slots
-    scalar = (lengths > _LOG_DOMAIN_THRESHOLD) | (lengths < _JACOBIAN_DIRECT_MIN)
-    has_scalar = scalar.any()
-    sides = np.where(scalar, 1.0, lengths) if has_scalar else lengths
-    # Slot-rotated cosh/sinh: for face side triple (a, b, c) = cosh of
-    # slots (0, 1, 2), column t of x, y, z holds the t-th cyclic shift.
-    x, y, z = np.cosh(sides)[slots]
-    sinh_y, sinh_z = np.sinh(sides)[slots[1:]]
-    ym1, zm1 = y - 1.0, z - 1.0
-    # Column t: M_tt, and the off-diagonal entry M_(t, t+1) (column 2
-    # holds M_13 = M_31).
-    diagonal = (z + x * y) / ym1 + (y + z * x) / zm1
-    off = (x + y - z + 1.0) / zm1
-    # -2 / (sinh theta_k sinh l_ki sinh l_jk), theta_k the arc opposite
-    # slot 2, whose neighbours are slots 0 and 1.
-    sinh_jk, sinh_ki = sinh_y[:, 2], sinh_z[:, 2]
-    q = _q_form(x[:, 2], y[:, 2], z[:, 2], sinh_jk, sinh_ki)
-    scale = -2.0 / (np.sqrt(q * (q + 2.0)) * sinh_ki * sinh_jk)
-    entries = np.concatenate([diagonal, off], axis=1) * scale[:, None]
-    blocks = entries[:, _BLOCK_LAYOUT]
-    if has_scalar:
-        slot = slots[0]
-        for f in np.flatnonzero(scalar[slot].any(axis=1)):
-            blocks[f] = arc_jacobian(*(float(side) for side in lengths[slot[f]])).ravel()
-    return np.bincount(compiled.pairs, weights=blocks.ravel(), minlength=n * n).reshape(n, n)
+    face_u = u[compiled.table[:3].T]
+    log_faces = np.flatnonzero(face_u.max(axis=1) > _LOG_SLACK)
+    (Sx, Sy, Sz), N, Q = _arc_terms(compiled, np.minimum(u, _LOG_SLACK) if log_faces.size else u)
+    # Row t of the coefficient matrix by cosh l = 1 + 2S, S_t of slot t:
+    # M_tt = P/S_(t+1) + P/S_(t+2) + 4 S_t and M_(t, t+1) = P/S_(t+2) - 2
+    # (row 2 holds M_13 = M_31), where P = 1 + S_0 + S_1 + S_2.
+    P = 1.0 + Sx + Sy + Sz
+    diagonal = P / Sy + P / Sz + 4.0 * Sx
+    off = P / Sz - 2.0
+    # -2 / (sinh theta_k sinh l_ki sinh l_jk) = -1 / sqrt(N (N + 4Q)),
+    # theta_k the arc opposite slot 2, whose neighbours are slots 0 and 1.
+    N, Q = N[2], Q[2]
+    blocks = (np.concatenate([diagonal, off]) * (-1.0 / np.sqrt(N * (N + 4.0 * Q))))[_BLOCK_LAYOUT]
+    for f in log_faces:
+        blocks[:, f] = arc_jacobian(*_lengths(face_u[f]).tolist()).ravel()
+    return np.bincount(compiled.pairs, weights=blocks.T.ravel(), minlength=n * n).reshape(n, n)

@@ -12,8 +12,9 @@ order-32 rule typically converges in a single panel.
 
 :func:`total_energy` integrates all faces at once, E(w) = int_0^1
 <B(s w), w> ds on the array kernel, to the per-face tolerance times F;
-each panel's nodes are one batched kernel call (the B rows of
-:func:`.geometry_rows`).
+each panel's nodes are one batched kernel call
+(:func:`._boundary_rows`, the blocks of :func:`.geometry_rows` for B
+alone).
 :func:`segment_energy` and :func:`face_energy` are the scalar reference,
 one :func:`.hexagon_arcs` call per node.
 

@@ -15,16 +15,16 @@ r = max_i B_i(0) is the fastest initial rate, so 1/r is the surface's own
 time scale and B changes on a scale of order one in tau from the first
 step on.  Along the flow w drifts like (1/2) ln t (see :func:`flow_limit`),
 which is smooth in tau, so steps in tau stay long where steps in t would
-have to grow without bound.  Each
-stage right-hand side is one call of the array kernel
-:func:`.boundary_lengths`.  The last stage is one :func:`.surface_geometry`
-call at the trial point, which gives the error estimate, the first stage
-of the next step ("first same as last") and, once the step is accepted,
-the recorded geometry (shortest edge, longest arc); it counts as one
-right-hand-side evaluation, so an attempted step costs six.  The samples
-come from each accepted step's 4th-order dense output, and their geometry
-is one batched kernel call (:func:`.geometry_rows`) over all sampled
-factors.
+have to grow without bound.  Each stage right-hand side is one call of
+the array kernel :func:`.boundary_lengths`.  The last stage is one kernel
+call at the trial point that also reads the shortest edge (from the least
+edge slack) and the longest arc, as one row of :func:`.geometry_rows`; it
+gives the error estimate, the first stage of the next step ("first same
+as last") and, once the step is accepted, the recorded geometry.  It
+counts as one right-hand-side evaluation, so an attempted step costs six.
+The samples come from each accepted step's 4th-order dense output, and
+their geometry is one batched kernel call (:func:`.geometry_rows`) over
+all sampled factors.
 """
 
 import math
@@ -33,7 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from .conformal import _compiled, boundary_lengths, geometry_rows, in_domain, surface_geometry
+from .conformal import _compiled, _geometry_row, boundary_lengths, geometry_rows, in_domain, surface_geometry
 from .conformal import edge_length, face_sides  # noqa: F401 - sites the tracer in bench/tracing.py wraps
 from .errors import ConvergenceError, DomainError
 from .hexagon import hexagon_arcs  # noqa: F401 - a site the tracer in bench/tracing.py wraps
@@ -156,16 +156,10 @@ def flow_limit(tri, l0):
     t B_k(t) -> 1/2.
     """
     compiled = _compiled(tri, l0)
-    log_lam = compiled.log_cosh0[compiled.slots[0]]
-    ratios = np.exp(2.0 * log_lam - log_lam.sum(axis=1, keepdims=True))
+    log_lam = compiled.log_cosh0[compiled.table[:3]]
+    ratios = np.exp(2.0 * log_lam - log_lam.sum(axis=0))
     K = np.bincount(compiled.corners, weights=ratios.ravel(), minlength=tri.n_boundaries)
     return K, 0.5 * np.log(2.0 * K)
-
-
-def _row(geometry):
-    """(B, shortest edge, longest arc): what a trace row records of a
-    SurfaceGeometry."""
-    return geometry.boundary, float(geometry.edge_lengths.min()), float(geometry.arcs.max())
 
 
 def _table(times, factors, lengths, min_edge, max_arc):
@@ -206,20 +200,20 @@ def integrate_flow(tri, l0, opts):
     def geometry_at(w):
         nonlocal evaluations
         evaluations += 1
-        return surface_geometry(tri, l0, w)
+        return _geometry_row(tri, l0, w)
 
     n = tri.n_boundaries
     tau = t = 0.0
     w = np.zeros(n)
-    geometry = geometry_at(w)
-    B = geometry.boundary
+    row = geometry_at(w)
+    B = row[0]
     rate = float(np.max(B))
     if not opts.cusp_tol < rate:
         raise ValueError(
             f"cusp_tol {opts.cusp_tol!r} must lie below the initial max "
             f"boundary length {rate!r}"
         )
-    times, factors, rows = [0.0], [w], [_row(geometry)]
+    times, factors, rows = [0.0], [w], [row]
     # (tau, h, w, h K^T P) of each accepted step: its dense output.
     steps = []
     # Stage slopes dw/dtau = (e^tau / r) B; row 0 is the FSAL row.
@@ -245,7 +239,7 @@ def integrate_flow(tri, l0, opts):
             K[s] = math.exp(tau + _C[s] * h_try) / rate * rhs(w + h_try * (_A[s, :s] @ K[:s]))
         w_new = w + h_try * (_B @ K[:6])
         trial = geometry_at(w_new)
-        K[6] = math.exp(tau + h_try) / rate * trial.boundary
+        K[6] = math.exp(tau + h_try) / rate * trial[0]
         scale = opts.abs_tol + opts.rel_tol * np.maximum(np.abs(w), np.abs(w_new))
         err = float(np.max(np.abs(h_try * (_E @ K)) / scale))
         if err <= 1.0:
@@ -253,12 +247,12 @@ def integrate_flow(tri, l0, opts):
             landing = h_try == remaining
             tau = tau_end if landing else tau + h_try
             t = opts.t_end if landing else math.expm1(tau) / rate
-            w, B = w_new, trial.boundary
+            w, B = w_new, trial[0]
             K[0] = K[6]
             total_err += err * float(np.max(scale))
             times.append(t)
             factors.append(w)
-            rows.append(_row(trial))
+            rows.append(trial)
             if float(np.max(B)) < opts.cusp_tol:
                 stop_reason = "cusp_tol"
                 break

@@ -206,21 +206,25 @@ class CoefficientMatrix:
     c: float
 
 
-def coefficient_matrix(a, b, c):
-    """M(a, b, c) for a, b, c > 1; entries share subexpressions so the
-    result is symmetric bit-for-bit."""
-    for v in (a, b, c):
-        if not (math.isfinite(v) and v > 1.0):
-            raise ValueError(f"coefficient matrix requires cosh values > 1, got {v!r}")
-    am1, bm1, cm1 = a - 1.0, b - 1.0, c - 1.0
+def _coefficients(a, b, c, am1, bm1, cm1):
+    """M(a, b, c) from the cosh values and their excesses am1 = a - 1,
+    bm1, cm1; entries share subexpressions so the result is symmetric
+    bit-for-bit."""
     m12 = (a + b - c + 1.0) / cm1
     m13 = (a + c - b + 1.0) / bm1
     m23 = (b + c - a + 1.0) / am1
     m11 = (c + a * b) / bm1 + (b + a * c) / cm1
     m22 = (c + a * b) / am1 + (a + b * c) / cm1
     m33 = (b + a * c) / am1 + (a + b * c) / bm1
-    m = np.array([[m11, m12, m13], [m12, m22, m23], [m13, m23, m33]])
-    return CoefficientMatrix(matrix=m, a=a, b=b, c=c)
+    return np.array([[m11, m12, m13], [m12, m22, m23], [m13, m23, m33]])
+
+
+def coefficient_matrix(a, b, c):
+    """M(a, b, c) for a, b, c > 1; symmetric bit-for-bit."""
+    for v in (a, b, c):
+        if not (math.isfinite(v) and v > 1.0):
+            raise ValueError(f"coefficient matrix requires cosh values > 1, got {v!r}")
+    return CoefficientMatrix(matrix=_coefficients(a, b, c, a - 1.0, b - 1.0, c - 1.0), a=a, b=b, c=c)
 
 
 def _log_sinh_arc(lc, la, lb):
@@ -287,7 +291,13 @@ def arc_jacobian(l_jk, l_ki, l_ij):
     _check_sides(l_jk, l_ki, l_ij)
     if max(l_jk, l_ki, l_ij) > _LOG_DOMAIN_THRESHOLD:
         return _arc_jacobian_log(l_jk, l_ki, l_ij)
-    m = coefficient_matrix(math.cosh(l_jk), math.cosh(l_ki), math.cosh(l_ij)).matrix
+    sides = (l_jk, l_ki, l_ij)
+    # cosh l - 1 = 2 sinh^2(l/2): no cancellation on short sides, whose
+    # cosh rounds toward 1.
+    excess = [2.0 * math.sinh(0.5 * side) ** 2 for side in sides]
+    if not min(excess) > 0.0:
+        raise ValueError(f"hexagon sides too short for the arc Jacobian, got {sides!r}")
+    m = _coefficients(*(math.cosh(side) for side in sides), *excess)
     sinh_theta_k = math.exp(_log_sinh_arc(l_ij, l_jk, l_ki))
     scale = -2.0 / (sinh_theta_k * math.sinh(l_ki) * math.sinh(l_jk))
     return scale * m

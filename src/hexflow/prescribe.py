@@ -16,9 +16,10 @@ merit change along a step is the line integral
 
 evaluated by a fixed Gauss-Legendre rule.  It never subtracts two large
 energy totals, so the test stays meaningful down to the final residuals.
-A trial step is one batched kernel call (the B rows of
-:func:`.geometry_rows`) on the rule's nodes plus the trial point itself,
-whose row is B at the next iterate once the step is accepted.
+A trial step is one batched kernel call (:func:`._boundary_rows`, the
+blocks of :func:`.geometry_rows` for B alone) on the rule's nodes plus
+the trial point itself, whose row is B at the next iterate once the step
+is accepted.
 """
 
 import math

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -249,6 +250,46 @@ def _scalar_margin(tri, l0, w):
 FIXTURES = ("pants", "tetra", "twin_pants", "second_pants", "torus")
 
 
+def _mp_sides(u):
+    """Sides 2 arccosh(e^u) of the float slacks u, at the working precision."""
+    return [2 * mp.acosh(mp.exp(mp.mpf(float(v)))) for v in u]
+
+
+def _mp_arcs(u, dps=120):
+    """Arcs of the face with slot slacks u by the cosine law at ``dps``
+    digits; arc t lies opposite slot t."""
+    with mp.workdps(dps):
+        l = _mp_sides(u)
+        return [
+            mp.acosh((mp.cosh(l[t]) + mp.cosh(l[t - 2]) * mp.cosh(l[t - 1])) / (mp.sinh(l[t - 2]) * mp.sinh(l[t - 1])))
+            for t in range(3)
+        ]
+
+
+def _mp_jacobian(tri, l0, w, dps=80):
+    """H at ``dps`` digits from the float edge slacks of w: per face the
+    block -2 M(a, b, c) / (sinh theta_k sinh l_ki sinh l_jk)."""
+    n = tri.n_boundaries
+    slack = {e.edge_id: w[e.b_i - 1] + w[e.b_j - 1] + _logcosh(0.5 * l0[e.edge_id]) for e in tri.edges}
+    with mp.workdps(dps):
+        H = mp.zeros(n, n)
+        for face in tri.faces:
+            l = _mp_sides([slack[eid] for eid in face.opposite_edges])
+            a, b, c = (mp.cosh(side) for side in l)
+            m12, m13, m23 = (a + b - c + 1) / (c - 1), (a + c - b + 1) / (b - 1), (b + c - a + 1) / (a - 1)
+            M = [
+                [(c + a * b) / (b - 1) + (b + a * c) / (c - 1), m12, m13],
+                [m12, (c + a * b) / (a - 1) + (a + b * c) / (c - 1), m23],
+                [m13, m23, (b + a * c) / (a - 1) + (a + b * c) / (b - 1)],
+            ]
+            theta_k = mp.acosh((c + a * b) / (mp.sinh(l[0]) * mp.sinh(l[1])))
+            scale = -2 / (mp.sinh(theta_k) * mp.sinh(l[0]) * mp.sinh(l[1]))
+            for r in range(3):
+                for s in range(3):
+                    H[face.corners[r] - 1, face.corners[s] - 1] += scale * M[r][s]
+        return np.array(H.tolist(), dtype=float)
+
+
 class TestArrayKernelOracle:
     """The compiled array kernel against the scalar per-hexagon reference."""
 
@@ -302,17 +343,48 @@ class TestArrayKernelOracle:
         for gap in (1e-2, 1e-4, 1e-6):
             self._assert_matches(tri, l0, np.array([threshold + gap]))
         # Closest admissible factor: edge 1 has length ~1e-8, whose cosh
-        # rounds to 1; the scalar coefficient matrix rejects it, and so
-        # does the kernel.
+        # rounds to 1; the Jacobian takes cosh l - 1 as 2 sinh^2(l/2), in
+        # the kernel and the scalar reference alike.
         w = np.array([threshold - 1e-15])
         while not in_domain(tri, l0, w).ok:
             w = np.nextafter(w, 1.0)
-        B = _scalar_reference(tri, l0, w, jacobian=False)[2]
-        np.testing.assert_allclose(boundary_lengths(tri, l0, w), B, rtol=1e-13, atol=0.0)
-        with pytest.raises(ValueError, match="cosh values > 1"):
-            arc_jacobian(*face_sides(tri, l0, w, tri.faces[0]))
-        with pytest.raises(ValueError, match="cosh values > 1"):
-            boundary_jacobian(tri, l0, w)
+        lengths, _ = self._assert_matches(tri, l0, w)
+        assert np.min(lengths) < 1e-7
+
+    @pytest.mark.parametrize("fixture_name", FIXTURES)
+    def test_jacobian_at_the_domain_wall(self, fixture_name, request):
+        # Least edge slack in [1e-15, 1e-8], sides down to ~1e-7: there
+        # cosh l - 1 cancels, while the kernel reads it as 2 expm1(2u).
+        tri, l0 = request.getfixturevalue(fixture_name)
+        rng = np.random.default_rng(30)
+        for _ in range(6):
+            w = random_in_domain(tri, l0, rng)
+            # A uniform shift moves every edge slack by twice the shift.
+            w = w - 0.5 * (in_domain(tri, l0, w).margin - 10.0 ** rng.uniform(-15.0, -8.0))
+            assert 0.0 < in_domain(tri, l0, w).margin <= 2e-8
+            H = boundary_jacobian(tri, l0, w)
+            H_ref = _mp_jacobian(tri, l0, w)
+            assert np.max(np.abs(H - H_ref)) <= 1e-13 * np.max(np.abs(H_ref))
+            assert np.array_equal(H, H.T)
+            np.linalg.cholesky(-H)
+
+    def test_arcs_within_8_ulp_of_the_slack_reference(self, pants):
+        # Faces drawn by their three edge slacks, log-uniform from 1e-12 up
+        # to ln cosh(100), the slack of a side of 200 (the largest on the
+        # direct branch); the reference reads the float slack the kernel
+        # sees.  Pants edge t joins the two components other than t.
+        tri, l0 = pants
+        rng = np.random.default_rng(31)
+        c = _logcosh(0.5 * PANTS_EDGE)
+        worst = 0.0
+        for _ in range(200):
+            target = 10.0 ** rng.uniform(-12.0, math.log10(_logcosh(100.0)), 3)
+            w = 0.5 * (target.sum() - 3.0 * c) - target + c
+            u = [w[e.b_i - 1] + w[e.b_j - 1] + c for e in tri.edges]
+            arcs = surface_geometry(tri, l0, w).arcs[0]
+            for arc, ref in zip(arcs, _mp_arcs(u)):
+                worst = max(worst, float(abs(mp.mpf(float(arc)) - ref)) / np.spacing(float(ref)))
+        assert worst <= 8.0
 
     @pytest.mark.parametrize("fixture_name", FIXTURES)
     def test_domain_error_where_the_scalar_path_raises(self, fixture_name, request):

@@ -14,6 +14,7 @@ from hexflow import (
     flow_limit,
     hexagon_arcs,
     integrate_flow,
+    surface_geometry,
     total_energy,
     trace_csv,
 )
@@ -196,6 +197,14 @@ class TestIntegrateFlow:
         # Every other kernel call is one right-hand-side evaluation; the
         # samples do not count as such.
         assert len(kernel_calls) - len(sample_calls) == trace.rhs_evaluations
+
+    def test_shortest_edge_is_the_edge_of_least_slack(self):
+        # The recorded shortest edge is 2 arccosh(e^(min u)), read off the
+        # least slack rather than the minimum over every edge length.
+        tri, l0 = generated(200, 3)
+        trace = integrate_flow(tri, l0, FlowOptions(t_end=1e6, cusp_tol=1e-4))
+        for w, min_edge in zip(trace.accepted.factors, trace.accepted.min_edge):
+            assert min_edge == surface_geometry(tri, l0, w).edge_lengths.min()
 
 
 class TestFlowLimit:
