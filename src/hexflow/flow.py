@@ -8,23 +8,27 @@ bound (each hexagon degenerates toward an ideal triangle).  A numerical
 run therefore cuts off by a boundary-length threshold or an edge-length
 cap rather than by reaching the limit.
 
-The stepper is the embedded Dormand-Prince 5(4) pair (Dormand & Prince,
-J. Comput. Appl. Math. 6 (1980)) with PI step-size control, run in the
-scaled log time tau = ln(1 + r t) on dw/dtau = (e^tau / r) B(w).  The rate
-r = max_i B_i(0) is the fastest initial rate, so 1/r is the surface's own
-time scale and B changes on a scale of order one in tau from the first
-step on.  Along the flow w drifts like (1/2) ln t (see :func:`flow_limit`),
-which is smooth in tau, so steps in tau stay long where steps in t would
-have to grow without bound.  Each stage right-hand side is one call of
-the array kernel :func:`.boundary_lengths`.  The last stage is one kernel
-call at the trial point that also reads the shortest edge (from the least
-edge slack) and the longest arc, as one row of :func:`.geometry_rows`; it
-gives the error estimate, the first stage of the next step ("first same
-as last") and, once the step is accepted, the recorded geometry.  It
-counts as one right-hand-side evaluation, so an attempted step costs six.
-The samples come from each accepted step's 4th-order dense output, and
-their geometry is one batched kernel call (:func:`.geometry_rows`) over
-all sampled factors.
+The stepper is the embedded DOP853 8(5,3) pair (Hairer, Norsett & Wanner,
+Solving Ordinary Differential Equations I, Sec. II.10) with PI step-size
+control, run in the scaled log time tau = ln(1 + r t) on
+dw/dtau = (e^tau / r) B(w).  The rate r = max_i B_i(0) is the fastest
+initial rate, so 1/r is the surface's own time scale and B changes on a
+scale of order one in tau from the first step on.  Along the flow w drifts
+like (1/2) ln t (see :func:`flow_limit`), which is smooth in tau, so steps
+in tau stay long where steps in t would have to grow without bound, and
+the 8th-order pair takes about a third of the steps of a 5th-order one at
+the default tolerance.  Each stage right-hand side is one call of the
+array kernel :func:`.boundary_lengths`.  The last stage is one kernel call
+at the trial point that also reads the shortest edge (from the least edge
+slack) and the longest arc, as one row of :func:`.geometry_rows`; it gives
+the error estimate, the first stage of the next step ("first same as
+last") and, once the step is accepted, the recorded geometry.  It counts
+as one right-hand-side evaluation, so an attempted step costs twelve.
+The samples come from the 7th-order dense output of the accepted steps
+that hold a sample time.  Its three extra stages are needed only there:
+each is one batched kernel call with one row per such step, and each row
+counts as a right-hand-side evaluation.  The geometry at the samples is
+one more batched call (:func:`.geometry_rows`) over all sampled factors.
 """
 
 import math
@@ -33,35 +37,89 @@ from typing import Optional
 
 import numpy as np
 
-from .conformal import _compiled, _geometry_row, boundary_lengths, geometry_rows, in_domain, surface_geometry
+from .conformal import (
+    _boundary_rows,
+    _compiled,
+    _geometry_row,
+    boundary_lengths,
+    geometry_rows,
+    in_domain,
+    surface_geometry,
+)
 from .conformal import edge_length, face_sides  # noqa: F401 - sites the tracer in bench/tracing.py wraps
 from .errors import ConvergenceError, DomainError
 from .hexagon import hexagon_arcs  # noqa: F401 - a site the tracer in bench/tracing.py wraps
 
-# The Dormand-Prince 5(4) tableau and its 4th-order dense output, the
-# values of scipy.integrate.RK45 (a test checks them).  They are written
-# out because importing scipy.integrate adds ~23 MiB to a process; the
-# driver is our own because RK45 clamps rel_tol at 100 eps (with a
-# warning) and measures the error in an RMS norm.
-_C = np.array([0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1])
-_A = np.array([
-    [0, 0, 0, 0, 0],
-    [1 / 5, 0, 0, 0, 0],
-    [3 / 40, 9 / 40, 0, 0, 0],
-    [44 / 45, -56 / 15, 32 / 9, 0, 0],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
+# The DOP853 8(5,3) pair of Hairer, Norsett & Wanner (Solving Ordinary
+# Differential Equations I, Sec. II.10), the values of scipy.integrate.DOP853
+# (a test checks them bit for bit).  They are written out because importing
+# scipy.integrate adds ~23 MiB to a process; the driver is our own because
+# DOP853 clamps rel_tol at 100 eps (with a warning) and measures the error in
+# an RMS norm.  Row s of _A holds a_s0 .. a_s(s-1), a continued line
+# indented further: rows 1-11 are the stages of a step, row 12 the 8th-order
+# weights (its point is the FSAL stage) and rows 13-15 the extra stages of
+# the 7th-order dense output.
+_A = np.zeros((16, 16))
+_A[np.tril_indices(16, -1)] = [
+    0.05260015195876773,
+    0.0197250569845379, 0.0591751709536137,
+    0.02958758547680685, 0, 0.08876275643042054,
+    0.2413651341592667, 0, -0.8845494793282861, 0.924834003261792,
+    0.037037037037037035, 0, 0, 0.17082860872947386, 0.12546768756682242,
+    0.037109375, 0, 0, 0.17025221101954405, 0.06021653898045596, -0.017578125,
+    0.03709200011850479, 0, 0, 0.17038392571223998, 0.10726203044637328, -0.015319437748624402,
+        0.008273789163814023,
+    0.6241109587160757, 0, 0, -3.3608926294469414, -0.868219346841726, 27.59209969944671,
+        20.154067550477894, -43.48988418106996,
+    0.47766253643826434, 0, 0, -2.4881146199716677, -0.590290826836843, 21.230051448181193,
+        15.279233632882423, -33.28821096898486, -0.020331201708508627,
+    -0.9371424300859873, 0, 0, 5.186372428844064, 1.0914373489967295, -8.149787010746927,
+        -18.52006565999696, 22.739487099350505, 2.4936055526796523, -3.0467644718982196,
+    2.273310147516538, 0, 0, -10.53449546673725, -2.0008720582248625, -17.9589318631188,
+        27.94888452941996, -2.8589982771350235, -8.87285693353063, 12.360567175794303,
+        0.6433927460157636,
+    0.054293734116568765, 0, 0, 0, 0, 4.450312892752409, 1.8915178993145003, -5.801203960010585,
+        0.3111643669578199, -0.1521609496625161, 0.20136540080403034, 0.04471061572777259,
+    0.056167502283047954, 0, 0, 0, 0, 0, 0.25350021021662483, -0.2462390374708025,
+        -0.12419142326381637, 0.15329179827876568, 0.00820105229563469, 0.007567897660545699,
+        -0.008298,
+    0.03183464816350214, 0, 0, 0, 0, 0.028300909672366776, 0.053541988307438566,
+        -0.05492374857139099, 0, 0, -0.00010834732869724932, 0.0003825710908356584,
+        -0.00034046500868740456, 0.1413124436746325,
+    -0.42889630158379194, 0, 0, 0, 0, -4.697621415361164, 7.683421196062599, 4.06898981839711,
+        0.3567271874552811, 0, 0, 0, -0.0013990241651590145, 2.9475147891527724, -9.15095847217987,
+]
+_B = _A[12, :12]
+_C = np.array([
+    0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274, 0.2816496580927726,
+    0.3333333333333333, 0.25, 0.3076923076923077, 0.6512820512820513, 0.6, 0.8571428571428571,
+    1.0, 1.0, 0.1, 0.2, 0.7777777777777778,
 ])
-_B = np.array([35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])
-_E = np.array([-71 / 57600, 0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40])
-_P = np.array([
-    [1, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
-    [0, 0, 0, 0],
-    [0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
-    [0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
-    [0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632],
-    [0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
-    [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
+# The 5th- and 3rd-order error weights over stages 0-12.
+_E5 = np.array([
+    0.01312004499419488, 0, 0, 0, 0, -1.2251564463762044, -0.4957589496572502,
+    1.6643771824549864, -0.35032884874997366, 0.3341791187130175, 0.08192320648511571,
+    -0.022355307863886294, 0,
+])
+_E3 = np.array([
+    -0.18980075407240762, 0, 0, 0, 0, 4.450312892752409, 1.8915178993145003, -5.801203960010585,
+    -0.4226823213237919, -0.1521609496625161, 0.20136540080403034, 0.02265179219836082, 0,
+])
+# Dense-output weights over stages 0-15: the last four of its seven
+# coefficient rows.
+_D = np.array([
+    [-8.428938276109013, 0, 0, 0, 0, 0.5667149535193777, -3.0689499459498917, 2.38466765651207,
+     2.117034582445028, -0.871391583777973, 2.2404374302607883, 0.6315787787694688,
+     -0.08899033645133331, 18.148505520854727, -9.194632392478356, -4.436036387594894],
+    [10.427508642579134, 0, 0, 0, 0, 242.28349177525817, 165.20045171727028, -374.5467547226902,
+     -22.113666853125306, 7.733432668472264, -30.674084731089398, -9.332130526430229,
+     15.697238121770845, -31.139403219565178, -9.35292435884448, 35.81684148639408],
+    [19.985053242002433, 0, 0, 0, 0, -387.0373087493518, -189.17813819516758, 527.8081592054236,
+     -11.57390253995963, 6.8812326946963, -1.0006050966910838, 0.7777137798053443,
+     -2.778205752353508, -60.19669523126412, 84.32040550667716, 11.99229113618279],
+    [-25.69393346270375, 0, 0, 0, 0, -154.18974869023643, -231.5293791760455, 357.6391179106141,
+     93.40532418362432, -37.45832313645163, 104.0996495089623, 29.8402934266605,
+     -43.53345659001114, 96.32455395918828, -39.17726167561544, -149.72683625798564],
 ])
 
 
@@ -120,9 +178,12 @@ class TraceTable:
 @dataclass
 class FlowTrace:
     """Accepted integrator steps at full resolution plus the sample grid,
-    whose factors come from each step's 4th-order dense output;
+    whose factors come from each step's 7th-order dense output;
     monotonicity statements hold at the accepted steps (the dense output
-    need not preserve them between steps)."""
+    need not preserve them between steps).  ``rhs_evaluations`` counts
+    the kernel evaluations of B that advance the flow: every stage and
+    trial point, and each row of the extra dense-output stages, but not
+    the sampled geometry."""
 
     accepted: TraceTable
     sampled: TraceTable
@@ -182,9 +243,10 @@ def integrate_flow(tri, l0, opts):
     enough for the error test every stage point lies above w (the pair
     has negative weights, but they cancel to first order), so a domain
     violation mid-run indicates an integrator defect and raises
-    DomainError rather than being treated as bad input.  The error
-    estimate per step is the difference of the embedded 5th- and
-    4th-order solutions; the 5th-order one is kept.
+    DomainError rather than being treated as bad input.  The error per
+    component is |e5|^2 / hypot(e5, e3 / 10) from the embedded 5th- and
+    3rd-order estimates (as in DOP853), in the max norm; the 8th-order
+    solution is kept.
     """
     check = in_domain(tri, l0, np.zeros(tri.n_boundaries))
     if not check.ok:  # pragma: no cover - a positive metric always admits 0
@@ -214,10 +276,12 @@ def integrate_flow(tri, l0, opts):
             f"boundary length {rate!r}"
         )
     times, factors, rows = [0.0], [w], [row]
-    # (tau, h, w, h K^T P) of each accepted step: its dense output.
+    # (tau, h, stages 0-12) of each accepted step: with the factors at its
+    # ends, its dense output.
     steps = []
-    # Stage slopes dw/dtau = (e^tau / r) B; row 0 is the FSAL row.
-    K = np.empty((7, n))
+    # Stage slopes dw/dtau = (e^tau / r) B; row 0 is the FSAL row, row 12
+    # the slope at the trial point.
+    K = np.empty((13, n))
     K[0] = B / rate
     tau_end = math.log1p(rate * opts.t_end)
     h = min(0.1, tau_end)
@@ -235,20 +299,23 @@ def integrate_flow(tri, l0, opts):
                 f"step size underflow at t = {t!r} (h = {h_try!r} in ln(1 + r t), "
                 f"r = {rate!r})"
             )
-        for s in range(1, 6):
+        for s in range(1, 12):
             K[s] = math.exp(tau + _C[s] * h_try) / rate * rhs(w + h_try * (_A[s, :s] @ K[:s]))
-        w_new = w + h_try * (_B @ K[:6])
+        w_new = w + h_try * (_B @ K[:12])
         trial = geometry_at(w_new)
-        K[6] = math.exp(tau + h_try) / rate * trial[0]
+        K[12] = math.exp(tau + h_try) / rate * trial[0]
         scale = opts.abs_tol + opts.rel_tol * np.maximum(np.abs(w), np.abs(w_new))
-        err = float(np.max(np.abs(h_try * (_E @ K)) / scale))
+        e5 = np.abs(_E5 @ K)
+        e3 = _E3 @ K
+        denom = np.hypot(e5, 0.1 * e3)
+        err = h_try * float(np.max(e5 * (e5 / np.where(denom > 0.0, denom, 1.0)) / scale))
         if err <= 1.0:
-            steps.append((tau, h_try, w, h_try * (K.T @ _P)))
+            steps.append((tau, h_try, K.copy()))
             landing = h_try == remaining
             tau = tau_end if landing else tau + h_try
             t = opts.t_end if landing else math.expm1(tau) / rate
             w, B = w_new, trial[0]
-            K[0] = K[6]
+            K[0] = K[12]
             total_err += err * float(np.max(scale))
             times.append(t)
             factors.append(w)
@@ -259,36 +326,63 @@ def integrate_flow(tri, l0, opts):
             if rows[-1][1] > opts.length_cap:
                 stop_reason = "length_cap"
                 break
-            grow = 0.9 * err ** -0.14 * err_prev ** 0.08 if err > 0.0 else 5.0
+            # PI control for the 7th-order estimate as in Hairer's DOP853:
+            # exponents 1/8 - 0.75 beta and beta = 0.04.
+            grow = 0.9 * err ** -0.095 * err_prev ** 0.04 if err > 0.0 else 5.0
             h = h_try * min(5.0, max(0.2, grow))
             err_prev = max(err, 1e-10)
         else:
-            h = h_try * max(0.1, 0.9 * err ** -0.2)
+            h = h_try * max(0.1, 0.9 * err ** -0.125)
 
+    accepted = _table(times, factors, *zip(*rows))
+    sampled, dense_evaluations = _sample(tri, l0, steps, accepted.factors, rate, _grid(t, opts.sample_dt))
     return FlowTrace(
-        accepted=_table(times, factors, *zip(*rows)),
-        sampled=_sample(tri, l0, steps, rate, t, opts.sample_dt or t / 100.0),
+        accepted=accepted,
+        sampled=sampled,
         stop_reason=stop_reason,
         error_estimate=total_err,
-        rhs_evaluations=evaluations,
+        rhs_evaluations=evaluations + dense_evaluations,
     )
 
 
-def _sample(tri, l0, steps, rate, t_last, sample_dt):
-    """The factors on the sample grid from the dense output of the accepted
-    step holding each sample time (steps in tau = ln(1 + rate t)), with the
-    geometry (B, shortest edge, longest arc) recomputed at the sampled
-    factors."""
-    grid = list(np.arange(0.0, t_last, sample_dt))
-    if not grid or grid[-1] < t_last:
-        grid.append(t_last)
-    times = np.array(grid)
-    step_tau, step_h, step_w, step_hq = (np.array(column) for column in zip(*steps))
+def _grid(t_last, sample_dt):
+    """Sample times 0, dt, 2 dt, ... below t_last, then t_last itself; dt
+    defaults to t_last / 100 (101 times).  A multiple of dt within 1e-12
+    relative of t_last is dropped rather than repeated in rounding."""
+    dt = sample_dt or t_last / 100.0
+    return np.append(dt * np.arange(math.ceil(t_last / dt * (1.0 - 1e-12))), t_last)
+
+
+def _sample(tri, l0, steps, factors, rate, times):
+    """The factors at the sample times from the 7th-order dense output of
+    the accepted step holding each time (steps in tau = ln(1 + rate t),
+    from factors[k] to factors[k + 1]), with the geometry (B, shortest edge, longest arc) recomputed at the
+    sampled factors.  Each of the three extra dense-output stages is one
+    batched kernel call over the steps that hold a sample, one row per
+    step; returns the table and the number of those rows."""
+    step_tau, step_h, step_K = (np.array(column) for column in zip(*steps))
     tau = np.log1p(rate * times)
     k = np.clip(np.searchsorted(step_tau, tau, side="right") - 1, 0, len(steps) - 1)
-    theta = (tau - step_tau[k]) / step_h[k]
-    factors = step_w[k] + np.einsum("snj,sj->sn", step_hq[k], theta[:, None] ** np.arange(1, 5))
-    return _table(times, factors, *geometry_rows(tri, l0, factors))
+    held, k = np.unique(k, return_inverse=True)
+    tau0, h, w = step_tau[held], step_h[held], factors[held]
+    K = np.concatenate([step_K[held], np.empty((len(held), 3, tri.n_boundaries))], axis=1)
+    for s in range(13, 16):
+        stage = w + h[:, None] * np.einsum("j,mjn->mn", _A[s, :s], K[:, :s])
+        K[:, s] = (np.exp(tau0 + _C[s] * h) / rate)[:, None] * _boundary_rows(tri, l0, stage)
+    # Coefficient rows of the interpolant in x = (tau - tau0) / h:
+    # w(x) = w + x (F0 + (1-x) (F1 + x (F2 + (1-x) (F3 + x (F4 + (1-x) (F5 + x F6)))))).
+    hK = h[:, None, None] * K
+    dw = factors[held + 1] - w
+    F = np.concatenate([
+        np.stack([dw, hK[:, 0] - dw, 2.0 * dw - hK[:, 0] - hK[:, 12]], axis=1),
+        np.einsum("ds,msn->mdn", _D, hK),
+    ], axis=1)[k]
+    x = ((tau - tau0[k]) / h[k])[:, None]
+    factors = F[:, 6]
+    for d in range(5, -1, -1):
+        factors = F[:, d] + (x if d % 2 else 1.0 - x) * factors
+    factors = w[k] + x * factors
+    return _table(times, factors, *geometry_rows(tri, l0, factors)), 3 * len(held)
 
 
 def trace_csv(table, n_boundaries):

@@ -1,8 +1,13 @@
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.integrate import RK45, solve_ivp
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.integrate import DOP853, solve_ivp
 
 from hexflow import (
     ConvergenceError,
@@ -21,9 +26,10 @@ from hexflow import (
 from hexflow import conformal
 from hexflow import flow as flow_module
 
-from conftest import PANTS_EDGE, block_rows, generated
+from conftest import PANTS_EDGE, block_rows, generated, pants_text
 
 PANTS_B0 = 2.0 * math.acosh(7.0 / 6.0)
+PANTS_TEXT = pants_text()
 FIXTURES = ("pants", "tetra", "torus", "twin_pants", "second_pants")
 
 
@@ -137,9 +143,23 @@ class TestIntegrateFlow:
                 float(np.sum(np.asarray(w) * 0 + trace.sampled.lengths[r] ** 2)), rel=1e-12
             )
 
-    def test_tableau_is_scipys_dormand_prince(self):
-        for name in ("A", "B", "C", "E", "P"):
-            assert np.array_equal(getattr(flow_module, "_" + name), getattr(RK45, name)), name
+    def test_tableau_is_scipys_dop853(self):
+        # _A and _C hold the 12 stages of a step, the 8th-order row and the
+        # three extra dense-output stages.
+        ours = {
+            "A": flow_module._A[:12, :12],
+            "B": flow_module._B,
+            "C": flow_module._C[:12],
+            "E3": flow_module._E3,
+            "E5": flow_module._E5,
+            "D": flow_module._D,
+            "A_EXTRA": flow_module._A[13:],
+            "C_EXTRA": flow_module._C[13:],
+        }
+        for name, value in ours.items():
+            expected = getattr(DOP853, name)
+            assert value.shape == expected.shape, name
+            assert value.tobytes() == expected.tobytes(), name
 
     def test_samples_match_reference(self, tetra):
         tri, l0 = tetra
@@ -159,7 +179,7 @@ class TestIntegrateFlow:
         tri, l0 = tetra
         trace = integrate_flow(tri, l0, FlowOptions(t_end=1e6, cusp_tol=1e-4))
         assert trace.stop_reason == "cusp_tol"
-        assert trace.rhs_evaluations <= 700
+        assert trace.rhs_evaluations <= 390  # 352
 
     def test_large_surface_evaluation_count(self, monkeypatch):
         # Log time scaled by the fastest initial rate (max B(0) = 278 here)
@@ -176,27 +196,41 @@ class TestIntegrateFlow:
         monkeypatch.setattr(conformal, "_arcs_log", counted)
         trace = integrate_flow(tri, l0, FlowOptions(t_end=1e6, cusp_tol=1e-4))
         assert trace.stop_reason == "cusp_tol"
-        assert trace.rhs_evaluations <= 700
+        assert trace.rhs_evaluations <= 520  # 472
         assert log_calls == []
 
     def test_samples_take_one_kernel_call_per_block(self, monkeypatch, kernel_calls):
+        # Each of the three extra dense-output stages is one batched call over
+        # the steps that hold a sample, and the sampled geometry is one more;
+        # each runs in blocks of block_rows(tri) rows.
         tri, l0 = generated(200, 3)
         sample_calls = []
+        held = []
         sample = flow_module._sample
+        boundary_rows = flow_module._boundary_rows
 
         def counted(*args):
             before = len(kernel_calls)
-            table = sample(*args)
+            table, evaluations = sample(*args)
             sample_calls.extend(kernel_calls[before:])
-            return table
+            return table, evaluations
+
+        def stage_rows(tri, l0, w):
+            held.append(len(w))
+            return boundary_rows(tri, l0, w)
 
         monkeypatch.setattr(flow_module, "_sample", counted)
+        monkeypatch.setattr(flow_module, "_boundary_rows", stage_rows)
         trace = integrate_flow(tri, l0, FlowOptions(t_end=1e6, cusp_tol=1e-4))
-        assert len(sample_calls) == math.ceil(len(trace.sampled) / block_rows(tri))
-        assert sum(sample_calls) == len(trace.sampled)
-        # Every other kernel call is one right-hand-side evaluation; the
-        # samples do not count as such.
-        assert len(kernel_calls) - len(sample_calls) == trace.rhs_evaluations
+        rows = block_rows(tri)
+        steps = held[0]
+        assert held == [steps] * 3
+        assert 1 < steps < len(trace.accepted)
+        assert len(sample_calls) == 3 * math.ceil(steps / rows) + math.ceil(len(trace.sampled) / rows)
+        assert sum(sample_calls) == 3 * steps + len(trace.sampled)
+        # Every other kernel call is one right-hand-side evaluation, and so
+        # is each row of the extra stages; the sampled geometry is not.
+        assert len(kernel_calls) - len(sample_calls) + 3 * steps == trace.rhs_evaluations
 
     def test_shortest_edge_is_the_edge_of_least_slack(self):
         # The recorded shortest edge is 2 arccosh(e^(min u)), read off the
@@ -205,6 +239,50 @@ class TestIntegrateFlow:
         trace = integrate_flow(tri, l0, FlowOptions(t_end=1e6, cusp_tol=1e-4))
         for w, min_edge in zip(trace.accepted.factors, trace.accepted.min_edge):
             assert min_edge == surface_geometry(tri, l0, w).edge_lengths.min()
+
+
+class TestSampleGrid:
+    @settings(max_examples=500, deadline=None)
+    @given(st.floats(1.0, 2e4))
+    @example(55.76726490279175)  # arange put a point one ulp below it
+    def test_default_grid_has_101_distinct_times(self, t_last):
+        times = flow_module._grid(t_last, None)
+        assert len(times) == 101
+        assert times[0] == 0.0 and times[-1] == t_last
+        assert np.min(np.diff(times)) > 0.99 * t_last / 100.0
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.floats(1.0, 2e4), st.floats(1e-3, 2.0))
+    def test_grid_steps_by_sample_dt_and_ends_at_t_last(self, t_last, fraction):
+        dt = fraction * t_last
+        times = flow_module._grid(t_last, dt)
+        assert times[0] == 0.0 and times[-1] == t_last
+        assert np.array_equal(times[:-1], dt * np.arange(len(times) - 1))
+        # Every multiple of dt short of t_last is on the grid, and none
+        # lies within rounding of it.
+        assert times[-2] + dt >= t_last * (1.0 - 1e-11)
+        assert t_last - times[-2] > 1e-13 * t_last
+
+
+class TestNoScipyIntegrate:
+    def test_import_and_flow_leave_scipy_integrate_unloaded(self):
+        # Importing scipy.integrate adds ~23 MiB to peak RSS, which the
+        # flow benchmark's peak_rss_mb bound would reject.
+        source = str(Path(flow_module.__file__).resolve().parents[1])
+        script = (
+            "import sys\n"
+            f"sys.path.insert(0, {source!r})\n"
+            "import hexflow\n"
+            "from hexflow import FlowOptions, integrate_flow, parse_surface\n"
+            f"tri, l0 = parse_surface({PANTS_TEXT!r})\n"
+            "trace = integrate_flow(tri, l0, FlowOptions(t_end=1e6, cusp_tol=1e-4))\n"
+            "assert trace.stop_reason == 'cusp_tol'\n"
+            "print(sorted(name for name in sys.modules if name.startswith('scipy.integrate')))\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, check=True
+        )
+        assert result.stdout.strip() == "[]"
 
 
 class TestFlowLimit:
