@@ -99,6 +99,17 @@ def _vector_from_map(values, n, what, default=None):
     return out
 
 
+def _positive_int(text):
+    """argparse type: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _cmd_validate(args):
     tri, metric = _load_surface(args.surface, strict=False)
     report = validate(tri, metric)
@@ -283,7 +294,7 @@ def build_parser():
 
     p = sub.add_parser("check-jacobian", help="certify symmetry, definiteness and finite differences")
     p.add_argument("surface")
-    p.add_argument("--samples", type=int, default=200)
+    p.add_argument("--samples", type=_positive_int, default=200)
     p.set_defaults(func=_cmd_check_jacobian)
 
     return parser

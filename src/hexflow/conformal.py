@@ -26,10 +26,12 @@ Every evaluation works on whole arrays from the per-edge slack
 u = w_a + w_b + ln cosh(l0/2), with cosh(l/2) = e^u.  On a face whose
 slacks are all <= ln cosh(100) (sides <= 200) the arcs and H read the
 table S = sinh^2(l/2) = expm1(2u), x = e^u, s = sqrt(S) through sums and
-products of positive terms only; other faces take the log-domain arcs
-and the scalar Jacobian of their sides.  Edge lengths 2 arccosh(e^u) are
-formed only where they are read.  B is one ``bincount`` over the
-corners, slot by slot and then face by face; H sums face by face.
+products of positive terms only; the other faces take their arcs and
+their block of H from the far form :func:`.hexagon._far_arcs` of their
+three slacks, which the scalar reference shares.  Edge lengths
+2 arccosh(e^u) are formed only where they are read.  B is one
+``bincount`` over the corners, slot by slot and then face by face; H
+sums face by face.
 
 The kernel evaluates a stack of factors, one per row, in one pass:
 :func:`geometry_rows` takes an (m, n) stack and returns B, the shortest
@@ -52,22 +54,21 @@ import numpy as np
 
 from .errors import DomainError
 from .hexagon import (
-    LN2,
-    _LOG_DOMAIN_THRESHOLD,
+    _FAR_SIDE,
     HexagonGeometry,
     _acosh_exp,
+    _far_arcs,
     _logcosh,
-    arc_jacobian,
+    arc_jacobian,  # noqa: F401 - a site the tracer in bench/tracing.py wraps
     hexagon_arcs,  # noqa: F401 - a site the tracer in bench/tracing.py wraps
 )
 
-# A face takes the log-domain arcs and the scalar arc_jacobian once a slack
-# passes ln cosh(100), the slack of a side of 200 (the log-domain threshold).
-_LOG_SLACK = _logcosh(0.5 * _LOG_DOMAIN_THRESHOLD)
+# A face takes the far form of its arcs and its block of H once a slack
+# passes ln cosh(100), the slack of a side of 200; below it the direct
+# table is exact, and cheaper.
+_FAR_SLACK = _logcosh(0.5 * _FAR_SIDE)
 # Row-major 3x3 block from (M_11, M_22, M_33, M_12, M_23, M_13).
 _BLOCK_LAYOUT = [0, 3, 5, 3, 1, 4, 5, 4, 2]
-# Row r holds the slot order rotated by r: side t of a face, then t+1, t+2.
-_ROTATIONS = np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
 # A block of factor rows holds at most this many edge values (rows x E),
 # and always at least one row.  On a 2-vCPU VM, 101 rows at E = 300 took
 # 2.5-3.4 ms in blocks of 4096, 2.9-4.0 ms at 1024 and 3.2-4.6 ms at 8192.
@@ -179,27 +180,6 @@ def _slack(tri, l0, w):
     return _edge_slack(_compiled(tri, l0), _finite(_factor(tri, w)))
 
 
-def _acosh1p_array(q):
-    """Array form of :func:`.hexagon._acosh1p`."""
-    if q.max() <= 1e8:
-        return np.log1p(q + np.sqrt(q * (q + 2.0)))
-    small = np.minimum(q, 1e8)
-    return np.where(q > 1e8, LN2 + np.log1p(q), np.log1p(small + np.sqrt(small * (small + 2.0))))
-
-
-def _logcosh_array(x):
-    """Array form of :func:`.hexagon._logcosh`."""
-    small = np.minimum(x, 1.0)
-    large = x - LN2 + np.log1p(np.exp(-2.0 * x))
-    return np.where(x < 1.0, np.log1p(2.0 * np.sinh(0.5 * small) ** 2), large)
-
-
-def _logsinh_array(x):
-    """Array form of :func:`.hexagon._logsinh`."""
-    small, large = np.minimum(x, 1.0), np.maximum(x, 1.0)
-    return np.where(x < 1.0, np.log(np.sinh(small)), large - LN2 + np.log1p(-np.exp(-2.0 * large)))
-
-
 def _admissible(u):
     """The slacks u; DomainError unless every one is positive."""
     margin = u.min()
@@ -215,12 +195,6 @@ def _lengths(u):
     """Edge lengths 2 arccosh(e^u) = 2 (u + ln(1 + sqrt(1 - e^(-2u)))) of
     positive slacks: a sum of positive terms that never forms e^u."""
     return 2.0 * (u + np.log1p(np.sqrt(-np.expm1(-2.0 * u))))
-
-
-def _gather(x, index):
-    """x gathered along its last axis, with the first axis of index moved
-    to the front, so that the result unpacks into one array per rotation."""
-    return x.take(index, axis=-1).swapaxes(0, 1)
 
 
 def _arc_terms(compiled, u):
@@ -240,34 +214,19 @@ def _arc_terms(compiled, u):
     return (Sc, Sa, Sb), Sc + D * D, xx * ss
 
 
-def _arcs_log(sides):
-    """The same arcs by the log-domain q-form of :func:`.hexagon._arc_log`,
-    for k faces given by their (k, 3) sides in slot order."""
-    log_cosh, log_sinh = _logcosh_array(sides), _logsinh_array(sides)
-    lcc, lca, lcb = _gather(log_cosh, _ROTATIONS)
-    lsa, lsb = _gather(log_sinh, _ROTATIONS[1:])
-    lsab = lsa + lsb
-    log_a2b2m1 = np.logaddexp(0.0, np.logaddexp(2.0 * lsa, 2.0 * lsb))
-    log_den = np.logaddexp(lca + lcb, lsab)
-    log_q = np.logaddexp(lcc, log_a2b2m1 - log_den) - lsab
-    arcs = _acosh1p_array(np.exp(np.clip(log_q, -37.0, 690.0)))
-    arcs = np.where(log_q > 690.0, LN2 + log_q, arcs)
-    return np.where(log_q < -37.0, np.exp(0.5 * (LN2 + np.minimum(log_q, -37.0))), arcs)
-
-
 def _face_arcs(compiled, u):
     """(..., 3, F) arcs of the (..., E) slacks, row t the arcs opposite
-    slot t; each face of each row takes the log-domain branch iff a slack
-    exceeds ln cosh(100)."""
-    large = u.max() > _LOG_SLACK
-    # Clipped slacks keep the direct pass finite; its values on the log
+    slot t; each face of each row takes the far form iff a slack exceeds
+    ln cosh(100)."""
+    large = u.max() > _FAR_SLACK
+    # Clipped slacks keep the direct pass finite; its values on the far
     # faces are overwritten.
-    _, N, Q = _arc_terms(compiled, np.minimum(u, _LOG_SLACK) if large else u)
+    _, N, Q = _arc_terms(compiled, np.minimum(u, _FAR_SLACK) if large else u)
     arcs = 2.0 * np.arcsinh(0.5 * np.sqrt(N / Q))
     if large:
         face_u = u.take(compiled.table[:3].T, axis=-1)
-        log_faces = np.nonzero(face_u.max(axis=-1) > _LOG_SLACK)
-        arcs.swapaxes(-1, -2)[log_faces] = _arcs_log(_lengths(face_u[log_faces]))
+        far = np.nonzero(face_u.max(axis=-1) > _FAR_SLACK)
+        arcs.swapaxes(-1, -2)[far] = _far_arcs(face_u[far])
     return arcs
 
 
@@ -404,14 +363,14 @@ def boundary_jacobian(tri, l0, w):
     corners (self-edges) accumulate per slot, face by face in row-major
     block order.  H is symmetric bit-for-bit and negative definite on the
     admissible domain.  Faces with a slack beyond ln cosh(100) (a side
-    beyond 200) take the scalar :func:`.arc_jacobian`.
+    beyond 200) take their block from the far form of their slacks.
     """
     compiled = _compiled(tri, l0)
     u = _admissible(_slack(tri, l0, w))
     n = tri.n_boundaries
     face_u = u[compiled.table[:3].T]
-    log_faces = np.flatnonzero(face_u.max(axis=1) > _LOG_SLACK)
-    (Sx, Sy, Sz), N, Q = _arc_terms(compiled, np.minimum(u, _LOG_SLACK) if log_faces.size else u)
+    far = np.flatnonzero(face_u.max(axis=1) > _FAR_SLACK)
+    (Sx, Sy, Sz), N, Q = _arc_terms(compiled, np.minimum(u, _FAR_SLACK) if far.size else u)
     # Row t of the coefficient matrix by cosh l = 1 + 2S, S_t of slot t:
     # M_tt = P/S_(t+1) + P/S_(t+2) + 4 S_t and M_(t, t+1) = P/S_(t+2) - 2
     # (row 2 holds M_13 = M_31), where P = 1 + S_0 + S_1 + S_2.
@@ -422,6 +381,6 @@ def boundary_jacobian(tri, l0, w):
     # theta_k the arc opposite slot 2, whose neighbours are slots 0 and 1.
     N, Q = N[2], Q[2]
     blocks = (np.concatenate([diagonal, off]) * (-1.0 / np.sqrt(N * (N + 4.0 * Q))))[_BLOCK_LAYOUT]
-    for f in log_faces:
-        blocks[:, f] = arc_jacobian(*_lengths(face_u[f]).tolist()).ravel()
+    if far.size:
+        blocks[:, far] = _far_arcs(face_u[far], jacobian=True)[1].reshape(-1, 9).T
     return np.bincount(compiled.pairs, weights=blocks.T.ravel(), minlength=n * n).reshape(n, n)

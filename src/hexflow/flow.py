@@ -50,6 +50,10 @@ from .conformal import edge_length, face_sides  # noqa: F401 - sites the tracer 
 from .errors import ConvergenceError, DomainError
 from .hexagon import hexagon_arcs  # noqa: F401 - a site the tracer in bench/tracing.py wraps
 
+# The most sample times a trace holds (rows of the sampled table and CSV);
+# a finer sample_dt is refused rather than allowed to exhaust memory.
+_MAX_SAMPLES = 10**6
+
 # The DOP853 8(5,3) pair of Hairer, Norsett & Wanner (Solving Ordinary
 # Differential Equations I, Sec. II.10), the values of scipy.integrate.DOP853
 # (a test checks them bit for bit).  They are written out because importing
@@ -130,7 +134,8 @@ class FlowOptions:
     The run stops at ``t_end``, or earlier once max_i B_i < ``cusp_tol``
     or the shortest edge exceeds ``length_cap`` (kept below the cosh
     overflow threshold near 710).  ``sample_dt`` spaces the sampled trace
-    grid; None picks a hundredth of the final time.
+    grid (at most ``_MAX_SAMPLES`` times); None picks a hundredth of the
+    final time.
     """
 
     t_end: float
@@ -145,8 +150,8 @@ class FlowOptions:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be positive, got {value!r}")
-        if self.sample_dt is not None and not self.sample_dt > 0.0:
-            raise ValueError(f"sample_dt must be positive, got {self.sample_dt!r}")
+        if self.sample_dt is not None and not (math.isfinite(self.sample_dt) and self.sample_dt > 0.0):
+            raise ValueError(f"sample_dt must be positive and finite, got {self.sample_dt!r}")
 
 
 @dataclass(frozen=True)
@@ -348,9 +353,13 @@ def integrate_flow(tri, l0, opts):
 def _grid(t_last, sample_dt):
     """Sample times 0, dt, 2 dt, ... below t_last, then t_last itself; dt
     defaults to t_last / 100 (101 times).  A multiple of dt within 1e-12
-    relative of t_last is dropped rather than repeated in rounding."""
+    relative of t_last is dropped rather than repeated in rounding;
+    ValueError for more than _MAX_SAMPLES times, before any is allocated."""
     dt = sample_dt or t_last / 100.0
-    return np.append(dt * np.arange(math.ceil(t_last / dt * (1.0 - 1e-12))), t_last)
+    count = t_last / dt * (1.0 - 1e-12)
+    if not count < _MAX_SAMPLES:
+        raise ValueError(f"sample_dt={dt!r} asks for {count:.3g} sample times, more than {_MAX_SAMPLES}")
+    return np.append(dt * np.arange(math.ceil(count)), t_last)
 
 
 def _sample(tri, l0, steps, factors, rate, times):

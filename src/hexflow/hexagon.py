@@ -32,9 +32,10 @@ closed-form determinant identity
 has been confirmed numerically to 1e-13 relative but is used only as a
 cross-check in the test suite.
 
-Large sides are handled in the log domain (cosh overflows near l ~ 710,
-while the flow drives edge lengths without bound), and tiny arcs are
-produced from a cancellation-free form of cosh(theta) - 1, so arcs remain
+A side beyond 200 (cosh overflows near l ~ 710, while the flow drives
+edge lengths without bound) sends a hexagon, here and in the array kernel,
+to the far form :func:`_far_arcs` of its slacks u = ln cosh(l/2), and tiny
+arcs come from a cancellation-free form of cosh(theta) - 1, so arcs remain
 accurate down to the underflow threshold (theta ~ 1e-308, sides ~ 1400)
 and merely underflow to 0.0 beyond it instead of failing.
 """
@@ -48,9 +49,13 @@ LN2 = math.log(2.0)
 
 # Direct evaluation is exact and cheap while cosh/sinh and their products
 # stay well inside float range (cosh^2 200 ~ 1e173; the products inside the
-# coefficient matrix overflow once side sums pass ~709); beyond this the
-# log-domain forms of the arcs and of the arc Jacobian take over.
-_LOG_DOMAIN_THRESHOLD = 200.0
+# coefficient matrix overflow once side sums pass ~709); a hexagon with a
+# side beyond this takes the far form of _far_arcs, arcs and Jacobian alike.
+_FAR_SIDE = 200.0
+# Row r holds the slot order rotated by r: row r, column t is slot t + r.
+_ROTATIONS = np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
+# _OFFSETS[t, s] = (s - t) mod 3, the rotation that takes slot t to slot s.
+_OFFSETS = (np.arange(3) - np.arange(3)[:, None]) % 3
 
 
 def acosh_stable(x):
@@ -137,23 +142,75 @@ def _log_q(lc, la, lb):
     return _logaddexp(lcc, log_a2b2m1 - log_den) - (lsa + lsb)
 
 
-def _arc_log(lc, la, lb):
-    """Arc opposite lc in the log domain; valid for arbitrarily large sides."""
-    log_q = _log_q(lc, la, lb)
-    if log_q > 690.0:
-        # arccosh(1+q) = log(2q) + O(1/q)
-        return LN2 + log_q
-    if log_q < -37.0:
-        # arccosh(1+q) = sqrt(2q) (1 - q/12 + ...); keeps theta > 0 down to
-        # the subnormal range where exp(log_q) itself would flush to zero.
-        return math.exp(0.5 * (LN2 + log_q))
-    return _acosh1p(math.exp(log_q))
+def _two_sum(a, b):
+    """(s, e) with s = fl(a + b) and s + e = a + b exactly (Knuth's two-sum)."""
+    s = a + b
+    t = s - a
+    return s, (a - (s - t)) + (b - t)
 
 
-def _arc(lc, la, lb):
-    if max(lc, la, lb) <= _LOG_DOMAIN_THRESHOLD:
-        return _arc_direct(lc, la, lb)
-    return _arc_log(lc, la, lb)
+def _rotations(x):
+    """(x_c, x_a, x_b) of the (..., 3) slot values x: column t holds slot
+    c = t and its neighbours a = t+1, b = t+2."""
+    return np.moveaxis(x[..., _ROTATIONS], -2, 0)
+
+
+def _far_arcs(u, jacobian=False):
+    """Arcs of faces given by their (..., 3) slot slacks u > 0, with
+    cosh(l/2) = e^u; column t is the arc opposite slot t.  With
+    ``jacobian``, returns them with the (..., 3, 3) blocks
+    d theta_t / d w_s, symmetric bit for bit.
+
+    Valid for any sides, and the form of every hexagon with a side beyond
+    _FAR_SIDE.  With sigma = tanh(l/2) = sqrt(-expm1(-2u)) and E = e^(-2u)
+    per slot, the arc opposite c, next to a and b, is
+    theta = 2 asinh(hypot(A, Bt) / 2), where
+
+        A = e^(u_c - u_a - u_b) sigma_c / sqrt(sigma_a sigma_b),
+        Bt = (E_b + sigma_b^2 E_a) / (sqrt(sigma_a sigma_b) (1 + sigma_a sigma_b)),
+
+    positive terms that never form e^u.  The exponent u_c - u_a - u_b is
+    summed by two-sum as d plus its rounding error delta, so
+    e^d (1 + delta) keeps full relative accuracy however long the sides
+    (Dekker 1971; Ogita, Rump & Oishi 2005).  Past d = 350 the arc is
+    2 (d + delta) - ln(sigma_a sigma_b) to float precision.  Corner s
+    moves the slacks of the two slots other than s.
+    """
+    sigma2 = -np.expm1(-2.0 * u)
+    E = np.exp(-2.0 * u)
+    (uc, ua, ub), (sc, sa, sb), (_, Ea, Eb) = (_rotations(x) for x in (u, np.sqrt(sigma2), E))
+    d, e1 = _two_sum(uc, -ua)
+    d, e2 = _two_sum(d, -ub)
+    delta = e1 + e2
+    root, one_ss = np.sqrt(sa * sb), 1.0 + sa * sb
+    A = np.exp(np.minimum(d, 350.0)) * (1.0 + delta) * sc / root
+    Bt = (Eb + sb * sb * Ea) / (root * one_ss)
+    r = np.hypot(A, Bt)
+    arcs = np.where(d > 350.0, 2.0 * (d + delta) - np.log(sa * sb), 2.0 * np.arcsinh(0.5 * r))
+    if not jacobian:
+        return arcs
+    # d theta = 2 (A dA + Bt dBt) / (r hypot(r, 2)) through A/r, Bt/r <= 1,
+    # so nothing overflows (r = 0 only where A and Bt underflow).  With
+    # g = E / sigma^2 and C = E_b + sigma_b^2 E_a: d ln A / d u_c = 1 + g_c,
+    # d ln A / d u_a = -(1 + g_a / 2) and d ln Bt / d u_a = -(2 E_a sigma_b^2 / C
+    # + g_a (1/2 + sigma_a sigma_b / one_ss)), Bt / C finite where C underflows.
+    k = 2.0 / np.hypot(r, 2.0)
+    r = np.where(r > 0.0, r, 1.0)
+    wa, wb = k * A / r, k * Bt / r
+    gc, ga, gb = _rotations(E / sigma2)
+    shared = 0.5 + sa * sb / one_ss
+    Pc = wa * A * (1.0 + gc)
+    Pa = -wa * A * (1.0 + 0.5 * ga) - wb * (2.0 * Ea * sb * sb / (root * one_ss) + Bt * ga * shared)
+    Pb = -wa * A * (1.0 + 0.5 * gb) - wb * (2.0 * Eb * sa * sa / (root * one_ss) + Bt * gb * shared)
+    # Slot e's slack moves with the two corners other than e, so
+    # d theta_t / d w_s sums d theta_t / d u_e over the slots e != s.
+    H = np.stack([Pa + Pb, Pc + Pb, Pc + Pa], axis=-2)[..., _OFFSETS, np.arange(3)[:, None]]
+    return arcs, 0.5 * (H + H.swapaxes(-1, -2))
+
+
+def _slacks(sides):
+    """Edge slacks ln cosh(l/2) of the sides, as an array."""
+    return np.array([_logcosh(0.5 * side) for side in sides])
 
 
 def hexagon_arcs(l_jk, l_ki, l_ij):
@@ -165,10 +222,12 @@ def hexagon_arcs(l_jk, l_ki, l_ij):
     the smallest positive float underflow to 0.0.
     """
     _check_sides(l_jk, l_ki, l_ij)
+    if max(l_jk, l_ki, l_ij) > _FAR_SIDE:
+        return tuple(_far_arcs(_slacks((l_jk, l_ki, l_ij))).tolist())
     return (
-        _arc(l_jk, l_ki, l_ij),
-        _arc(l_ki, l_ij, l_jk),
-        _arc(l_ij, l_jk, l_ki),
+        _arc_direct(l_jk, l_ki, l_ij),
+        _arc_direct(l_ki, l_ij, l_jk),
+        _arc_direct(l_ij, l_jk, l_ki),
     )
 
 
@@ -234,51 +293,6 @@ def _log_sinh_arc(lc, la, lb):
     return 0.5 * (log_q + _logaddexp(log_q, LN2))
 
 
-def _log_sub(x, y):
-    """(sign, log|e^x - e^y|)."""
-    if x == y:
-        return 0.0, -math.inf
-    if x > y:
-        return 1.0, x + math.log1p(-math.exp(y - x))
-    return -1.0, y + math.log1p(-math.exp(x - y))
-
-
-def _arc_jacobian_log(l1, l2, l3):
-    """Jacobian in (sign, log) arithmetic for sides too large for cosh."""
-    lc = (_logcosh(l1), _logcosh(l2), _logcosh(l3))
-    ls = (_logsinh(l1), _logsinh(l2), _logsinh(l3))
-    # log(cosh l - 1) = log(2 sinh^2(l/2))
-    lm1 = tuple(LN2 + 2.0 * _logsinh(0.5 * l) for l in (l1, l2, l3))
-    log_pref = _log_sinh_arc(l3, l1, l2) + ls[1] + ls[0]
-
-    # diagonal: M11 = (c+ab)/(b-1) + (b+ac)/(c-1) and cyclic images
-    c_ab = _logaddexp(lc[2], lc[0] + lc[1])
-    b_ac = _logaddexp(lc[1], lc[0] + lc[2])
-    a_bc = _logaddexp(lc[0], lc[1] + lc[2])
-    d1 = _logaddexp(c_ab - lm1[1], b_ac - lm1[2])
-    d2 = _logaddexp(c_ab - lm1[0], a_bc - lm1[2])
-    d3 = _logaddexp(b_ac - lm1[0], a_bc - lm1[1])
-
-    def signed_off(p, q, r, denom):
-        # (cosh l_p + cosh l_q - cosh l_r + 1) / (cosh l_denom - 1)
-        pos = _logaddexp(_logaddexp(lc[p], lc[q]), 0.0)
-        sign, mag = _log_sub(pos, lc[r])
-        return sign, mag - lm1[denom]
-
-    s12, o12 = signed_off(0, 1, 2, 2)
-    s13, o13 = signed_off(0, 2, 1, 1)
-    s23, o23 = signed_off(1, 2, 0, 0)
-
-    j = np.empty((3, 3))
-    j[0, 0] = -2.0 * math.exp(d1 - log_pref)
-    j[1, 1] = -2.0 * math.exp(d2 - log_pref)
-    j[2, 2] = -2.0 * math.exp(d3 - log_pref)
-    j[0, 1] = j[1, 0] = -2.0 * s12 * math.exp(o12 - log_pref)
-    j[0, 2] = j[2, 0] = -2.0 * s13 * math.exp(o13 - log_pref)
-    j[1, 2] = j[2, 1] = -2.0 * s23 * math.exp(o23 - log_pref)
-    return j
-
-
 def arc_jacobian(l_jk, l_ki, l_ij):
     """Jacobian of (theta_i, theta_j, theta_k) with respect to the conformal
     factors (w_i, w_j, w_k), at current side lengths (l_jk, l_ki, l_ij).
@@ -289,9 +303,9 @@ def arc_jacobian(l_jk, l_ki, l_ij):
     negative definite.
     """
     _check_sides(l_jk, l_ki, l_ij)
-    if max(l_jk, l_ki, l_ij) > _LOG_DOMAIN_THRESHOLD:
-        return _arc_jacobian_log(l_jk, l_ki, l_ij)
     sides = (l_jk, l_ki, l_ij)
+    if max(sides) > _FAR_SIDE:
+        return _far_arcs(_slacks(sides), jacobian=True)[1]
     # cosh l - 1 = 2 sinh^2(l/2): no cancellation on short sides, whose
     # cosh rounds toward 1.
     excess = [2.0 * math.sinh(0.5 * side) ** 2 for side in sides]

@@ -144,6 +144,18 @@ class TestFlowCommand:
         assert code == 1
         assert out.splitlines()[-1].startswith("ERROR 1:")
 
+    @pytest.mark.parametrize("sample_dt", ["inf", "nan", "1e-12", "1e-300"])
+    def test_unusable_sample_dt_is_one_error_line(self, capsys, tmp_path, pants_file, sample_dt):
+        # An infinite step would write no t = 0 row, and a step far below
+        # the final time a grid too large to allocate.
+        out_file = tmp_path / "trace.csv"
+        argv = ["flow", str(pants_file), "--t-end", "5", "--sample-dt", sample_dt, "--out", str(out_file)]
+        code, out = invoke(capsys, argv)
+        assert code == 1
+        assert [l for l in out.splitlines() if l.startswith("ERROR")] == [out.splitlines()[-1]]
+        assert out.splitlines()[-1].startswith("ERROR 1:") and "sample" in out.splitlines()[-1]
+        assert not out_file.exists()
+
 
 class TestPrescribeCommand:
     def test_zero_target_rejected(self, capsys, tmp_path, pants_file):
@@ -211,6 +223,14 @@ class TestCheckJacobianCommand:
         _, a = invoke(capsys, ["check-jacobian", str(pants_file), "--samples", "10"])
         _, b = invoke(capsys, ["check-jacobian", str(pants_file), "--samples", "10"])
         assert a == b
+
+    @pytest.mark.parametrize("samples", ["0", "-3", "2.5"])
+    def test_sample_count_below_one_is_a_usage_error(self, capsys, pants_file, samples):
+        # Checking nothing must not report that every check passed.
+        code, out = invoke(capsys, ["check-jacobian", str(pants_file), "--samples", samples])
+        assert code == 64
+        assert out.startswith("ERROR 64:") and "--samples" in out
+        assert "passed" not in out
 
 
 class TestConsecutiveRuns:

@@ -326,7 +326,7 @@ class TestArrayKernelOracle:
     def test_uniform_factors_take_the_log_domain(self, fixture_name, level, request):
         tri, l0 = request.getfixturevalue(fixture_name)
         lengths, _ = self._assert_matches(tri, l0, np.full(tri.n_boundaries, level))
-        # every face has a side > 200 (log-domain arcs and Jacobian); at
+        # every face has a side > 200 (far arcs and Jacobian); at
         # 400 the edge slacks pass 350, where the lengths switch to
         # 2 (u + ln 2)
         assert np.min(lengths) > (2.0 * (350.0 + math.log(2.0)) if level == 400.0 else 200.0)
@@ -368,23 +368,67 @@ class TestArrayKernelOracle:
             assert np.array_equal(H, H.T)
             np.linalg.cholesky(-H)
 
+    @staticmethod
+    def _pants_at_slacks(tri, target):
+        """The pants factor whose edge slacks are the three targets, and
+        the float slacks the kernel sees.  Pants edge t joins the two
+        components other than t."""
+        c = _logcosh(0.5 * PANTS_EDGE)
+        w = 0.5 * (target.sum() - 3.0 * c) - target + c
+        return w, [w[e.b_i - 1] + w[e.b_j - 1] + c for e in tri.edges]
+
+    @staticmethod
+    def _far_slacks(rng):
+        """Three slacks log-uniform from 1e-12 to 2000, one of them past
+        ln cosh(100): every face takes the far form, many next to the wall.
+        In every other draw the far slack is within 3 of the sum of the
+        other two, so the arc opposite it is of order one and rests on a
+        small difference of large slacks."""
+        target = 10.0 ** rng.uniform(-12.0, math.log10(2000.0), 3)
+        far = rng.integers(3)
+        target[far] = 10.0 ** rng.uniform(math.log10(_logcosh(100.0)), math.log10(2000.0))
+        if rng.integers(2):
+            a, b = (far + 1) % 3, (far + 2) % 3
+            target[a] = rng.uniform(0.0, target[far])
+            target[b] = max(target[far] - target[a] + rng.uniform(-3.0, 3.0), 1e-12)
+        return target
+
+    def _worst_arc_ulps(self, tri, l0, targets, dps=lambda u: 120):
+        worst = 0.0
+        for target in targets:
+            w, u = self._pants_at_slacks(tri, target)
+            arcs = surface_geometry(tri, l0, w).arcs[0]
+            for arc, ref in zip(arcs, _mp_arcs(u, dps(u))):
+                worst = max(worst, float(abs(mp.mpf(float(arc)) - ref)) / np.spacing(float(ref)))
+        return worst
+
     def test_arcs_within_8_ulp_of_the_slack_reference(self, pants):
         # Faces drawn by their three edge slacks, log-uniform from 1e-12 up
         # to ln cosh(100), the slack of a side of 200 (the largest on the
         # direct branch); the reference reads the float slack the kernel
-        # sees.  Pants edge t joins the two components other than t.
+        # sees.
         tri, l0 = pants
         rng = np.random.default_rng(31)
-        c = _logcosh(0.5 * PANTS_EDGE)
-        worst = 0.0
-        for _ in range(200):
-            target = 10.0 ** rng.uniform(-12.0, math.log10(_logcosh(100.0)), 3)
-            w = 0.5 * (target.sum() - 3.0 * c) - target + c
-            u = [w[e.b_i - 1] + w[e.b_j - 1] + c for e in tri.edges]
-            arcs = surface_geometry(tri, l0, w).arcs[0]
-            for arc, ref in zip(arcs, _mp_arcs(u)):
-                worst = max(worst, float(abs(mp.mpf(float(arc)) - ref)) / np.spacing(float(ref)))
-        assert worst <= 8.0
+        targets = [10.0 ** rng.uniform(-12.0, math.log10(_logcosh(100.0)), 3) for _ in range(200)]
+        assert self._worst_arc_ulps(tri, l0, targets) <= 8.0
+
+    def test_far_arcs_within_8_ulp_of_the_slack_reference(self, pants):
+        # The cosine law cancels e^(4u)-sized terms, so the reference
+        # carries digits in proportion to the largest slack.
+        tri, l0 = pants
+        rng = np.random.default_rng(33)
+        targets = [self._far_slacks(rng) for _ in range(40)]
+        assert self._worst_arc_ulps(tri, l0, targets, dps=lambda u: int(60 + 2 * max(u))) <= 8.0
+
+    def test_far_jacobian_against_the_slack_reference(self, pants):
+        tri, l0 = pants
+        rng = np.random.default_rng(34)
+        for _ in range(15):
+            w, u = self._pants_at_slacks(tri, self._far_slacks(rng))
+            H = boundary_jacobian(tri, l0, w)
+            H_ref = _mp_jacobian(tri, l0, w, int(60 + 2 * max(u)))
+            assert np.max(np.abs(H - H_ref)) <= 1e-13 * np.max(np.abs(H_ref))
+            assert np.array_equal(H, H.T)
 
     @pytest.mark.parametrize("fixture_name", FIXTURES)
     def test_domain_error_where_the_scalar_path_raises(self, fixture_name, request):
@@ -488,7 +532,7 @@ class TestGeometryRows:
         )
         # Levels 0.3 and 3 keep every side below 30; at 20 sides pass 30
         # but stay on the direct arcs (sides <= 200); at 200 faces take the
-        # log-domain arcs and edge slacks pass 350, where the lengths switch
+        # far arcs and edge slacks pass 350, where the lengths switch
         # to 2 (u + ln 2).
         if level < 20.0:
             assert longest < 30.0

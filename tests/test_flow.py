@@ -47,6 +47,9 @@ class TestFlowOptions:
             FlowOptions(t_end=1.0, rel_tol=-1e-8)
         with pytest.raises(ValueError):
             FlowOptions(t_end=1.0, sample_dt=0.0)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="sample_dt"):
+                FlowOptions(t_end=1.0, sample_dt=bad)
 
     def test_cusp_tol_must_undercut_initial_lengths(self, pants):
         tri, l0 = pants
@@ -186,18 +189,18 @@ class TestIntegrateFlow:
         # keeps the early steps long, and the sides stay below 200 to the
         # end, so every call takes the direct arcs.
         tri, l0 = generated(200, 3)
-        log_calls = []
-        arcs_log = conformal._arcs_log
+        far_calls = []
+        far_arcs = conformal._far_arcs
 
-        def counted(sides):
-            log_calls.append(len(sides))
-            return arcs_log(sides)
+        def counted(u, *args, **kwargs):
+            far_calls.append(len(u))
+            return far_arcs(u, *args, **kwargs)
 
-        monkeypatch.setattr(conformal, "_arcs_log", counted)
+        monkeypatch.setattr(conformal, "_far_arcs", counted)
         trace = integrate_flow(tri, l0, FlowOptions(t_end=1e6, cusp_tol=1e-4))
         assert trace.stop_reason == "cusp_tol"
         assert trace.rhs_evaluations <= 520  # 472
-        assert log_calls == []
+        assert far_calls == []
 
     def test_samples_take_one_kernel_call_per_block(self, monkeypatch, kernel_calls):
         # Each of the three extra dense-output stages is one batched call over

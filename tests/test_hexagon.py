@@ -14,7 +14,7 @@ from hexflow import (
     hexagon_arcs,
     hexagon_sides,
 )
-from hexflow.hexagon import _arc_jacobian_log
+from hexflow.hexagon import _far_arcs, _slacks
 
 from conftest import fd_jacobian
 
@@ -99,7 +99,7 @@ class TestHexagonArcs:
 
 class TestArcsAgainstQFormReference:
     """hexagon_arcs against a 400-digit mp_arcs on both sides of the
-    threshold (200) between the direct q-form and its log-domain form."""
+    threshold (200) between the direct q-form and the far form of the slacks."""
 
     @staticmethod
     def _ulps(sides):
@@ -119,7 +119,7 @@ class TestArcsAgainstQFormReference:
 
     def test_log_form_beyond_the_threshold(self):
         # Rounding a side l perturbs a tiny arc e^((l_c - l_a - l_b)/2) by
-        # about eps l / 2 relative, so the log form is held to the error of
+        # about eps l / 2 relative, so the far form is held to the error of
         # rounding its inputs, eps (l_jk + l_ki + l_ij), plus the
         # smallest subnormal where an arc underflows.
         rng = np.random.default_rng(32)
@@ -290,8 +290,9 @@ class TestArcJacobian:
         for _ in range(100):
             sides = rng.uniform(5.0, 60.0, 3)
             direct = arc_jacobian(*sides)
-            logged = _arc_jacobian_log(*sides)
-            assert logged == pytest.approx(direct, rel=1e-11)
+            arcs, far = _far_arcs(_slacks(sides), jacobian=True)
+            assert far == pytest.approx(direct, rel=1e-11)
+            assert arcs == pytest.approx(hexagon_arcs(*sides), rel=1e-13)
 
     def test_huge_sides_stay_finite(self):
         j = arc_jacobian(600.0, 610.0, 605.0)
