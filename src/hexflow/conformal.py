@@ -214,11 +214,11 @@ def _arc_terms(compiled, u):
     return (Sc, Sa, Sb), Sc + D * D, xx * ss
 
 
-def _face_arcs(compiled, u):
-    """(..., 3, F) arcs of the (..., E) slacks, row t the arcs opposite
-    slot t; each face of each row takes the far form iff a slack exceeds
-    ln cosh(100)."""
-    large = u.max() > _FAR_SLACK
+def _face_arcs(compiled, u, largest):
+    """(..., 3, F) arcs of the (..., E) slacks, whose largest is
+    ``largest``, row t the arcs opposite slot t; each face of each row
+    takes the far form iff a slack exceeds ln cosh(100)."""
+    large = largest > _FAR_SLACK
     # Clipped slacks keep the direct pass finite; its values on the far
     # faces are overwritten.
     _, N, Q = _arc_terms(compiled, np.minimum(u, _FAR_SLACK) if large else u)
@@ -231,12 +231,22 @@ def _face_arcs(compiled, u):
 
 
 def _geometry(compiled, w, corners=None):
-    """Edge slacks (..., E), arcs (..., F, 3) and B (..., n) of a finite
-    factor (n,) or stack (m, n); DomainError if any row leaves the domain.
-    A stack takes ``corners``, the corners of row r offset by n r, for at
-    least the rows of w."""
-    u = _admissible(_edge_slack(compiled, w))
-    arcs = _face_arcs(compiled, u)
+    """Edge slacks (..., E), arcs (..., F, 3) and B (..., n) of a factor
+    (n,) or stack (m, n); ValueError if an entry of w is not finite and
+    DomainError if any row leaves the domain.  A stack takes ``corners``,
+    the corners of row r offset by n r, for at least the rows of w.
+
+    The entry check reads the slack reductions the kernel takes anyway: a
+    NaN or -inf entry shows at the least slack and +inf at the largest, so
+    w itself is scanned only when one of them is out of range.  (An edge
+    joining a +inf and a -inf entry has slack NaN, which numpy reports
+    with its "invalid value" RuntimeWarning before the ValueError.)"""
+    u = _edge_slack(compiled, w)
+    least, largest = u.min(), u.max()
+    if not (least > 0.0 and largest < math.inf):
+        _finite(w)
+        _admissible(u)
+    arcs = _face_arcs(compiled, u, largest)
     corners = compiled.corners if corners is None else corners[: arcs.size]
     B = np.bincount(corners, weights=arcs.ravel(), minlength=w.size)
     return u, arcs.swapaxes(-1, -2), B.reshape(w.shape)
@@ -290,7 +300,7 @@ def face_hexagon(tri, l0, w, face):
 def surface_geometry(tri, l0, w):
     """Edge lengths, face arcs and boundary lengths at w in one pass; B_i
     sums the arcs on component i slot by slot, face by face."""
-    u, arcs, B = _geometry(_compiled(tri, l0), _finite(_factor(tri, w)))
+    u, arcs, B = _geometry(_compiled(tri, l0), _factor(tri, w))
     return SurfaceGeometry(edge_lengths=_lengths(u), arcs=arcs, boundary=B)
 
 
@@ -352,7 +362,7 @@ def _geometry_row(tri, l0, w):
 def boundary_lengths(tri, l0, w):
     """The boundary-length map: B_i = sum of the arcs on component i over
     all incident face corners."""
-    return _geometry(_compiled(tri, l0), _finite(_factor(tri, w)))[2]
+    return _geometry(_compiled(tri, l0), _factor(tri, w))[2]
 
 
 def boundary_jacobian(tri, l0, w):

@@ -9,24 +9,34 @@ run therefore cuts off by a boundary-length threshold or an edge-length
 cap rather than by reaching the limit.
 
 The stepper is the embedded DOP853 8(5,3) pair (Hairer, Norsett & Wanner,
-Solving Ordinary Differential Equations I, Sec. II.10) with PI step-size
-control, run in the scaled log time tau = ln(1 + r t) on
-dw/dtau = (e^tau / r) B(w).  The rate r = max_i B_i(0) is the fastest
+Solving Ordinary Differential Equations I, Sec. II.10) under the step-size
+control of scipy's DOP853, run in the scaled log time tau = ln(1 + r t)
+on dw/dtau = (e^tau / r) B(w).  The rate r = max_i B_i(0) is the fastest
 initial rate, so 1/r is the surface's own time scale and B changes on a
 scale of order one in tau from the first step on.  Along the flow w drifts
 like (1/2) ln t (see :func:`flow_limit`), which is smooth in tau, so steps
 in tau stay long where steps in t would have to grow without bound, and
 the 8th-order pair takes about a third of the steps of a 5th-order one at
-the default tolerance.  Each stage right-hand side is one call of the
-array kernel :func:`.boundary_lengths`.  The last stage is one kernel call
-at the trial point that also reads the shortest edge (from the least edge
-slack) and the longest arc, as one row of :func:`.geometry_rows`; it gives
-the error estimate, the first stage of the next step ("first same as
-last") and, once the step is accepted, the recorded geometry.  It counts
-as one right-hand-side evaluation, so an attempted step costs twelve.
+the default tolerance.  The first step comes from one probe evaluation of
+how fast the slope changes at w = 0 and is sized to pass the error test.
+Each stage right-hand side is one call of the array kernel
+:func:`.boundary_lengths`.  The last stage is one kernel call at the trial
+point that also reads the shortest edge (from the least edge slack) and
+the longest arc, as one row of :func:`.geometry_rows`; it gives the error
+estimate, the first stage of the next step ("first same as last") and,
+once the step is accepted, the recorded geometry.  It counts as one
+right-hand-side evaluation, so an attempted step costs twelve.
+
+The run ends at the crossing of its stop, not at the first step past it:
+inside the last step, the point where max B reaches cusp_tol (or the
+shortest edge reaches length_cap) is found on the step's 7th-order dense
+output, starting from the tail law B_k ~ K_k e^(-2 w_k), one kernel call
+per iterate, and replaces the step's end as the last accepted row.
+
 The samples come from the 7th-order dense output of the accepted steps
 that hold a sample time.  Its three extra stages are needed only there:
-each is one batched kernel call with one row per such step, and each row
+the last step's are three single kernel calls, and for the other steps
+each is one batched kernel call with one row per such step; every row
 counts as a right-hand-side evaluation.  The geometry at the samples is
 one more batched call (:func:`.geometry_rows`) over all sampled factors.
 """
@@ -40,7 +50,9 @@ import numpy as np
 from .conformal import (
     _boundary_rows,
     _compiled,
+    _edge_slack,
     _geometry_row,
+    _lengths,
     boundary_lengths,
     geometry_rows,
     in_domain,
@@ -53,6 +65,24 @@ from .hexagon import hexagon_arcs  # noqa: F401 - a site the tracer in bench/tra
 # The most sample times a trace holds (rows of the sampled table and CSV);
 # a finer sample_dt is refused rather than allowed to exhaust memory.
 _MAX_SAMPLES = 10**6
+
+# Step-size control of scipy.integrate.DOP853 (Hairer, Norsett & Wanner,
+# Sec. II.4; a test checks them against scipy): a step with error err is
+# followed by one SAFETY err^EXPONENT times as long, by a factor within
+# [MIN_FACTOR, MAX_FACTOR], and a step accepted right after a rejection
+# does not grow.  EXPONENT is -1 / (7 + 1), 7 the order of the estimate.
+_SAFETY = 0.9
+_MIN_FACTOR = 0.2
+_MAX_FACTOR = 10.0
+_EXPONENT = -1.0 / 8.0
+
+# A cusp or length-cap stop lands where ln(max B / cusp_tol) or
+# ln(length_cap / shortest edge) lies in [-_CROSSING_TOL, 0), at most
+# _CROSSING_ITERATIONS kernel calls in; the first iterate comes from a
+# prediction on _CROSSING_GRID intervals of the last step.
+_CROSSING_TOL = 5e-10
+_CROSSING_ITERATIONS = 60
+_CROSSING_GRID = 64
 
 # The DOP853 8(5,3) pair of Hairer, Norsett & Wanner (Solving Ordinary
 # Differential Equations I, Sec. II.10), the values of scipy.integrate.DOP853
@@ -131,9 +161,9 @@ _D = np.array([
 class FlowOptions:
     """Stopping and accuracy controls for :func:`integrate_flow`.
 
-    The run stops at ``t_end``, or earlier once max_i B_i < ``cusp_tol``
-    or the shortest edge exceeds ``length_cap`` (kept below the cosh
-    overflow threshold near 710).  ``sample_dt`` spaces the sampled trace
+    The run stops at ``t_end``, or earlier where max_i B_i first drops
+    below ``cusp_tol`` or the shortest edge first exceeds ``length_cap``
+    (kept below the cosh overflow threshold near 710).  ``sample_dt`` spaces the sampled trace
     grid (at most ``_MAX_SAMPLES`` times); None picks a hundredth of the
     final time.
     """
@@ -185,10 +215,15 @@ class FlowTrace:
     """Accepted integrator steps at full resolution plus the sample grid,
     whose factors come from each step's 7th-order dense output;
     monotonicity statements hold at the accepted steps (the dense output
-    need not preserve them between steps).  ``rhs_evaluations`` counts
-    the kernel evaluations of B that advance the flow: every stage and
-    trial point, and each row of the extra dense-output stages, but not
-    the sampled geometry."""
+    need not preserve them between steps).  A run stopped by ``cusp_tol``
+    or ``length_cap`` ends at the crossing: its last accepted row is the
+    point inside the last step where the stop first holds (max B within
+    5e-10 relative below cusp_tol, or the shortest edge as close above
+    length_cap), and the sample grid ends there too.
+    ``rhs_evaluations`` counts the kernel evaluations of B that advance
+    the flow: the first-step probe, every stage and trial point, each row
+    of the extra dense-output stages and each iterate of the crossing
+    search, but not the sampled geometry."""
 
     accepted: TraceTable
     sampled: TraceTable
@@ -269,6 +304,11 @@ def integrate_flow(tri, l0, opts):
         evaluations += 1
         return _geometry_row(tri, l0, w)
 
+    def stages(K, rows, tau, h, w):
+        """Stage slopes dw/dtau = (e^tau / r) B of the given rows of _A into K."""
+        for s in rows:
+            K[s] = math.exp(tau + _C[s] * h) / rate * rhs(w + h * (_A[s, :s] @ K[:s]))
+
     n = tri.n_boundaries
     tau = t = 0.0
     w = np.zeros(n)
@@ -281,16 +321,23 @@ def integrate_flow(tri, l0, opts):
             f"boundary length {rate!r}"
         )
     times, factors, rows = [0.0], [w], [row]
-    # (tau, h, stages 0-12) of each accepted step: with the factors at its
-    # ends, its dense output.
+    # (tau, h, factors at both ends, stages 0-15) of each accepted step: its
+    # dense output once stages 13-15 are filled in.
     steps = []
-    # Stage slopes dw/dtau = (e^tau / r) B; row 0 is the FSAL row, row 12
-    # the slope at the trial point.
-    K = np.empty((13, n))
+    # Stage slopes: row 0 is the FSAL row, row 12 the slope at the trial
+    # point and rows 13-15 the extra stages of the dense output.
+    K = np.empty((16, n))
     K[0] = B / rate
     tau_end = math.log1p(rate * opts.t_end)
-    h = min(0.1, tau_end)
-    err_prev = 1.0
+    # At w = 0 the error scale rel_tol |w_new| grows like h, so the first
+    # step's error grows like (lam h)^7 / rel_tol, lam the relative rate at
+    # which the slope changes.  One probe at h = sqrt(rel_tol) reads lam;
+    # on the fixtures and on generated surfaces the error reaches 1 at
+    # lam h = 0.09-0.15 for rel_tol = 1e-8, where rel_tol^(1/7) = 0.072.
+    probe = math.sqrt(opts.rel_tol)
+    lam = float(np.max(np.abs(math.exp(probe) / rate * rhs(probe * K[0]) / K[0] - 1.0))) / probe
+    h = min(tau_end, opts.rel_tol ** (1.0 / 7.0) / lam) if lam > 0.0 else tau_end
+    rejected = False
     total_err = 0.0
     stop_reason = "t_end"
 
@@ -304,43 +351,71 @@ def integrate_flow(tri, l0, opts):
                 f"step size underflow at t = {t!r} (h = {h_try!r} in ln(1 + r t), "
                 f"r = {rate!r})"
             )
-        for s in range(1, 12):
-            K[s] = math.exp(tau + _C[s] * h_try) / rate * rhs(w + h_try * (_A[s, :s] @ K[:s]))
+        stages(K, range(1, 12), tau, h_try, w)
         w_new = w + h_try * (_B @ K[:12])
         trial = geometry_at(w_new)
         K[12] = math.exp(tau + h_try) / rate * trial[0]
         scale = opts.abs_tol + opts.rel_tol * np.maximum(np.abs(w), np.abs(w_new))
-        e5 = np.abs(_E5 @ K)
-        e3 = _E3 @ K
+        e5 = np.abs(_E5 @ K[:13])
+        e3 = _E3 @ K[:13]
         denom = np.hypot(e5, 0.1 * e3)
         err = h_try * float(np.max(e5 * (e5 / np.where(denom > 0.0, denom, 1.0)) / scale))
-        if err <= 1.0:
-            steps.append((tau, h_try, K.copy()))
-            landing = h_try == remaining
-            tau = tau_end if landing else tau + h_try
-            t = opts.t_end if landing else math.expm1(tau) / rate
-            w, B = w_new, trial[0]
-            K[0] = K[12]
-            total_err += err * float(np.max(scale))
-            times.append(t)
-            factors.append(w)
-            rows.append(trial)
-            if float(np.max(B)) < opts.cusp_tol:
-                stop_reason = "cusp_tol"
-                break
-            if rows[-1][1] > opts.length_cap:
-                stop_reason = "length_cap"
-                break
-            # PI control for the 7th-order estimate as in Hairer's DOP853:
-            # exponents 1/8 - 0.75 beta and beta = 0.04.
-            grow = 0.9 * err ** -0.095 * err_prev ** 0.04 if err > 0.0 else 5.0
-            h = h_try * min(5.0, max(0.2, grow))
-            err_prev = max(err, 1e-10)
-        else:
-            h = h_try * max(0.1, 0.9 * err ** -0.125)
+        if err > 1.0:
+            rejected = True
+            if steps:
+                h = h_try * max(_MIN_FACTOR, _SAFETY * err ** _EXPONENT)
+            else:
+                # Before the first accepted step the scale grows with h, so
+                # the error falls like h^5 to h^7 rather than h^8: the retry
+                # takes exponent -1/5 and no lower bound.
+                h = h_try * _SAFETY * err ** -0.2
+            continue
+        steps.append((tau, h_try, w, w_new, K.copy()))
+        landing = h_try == remaining
+        tau = tau_end if landing else tau + h_try
+        t = opts.t_end if landing else math.expm1(tau) / rate
+        w = w_new
+        K[0] = K[12]
+        total_err += err * float(np.max(scale))
+        times.append(t)
+        factors.append(w)
+        rows.append(trial)
+        if _stopped(trial, opts):
+            break
+        grow = min(_MAX_FACTOR, _SAFETY * err ** _EXPONENT) if err > 0.0 else _MAX_FACTOR
+        h = h_try * (min(1.0, grow) if rejected else grow)
+        rejected = False
+
+    # The last step holds the final sample, and a stop lands inside it.
+    tau0, h, w0, w1, last = steps[-1]
+    stages(last, range(13, 16), tau0, h, w0)
+    if _stopped(rows[-1], opts):
+        coefficients = _coefficients(h, w0, w1, last)
+        # The tail law B_k ~ K_k e^(-2 w_k) of flow_limit and the shortest
+        # edge from the least slack predict the distance to the stops.
+        log_K = np.log(flow_limit(tri, l0)[0])
+        compiled = _compiled(tri, l0)
+
+        def predicted(x):
+            w = _interpolate(w0, coefficients, x[:, None])
+            return np.minimum(
+                np.max(log_K - 2.0 * w, axis=1) - math.log(opts.cusp_tol),
+                math.log(opts.length_cap) - np.log(_lengths(_edge_slack(compiled, w).min(axis=1))),
+            )
+
+        def measured(x):
+            w = _interpolate(w0, coefficients, x)
+            return w, geometry_at(w)
+
+        found = _crossing(measured, predicted, rows[-2], rows[-1], opts)
+        if found is not None:
+            x, factors[-1], rows[-1] = found
+            times[-1] = t = math.expm1(tau0 + x * h) / rate
+        row = rows[-1]
+        stop_reason = "cusp_tol" if float(np.max(row[0])) < opts.cusp_tol else "length_cap"
 
     accepted = _table(times, factors, *zip(*rows))
-    sampled, dense_evaluations = _sample(tri, l0, steps, accepted.factors, rate, _grid(t, opts.sample_dt))
+    sampled, dense_evaluations = _sample(tri, l0, steps, rate, _grid(t, opts.sample_dt))
     return FlowTrace(
         accepted=accepted,
         sampled=sampled,
@@ -348,6 +423,74 @@ def integrate_flow(tri, l0, opts):
         error_estimate=total_err,
         rhs_evaluations=evaluations + dense_evaluations,
     )
+
+
+def _stopped(row, opts):
+    """Whether a geometry row (B, shortest edge, longest arc) lies past a
+    stop: max B below cusp_tol or the shortest edge above length_cap."""
+    return float(np.max(row[0])) < opts.cusp_tol or row[1] > opts.length_cap
+
+
+def _distance(row, opts):
+    """The lesser of ln(max B / cusp_tol) and ln(length_cap / shortest
+    edge) at a geometry row: negative past a stop."""
+    return min(math.log(float(np.max(row[0])) / opts.cusp_tol), math.log(opts.length_cap / row[1]))
+
+
+def _crossing(measured, predicted, start, end, opts):
+    """(x, w, row) where the last step first passes a stop, x its fraction
+    of the step, from its start (geometry row ``start``) before the stops
+    to its end (row ``end``) past one: the row lies past the stop, within
+    _CROSSING_TOL of it in _distance.  None if the end row already does,
+    or if the start row lies past a stop too.
+
+    ``measured(x)`` gives the factor and its geometry row (one kernel
+    call) and ``predicted(xs)`` the distance on a grid without the kernel.
+    The first iterate is the root of the prediction, corrected linearly
+    to the measured distance at the two ends; the later ones are Illinois
+    steps on the measured distance.  Every iterate aims at the middle of
+    the window, so the run converges into it from either side."""
+    if _stopped(start, opts) or _distance(end, opts) >= -_CROSSING_TOL:
+        return None
+    target = -0.5 * _CROSSING_TOL
+    fa, fb = _distance(start, opts) - target, _distance(end, opts) - target
+    # The prediction's error is smooth along the step: correct it linearly
+    # to the measured ends, then locate its root on a grid and again on a
+    # grid inside the interval that holds it.
+    xs = np.linspace(0.0, 1.0, _CROSSING_GRID + 1)
+    guess = predicted(xs)
+    shift = (fa - guess[0], fb - guess[-1])
+    for level in range(2):
+        if level:
+            xs = np.linspace(xs[j - 1], xs[j], _CROSSING_GRID + 1)
+            guess = predicted(xs)
+        guess += shift[0] * (1.0 - xs) + shift[1] * xs
+        j = min(max(int(np.argmax(guess <= 0.0)), 1), _CROSSING_GRID)
+    x = xs[j - 1] + (xs[j] - xs[j - 1]) * guess[j - 1] / (guess[j - 1] - guess[j])
+    a, b, found = 0.0, 1.0, None
+    side = 0
+    for _ in range(_CROSSING_ITERATIONS):
+        if not a < x < b:
+            x = 0.5 * (a + b)
+            if not a < x < b:
+                break
+        w, row = measured(x)
+        g = _distance(row, opts)
+        if _stopped(row, opts):
+            found = (x, w, row)
+            if g >= -_CROSSING_TOL:
+                break
+            b, fb = x, g - target
+            if side > 0:
+                fa *= 0.5
+            side = 1
+        else:
+            a, fa = x, g - target
+            if side < 0:
+                fb *= 0.5
+            side = -1
+        x = (a * fb - b * fa) / (fb - fa)
+    return found
 
 
 def _grid(t_last, sample_dt):
@@ -362,36 +505,50 @@ def _grid(t_last, sample_dt):
     return np.append(dt * np.arange(math.ceil(count)), t_last)
 
 
-def _sample(tri, l0, steps, factors, rate, times):
+def _coefficients(h, w0, w1, K):
+    """Coefficient rows (..., 7, n) of the 7th-order dense output of steps
+    of length h from w0 to w1 with stages K (..., 16, n): in x = (tau -
+    tau0) / h, w(x) = w0 + x (F0 + (1-x) (F1 + x (F2 + (1-x) (F3 + x (F4 +
+    (1-x) (F5 + x F6))))))."""
+    hK = np.asarray(h)[..., None, None] * K
+    dw = w1 - w0
+    return np.concatenate([
+        np.stack([dw, hK[..., 0, :] - dw, 2.0 * dw - hK[..., 0, :] - hK[..., 12, :]], axis=-2),
+        np.einsum("ds,...sn->...dn", _D, hK),
+    ], axis=-2)
+
+
+def _interpolate(w0, F, x):
+    """The dense output w(x) of :func:`_coefficients` F at x (broadcast
+    against the rows of w0)."""
+    value = F[..., 6, :]
+    for d in range(5, -1, -1):
+        value = F[..., d, :] + (x if d % 2 else 1.0 - x) * value
+    return w0 + x * value
+
+
+def _sample(tri, l0, steps, rate, times):
     """The factors at the sample times from the 7th-order dense output of
-    the accepted step holding each time (steps in tau = ln(1 + rate t),
-    from factors[k] to factors[k + 1]), with the geometry (B, shortest edge, longest arc) recomputed at the
-    sampled factors.  Each of the three extra dense-output stages is one
-    batched kernel call over the steps that hold a sample, one row per
-    step; returns the table and the number of those rows."""
-    step_tau, step_h, step_K = (np.array(column) for column in zip(*steps))
+    the accepted step holding each time (steps in tau = ln(1 + rate t)),
+    with the geometry (B, shortest edge, longest arc) recomputed at the
+    sampled factors.  The last step comes with its extra dense-output
+    stages; each of the three is one batched kernel call over the other
+    steps that hold a sample, one row per step.  Returns the table and
+    the number of those rows."""
+    step_tau, step_h, step_w0, step_w1, step_K = (np.array(column) for column in zip(*steps))
     tau = np.log1p(rate * times)
     k = np.clip(np.searchsorted(step_tau, tau, side="right") - 1, 0, len(steps) - 1)
     held, k = np.unique(k, return_inverse=True)
-    tau0, h, w = step_tau[held], step_h[held], factors[held]
-    K = np.concatenate([step_K[held], np.empty((len(held), 3, tri.n_boundaries))], axis=1)
-    for s in range(13, 16):
-        stage = w + h[:, None] * np.einsum("j,mjn->mn", _A[s, :s], K[:, :s])
-        K[:, s] = (np.exp(tau0 + _C[s] * h) / rate)[:, None] * _boundary_rows(tri, l0, stage)
-    # Coefficient rows of the interpolant in x = (tau - tau0) / h:
-    # w(x) = w + x (F0 + (1-x) (F1 + x (F2 + (1-x) (F3 + x (F4 + (1-x) (F5 + x F6)))))).
-    hK = h[:, None, None] * K
-    dw = factors[held + 1] - w
-    F = np.concatenate([
-        np.stack([dw, hK[:, 0] - dw, 2.0 * dw - hK[:, 0] - hK[:, 12]], axis=1),
-        np.einsum("ds,msn->mdn", _D, hK),
-    ], axis=1)[k]
-    x = ((tau - tau0[k]) / h[k])[:, None]
-    factors = F[:, 6]
-    for d in range(5, -1, -1):
-        factors = F[:, d] + (x if d % 2 else 1.0 - x) * factors
-    factors = w[k] + x * factors
-    return _table(times, factors, *geometry_rows(tri, l0, factors)), 3 * len(held)
+    tau0, h, w0, K = step_tau[held], step_h[held], step_w0[held], step_K[held]
+    fresh = np.flatnonzero(held < len(steps) - 1)
+    if len(fresh):
+        for s in range(13, 16):
+            stage = w0[fresh] + h[fresh, None] * np.einsum("j,mjn->mn", _A[s, :s], K[fresh, :s])
+            rates = np.exp(tau0[fresh] + _C[s] * h[fresh]) / rate
+            K[fresh, s] = rates[:, None] * _boundary_rows(tri, l0, stage)
+    F = _coefficients(h, w0, step_w1[held], K)[k]
+    factors = _interpolate(w0[k], F, ((tau - tau0[k]) / h[k])[:, None])
+    return _table(times, factors, *geometry_rows(tri, l0, factors)), 3 * len(fresh)
 
 
 def trace_csv(table, n_boundaries):

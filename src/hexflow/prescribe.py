@@ -23,6 +23,7 @@ is accepted.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import List
 
@@ -44,17 +45,17 @@ _ARMIJO = 1e-4
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """Newton controls: residual tolerance (inf-norm on B(w) - target) and
-    iteration cap."""
+    """Newton controls: residual tolerance (inf-norm on B(w) - target),
+    positive and finite, and iteration cap, an integer >= 1."""
 
     grad_tol: float = 1e-10
     max_iter: int = 100
 
     def __post_init__(self):
-        if not self.grad_tol > 0.0:
-            raise ValueError(f"grad_tol must be positive, got {self.grad_tol!r}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter!r}")
+        if not (math.isfinite(self.grad_tol) and self.grad_tol > 0.0):
+            raise ValueError(f"grad_tol must be positive and finite, got {self.grad_tol!r}")
+        if not (isinstance(self.max_iter, numbers.Integral) and self.max_iter >= 1):
+            raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
 
 
 @dataclass

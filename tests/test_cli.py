@@ -203,6 +203,17 @@ class TestPrescribeCommand:
         assert out.splitlines()[-1].startswith("ERROR 2:")
         assert out_file.exists()
 
+    @pytest.mark.parametrize("tol", ["inf", "nan", "0"])
+    def test_non_finite_or_nonpositive_tol_rejected(self, capsys, tmp_path, pants_file, tol):
+        target = tmp_path / "target.csv"
+        target.write_text("1,1.0\n2,0.9\n3,1.1\n")
+        out_file = tmp_path / "w.csv"
+        argv = ["prescribe", str(pants_file), "--target", str(target), "--out", str(out_file)]
+        code, out = invoke(capsys, argv + ["--tol", tol])
+        assert code == 1
+        assert out == f"ERROR 1: grad_tol must be positive and finite, got {float(tol)!r}\n"
+        assert not out_file.exists()
+
     def test_missing_component_in_target(self, capsys, tmp_path, pants_file):
         target = tmp_path / "target.csv"
         target.write_text("1,1.0\n2,1.0\n")

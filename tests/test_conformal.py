@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -477,6 +478,18 @@ class TestFactorEntryChecks:
     def test_accepts_lists_and_integers(self, pants):
         tri, l0 = pants
         assert boundary_lengths(tri, l0, [0, 0, 0]) == pytest.approx([PANTS_B0] * 3, rel=1e-12)
+
+
+def test_opposite_infinities_on_one_edge_raise_value_error(pants):
+    # The kernel reads non-finite entries off its slack reductions; an edge
+    # joining +inf and -inf has slack NaN, which numpy warns about first.
+    tri, l0 = pants
+    w = np.array([math.inf, -math.inf, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for kernel in (boundary_lengths, surface_geometry):
+            with pytest.raises(ValueError, match="finite"):
+                kernel(tri, l0, w)
 
 
 class TestCompiledCache:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import DOP853, solve_ivp
+from scipy.integrate._ivp import rk
 
 from hexflow import (
     ConvergenceError,
@@ -37,6 +38,24 @@ def scalar_pants_rhs(x):
     """Reduced pants flow: all three factors stay equal by symmetry."""
     side = edge_length(PANTS_EDGE, x, x)
     return 2.0 * hexagon_arcs(side, side, side)[0]
+
+
+def attempts_before_first_step(monkeypatch, tri, l0):
+    """The trace of a cusp run and the number of step attempts rejected
+    before the first accepted step; every attempt ends in one
+    ``_geometry_row`` call at its trial point."""
+    points = []
+    geometry_row = flow_module._geometry_row
+
+    def logged(tri, l0, w):
+        points.append(w)
+        return geometry_row(tri, l0, w)
+
+    monkeypatch.setattr(flow_module, "_geometry_row", logged)
+    trace = integrate_flow(tri, l0, FlowOptions(t_end=1e6, cusp_tol=1e-4))
+    first = trace.accepted.factors[1]
+    # points[0] is the initial factor.
+    return trace, next(k for k, w in enumerate(points) if np.array_equal(w, first)) - 1
 
 
 class TestFlowOptions:
@@ -117,7 +136,40 @@ class TestIntegrateFlow:
         tri, l0 = pants
         trace = integrate_flow(tri, l0, FlowOptions(t_end=1e6, cusp_tol=1e-8, length_cap=15.0))
         assert trace.stop_reason == "length_cap"
-        assert trace.accepted.min_edge[-1] > 15.0
+        # The run ends at the crossing inside its last step.
+        assert 15.0 < trace.accepted.min_edge[-1] <= 15.0 * (1.0 + 1e-9)
+        assert trace.sampled.times[-1] == trace.accepted.times[-1]
+
+    def test_cusp_stop_lands_on_crossing(self, pants):
+        tri, l0 = pants
+        cusp_tol = 1e-6
+        trace = integrate_flow(tri, l0, FlowOptions(t_end=1e9, cusp_tol=cusp_tol))
+        assert trace.stop_reason == "cusp_tol"
+        max_b = np.max(trace.accepted.lengths[-1])
+        assert (1.0 - 1e-9) * cusp_tol <= max_b < cusp_tol
+        assert max_b == cusp_report(tri, l0, trace.accepted.factors[-1]).max_boundary
+        assert trace.sampled.times[-1] == trace.accepted.times[-1]
+        # max B stays above cusp_tol until the crossing and S keeps falling
+        # into the crossing row.
+        assert np.all(np.max(trace.accepted.lengths[:-1], axis=1) >= cusp_tol)
+        assert np.all(np.diff(trace.accepted.sum_sq) < 0.0)
+        assert np.all(np.diff(trace.accepted.factors, axis=0) > 0.0)
+
+        def crossing(_, y):
+            return scalar_pants_rhs(y[0]) - cusp_tol
+
+        crossing.terminal = True
+        ref = solve_ivp(
+            lambda _, y: [scalar_pants_rhs(y[0])],
+            [0.0, 1e9],
+            [0.0],
+            method="DOP853",
+            rtol=1e-12,
+            atol=1e-14,
+            events=crossing,
+        )
+        (t_cross,) = ref.t_events[0]
+        assert trace.accepted.times[-1] == pytest.approx(t_cross, rel=1e-2)
 
     def test_halving_tolerance_stays_within_error_estimate(self, pants):
         tri, l0 = pants
@@ -127,6 +179,38 @@ class TestIntegrateFlow:
         run_b = integrate_flow(tri, l0, finer)
         shift = np.max(np.abs(run_a.accepted.factors[-1] - run_b.accepted.factors[-1]))
         assert shift < 10.0 * run_a.error_estimate
+
+    def test_step_control_is_scipys_dop853(self):
+        assert flow_module._SAFETY == rk.SAFETY
+        assert flow_module._MIN_FACTOR == rk.MIN_FACTOR
+        assert flow_module._MAX_FACTOR == rk.MAX_FACTOR
+        assert flow_module._EXPONENT == -1.0 / (DOP853.error_estimator_order + 1)
+
+    @pytest.mark.parametrize("name", ["tetra", "generated"])
+    def test_first_step_rejected_at_most_once(self, request, monkeypatch, name):
+        tri, l0 = request.getfixturevalue("tetra") if name == "tetra" else generated(200, 3)
+        trace, rejected = attempts_before_first_step(monkeypatch, tri, l0)
+        assert trace.stop_reason == "cusp_tol"
+        assert rejected <= 1
+
+    def test_first_step_retry_is_accepted(self, tetra, monkeypatch):
+        # A probe that sees a tenth of the slope's change makes the first
+        # step about ten times too long; its retry from the rejected error
+        # is accepted.
+        tri, l0 = tetra
+        kernel = flow_module.boundary_lengths
+        probes = []
+
+        def misread_probe(tri, l0, w):
+            if not probes:
+                probes.append(w)
+                return kernel(tri, l0, 0.1 * w) * math.exp(-0.9 * w.max())
+            return kernel(tri, l0, w)
+
+        monkeypatch.setattr(flow_module, "boundary_lengths", misread_probe)
+        trace, rejected = attempts_before_first_step(monkeypatch, tri, l0)
+        assert trace.stop_reason == "cusp_tol"
+        assert rejected == 1
 
     def test_step_underflow_raises(self, pants):
         tri, l0 = pants
@@ -182,7 +266,7 @@ class TestIntegrateFlow:
         tri, l0 = tetra
         trace = integrate_flow(tri, l0, FlowOptions(t_end=1e6, cusp_tol=1e-4))
         assert trace.stop_reason == "cusp_tol"
-        assert trace.rhs_evaluations <= 390  # 352
+        assert trace.rhs_evaluations <= 300  # 271
 
     def test_large_surface_evaluation_count(self, monkeypatch):
         # Log time scaled by the fastest initial rate (max B(0) = 278 here)
@@ -199,13 +283,14 @@ class TestIntegrateFlow:
         monkeypatch.setattr(conformal, "_far_arcs", counted)
         trace = integrate_flow(tri, l0, FlowOptions(t_end=1e6, cusp_tol=1e-4))
         assert trace.stop_reason == "cusp_tol"
-        assert trace.rhs_evaluations <= 520  # 472
+        assert trace.rhs_evaluations <= 390  # 354
         assert far_calls == []
 
     def test_samples_take_one_kernel_call_per_block(self, monkeypatch, kernel_calls):
         # Each of the three extra dense-output stages is one batched call over
-        # the steps that hold a sample, and the sampled geometry is one more;
-        # each runs in blocks of block_rows(tri) rows.
+        # the steps that hold a sample but the last, whose stages the run
+        # computed for its stop, and the sampled geometry is one more; each
+        # runs in blocks of block_rows(tri) rows.
         tri, l0 = generated(200, 3)
         sample_calls = []
         held = []

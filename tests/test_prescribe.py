@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,19 @@ class TestSolveOptions:
             SolveOptions(grad_tol=0.0)
         with pytest.raises(ValueError):
             SolveOptions(max_iter=0)
+
+    @pytest.mark.parametrize("grad_tol", [math.inf, math.nan, -1e-10])
+    def test_rejects_non_finite_or_nonpositive_tolerance(self, grad_tol):
+        with pytest.raises(ValueError, match="grad_tol"):
+            SolveOptions(grad_tol=grad_tol)
+
+    @pytest.mark.parametrize("max_iter", [2.5, 3.0, "3", None])
+    def test_rejects_non_integer_iteration_cap(self, max_iter):
+        with pytest.raises(ValueError, match="max_iter"):
+            SolveOptions(max_iter=max_iter)
+
+    def test_accepts_numpy_integer_iteration_cap(self):
+        assert SolveOptions(max_iter=np.int64(7)).max_iter == 7
 
 
 class TestSolvePrescribed:
