@@ -450,10 +450,11 @@ def _crossing(measured, predicted, start, end, opts):
     to the measured distance at the two ends; the later ones are Illinois
     steps on the measured distance.  Every iterate aims at the middle of
     the window, so the run converges into it from either side."""
-    if _stopped(start, opts) or _distance(end, opts) >= -_CROSSING_TOL:
+    g_end = _distance(end, opts)
+    if _stopped(start, opts) or g_end >= -_CROSSING_TOL:
         return None
     target = -0.5 * _CROSSING_TOL
-    fa, fb = _distance(start, opts) - target, _distance(end, opts) - target
+    fa, fb = _distance(start, opts) - target, g_end - target
     # The prediction's error is smooth along the step: correct it linearly
     # to the measured ends, then locate its root on a grid and again on a
     # grid inside the interval that holds it.
