@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: validate, lengths, flow, prescribe, check-jacobian.  Exit
-codes: 0 success, 1 validation failure, 2 numeric failure (iteration cap,
-step underflow, failed checks), 64 usage error.  Every error path prints
-a single machine-parsable line prefixed ``ERROR <code>:``.  Output is
+codes: 0 success, 1 validation failure or an output file that cannot be
+written, 2 numeric failure (iteration cap, step underflow, failed
+checks), 64 usage error.  Every error path prints a single
+machine-parsable line prefixed ``ERROR <code>:``.  Output is
 deterministic: fixed row order, 17 significant digits in CSV, shortest
 round-trip floats in JSON, and for flow and prescribe a run header
 restating every field of their options dataclass.  The flow flags are the
@@ -29,6 +30,10 @@ _CHECK_SEED = 1787
 
 class UsageError(Exception):
     pass
+
+
+class OutputError(Exception):
+    """An output file could not be written (exit 1)."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -179,8 +184,7 @@ def _cmd_flow(args):
     opts = FlowOptions(**{f.name: getattr(args, f.name) for f in fields(FlowOptions)})
     _header("flow", opts)
     trace = integrate_flow(tri, metric, opts)
-    with open(args.out, "w", encoding="utf-8") as handle:
-        handle.write(trace_csv(trace.sampled, tri.n_boundaries))
+    _write_file(args.out, trace_csv(trace.sampled, tri.n_boundaries))
     final = cusp_report(tri, metric, trace.accepted.factors[-1])
     print(f"stop_reason={trace.stop_reason}")
     print(f"t_final={_fmt(trace.accepted.times[-1])}")
@@ -220,10 +224,16 @@ def _cmd_prescribe(args):
 
 
 def _write_factor_csv(path, factors):
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("boundary_index,w\n")
-        for i, value in enumerate(factors, start=1):
-            handle.write(f"{i},{_fmt(value)}\n")
+    rows = "".join(f"{i},{_fmt(value)}\n" for i, value in enumerate(factors, start=1))
+    _write_file(path, "boundary_index,w\n" + rows)
+
+
+def _write_file(path, text):
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise OutputError(f"cannot write {path}: {exc}") from exc
 
 
 def _cmd_check_jacobian(args):
@@ -288,7 +298,7 @@ def build_parser():
     p.add_argument("surface")
     p.add_argument("--target", required=True, help="CSV boundary_index,target_length")
     p.add_argument("--tol", type=float, default=SolveOptions.grad_tol)
-    p.add_argument("--max-iter", type=int, default=SolveOptions.max_iter, dest="max_iter")
+    p.add_argument("--max-iter", type=_positive_int, default=SolveOptions.max_iter, dest="max_iter")
     p.add_argument("--out", default="w.csv")
     p.set_defaults(func=_cmd_prescribe)
 
@@ -312,7 +322,7 @@ def run(argv):
         return 64
     try:
         return args.func(args)
-    except (ParseError, ValueError, DomainError) as exc:
+    except (ParseError, ValueError, DomainError, OutputError) as exc:
         print(f"ERROR 1: {exc}")
         return 1
     except HexflowError as exc:

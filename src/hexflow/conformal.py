@@ -378,19 +378,21 @@ def boundary_jacobian(tri, l0, w):
     compiled = _compiled(tri, l0)
     u = _admissible(_slack(tri, l0, w))
     n = tri.n_boundaries
-    face_u = u[compiled.table[:3].T]
-    far = np.flatnonzero(face_u.max(axis=1) > _FAR_SLACK)
-    (Sx, Sy, Sz), N, Q = _arc_terms(compiled, np.minimum(u, _FAR_SLACK) if far.size else u)
+    large = u.max() > _FAR_SLACK
+    (Sx, Sy, Sz), N, Q = _arc_terms(compiled, np.minimum(u, _FAR_SLACK) if large else u)
     # Row t of the coefficient matrix by cosh l = 1 + 2S, S_t of slot t:
     # M_tt = P/S_(t+1) + P/S_(t+2) + 4 S_t and M_(t, t+1) = P/S_(t+2) - 2
     # (row 2 holds M_13 = M_31), where P = 1 + S_0 + S_1 + S_2.
     P = 1.0 + Sx + Sy + Sz
-    diagonal = P / Sy + P / Sz + 4.0 * Sx
-    off = P / Sz - 2.0
+    P_Sz = P / Sz
+    diagonal = P / Sy + P_Sz + 4.0 * Sx
+    off = P_Sz - 2.0
     # -2 / (sinh theta_k sinh l_ki sinh l_jk) = -1 / sqrt(N (N + 4Q)),
     # theta_k the arc opposite slot 2, whose neighbours are slots 0 and 1.
     N, Q = N[2], Q[2]
     blocks = (np.concatenate([diagonal, off]) * (-1.0 / np.sqrt(N * (N + 4.0 * Q))))[_BLOCK_LAYOUT]
-    if far.size:
+    if large:
+        face_u = u[compiled.table[:3].T]
+        far = np.flatnonzero(face_u.max(axis=1) > _FAR_SLACK)
         blocks[:, far] = _far_arcs(face_u[far], jacobian=True)[1].reshape(-1, 9).T
     return np.bincount(compiled.pairs, weights=blocks.T.ravel(), minlength=n * n).reshape(n, n)

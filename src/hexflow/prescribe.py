@@ -7,10 +7,13 @@ gradient of the strictly concave objective
     G(w) = total_energy(w) - <target, w>,
 
 so solving B(w) = target means maximizing G.  The iteration solves
-H(w) d = target - B(w) with the (negative-definite) boundary Jacobian H,
-then backtracks until the trial point is safely admissible and the merit
-satisfies an Armijo increase.  Since the gradient of G is B - target, the
-merit change along a step is the line integral
+H(w) d = target - B(w) with the (negative-definite) boundary Jacobian H
+through LAPACK's Cholesky factor of -H (``potrf``, then ``potrs``; where
+-H is numerically not positive definite it takes the gradient-ascent
+step (B - target) / max|H| instead), then backtracks until the trial
+point is safely admissible and the merit satisfies an Armijo increase.
+Since the gradient of G is B - target, the merit change along a step is
+the line integral
 
     G(w + alpha d) - G(w) = int_0^alpha <B(w + s d) - target, d> ds,
 
@@ -78,8 +81,11 @@ def _interior_slack(tri, l0, w):
     return math.expm1(float(_slack(tri, l0, w).min()))
 
 
-# Nodes and weights on [-1, 1] of the rule that integrates the merit change.
+# Nodes and weights on [-1, 1] of the rule that integrates the merit change,
+# and the points of one trial step as fractions of its length: the nodes
+# mapped to [0, 1], then the trial point itself.
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
+_GL_POINTS = np.append(0.5 * (1.0 + _GL_NODES), 1.0)
 
 
 def _merit_gain(tri, l0, target, w, step, alpha):
@@ -87,11 +93,28 @@ def _merit_gain(tri, l0, target, w, step, alpha):
     <B - target, step> along the segment, and the trial point is the last
     row of the same kernel call; both endpoints admissible, so every node
     is."""
-    half = 0.5 * alpha
-    scales = np.append(half * (1.0 + _GL_NODES), alpha)
-    B = _boundary_rows(tri, l0, w + scales[:, None] * step)
-    gain = half * sum(weight * float((b - target) @ step) for b, weight in zip(B, _GL_WEIGHTS))
+    B = _boundary_rows(tri, l0, w + (alpha * _GL_POINTS)[:, None] * step)
+    gain = 0.5 * alpha * float(_GL_WEIGHTS @ ((B[:-1] - target) @ step))
     return gain, B[-1]
+
+
+def _newton_step(H, grad):
+    """The step d with -H d = grad, from LAPACK's Cholesky factor of -H
+    (``potrf``/``potrs``, the calls and arguments of scipy's
+    ``cho_factor``/``cho_solve``, bit for bit).  Where -H is numerically
+    not positive definite (near the domain boundary H can degenerate), the
+    plain gradient-ascent step grad / max|H| instead.  Raises ValueError
+    if H is not finite."""
+    if not np.isfinite(H).all():
+        raise ValueError("boundary Jacobian must not contain infs or NaNs")
+    factor, info = scipy.linalg.lapack.dpotrf(-H, lower=False, clean=False, overwrite_a=True)
+    if info > 0:
+        return grad / float(np.max(np.abs(H)))
+    if info == 0:
+        step, info = scipy.linalg.lapack.dpotrs(factor, grad, lower=False)
+    if info < 0:
+        raise ValueError(f"LAPACK reported an illegal value in argument {-info}")
+    return step
 
 
 def solve_prescribed(tri, l0, target, opts=None, start=None):
@@ -148,14 +171,7 @@ def solve_prescribed(tri, l0, target, opts=None, start=None):
 
         H = boundary_jacobian(tri, l0, w)
         grad = B - target  # gradient of G
-        try:
-            # H step = target - B, via the positive-definite factor of -H.
-            cho = scipy.linalg.cho_factor(-H)
-            step = scipy.linalg.cho_solve(cho, grad)
-        except scipy.linalg.LinAlgError:
-            # Near the domain boundary H can degenerate numerically; fall
-            # back to plain gradient ascent with a conservative length.
-            step = grad / float(np.max(np.abs(H)))
+        step = _newton_step(H, grad)  # H step = target - B
 
         slope = float(grad @ step)
         alpha = 1.0

@@ -156,6 +156,13 @@ class TestFlowCommand:
         assert out.splitlines()[-1].startswith("ERROR 1:") and "sample" in out.splitlines()[-1]
         assert not out_file.exists()
 
+    def test_unwritable_out_is_one_error_line(self, capsys, tmp_path, pants_file):
+        out_file = tmp_path / "missing" / "trace.csv"
+        code, out = invoke(capsys, ["flow", str(pants_file), "--t-end", "5", "--out", str(out_file)])
+        assert code == 1
+        assert [l for l in out.splitlines() if l.startswith("ERROR")] == [out.splitlines()[-1]]
+        assert out.splitlines()[-1].startswith(f"ERROR 1: cannot write {out_file}:")
+
 
 class TestPrescribeCommand:
     def test_zero_target_rejected(self, capsys, tmp_path, pants_file):
@@ -212,6 +219,46 @@ class TestPrescribeCommand:
         code, out = invoke(capsys, argv + ["--tol", tol])
         assert code == 1
         assert out == f"ERROR 1: grad_tol must be positive and finite, got {float(tol)!r}\n"
+        assert not out_file.exists()
+
+    @pytest.mark.parametrize(
+        "target_text, max_iter",
+        [("1,1.0\n2,0.9\n3,1.1\n", "100"), ("1,1e-4\n2,1e-4\n3,1e-4\n", "2")],
+        ids=["solution", "partial"],
+    )
+    def test_unwritable_out_is_one_error_line(self, capsys, tmp_path, pants_file, target_text, max_iter):
+        target = tmp_path / "target.csv"
+        target.write_text(target_text)
+        out_file = tmp_path / "missing" / "w.csv"
+        argv = ["prescribe", str(pants_file), "--target", str(target), "--max-iter", max_iter, "--out", str(out_file)]
+        code, out = invoke(capsys, argv)
+        assert code == 1
+        assert [l for l in out.splitlines() if l.startswith("ERROR")] == [out.splitlines()[-1]]
+        assert out.splitlines()[-1].startswith(f"ERROR 1: cannot write {out_file}:")
+
+    @pytest.mark.parametrize("max_iter", ["0", "-3", "2.5"])
+    def test_iteration_cap_below_one_is_a_usage_error(self, capsys, tmp_path, pants_file, max_iter):
+        target = tmp_path / "target.csv"
+        target.write_text("1,1.0\n2,0.9\n3,1.1\n")
+        out_file = tmp_path / "w.csv"
+        argv = ["prescribe", str(pants_file), "--target", str(target), "--max-iter", max_iter, "--out", str(out_file)]
+        code, out = invoke(capsys, argv)
+        assert code == 64
+        assert out.startswith("ERROR 64:") and "--max-iter" in out and len(out.splitlines()) == 1
+        assert not out_file.exists()
+
+    def test_non_finite_jacobian_is_one_error_line(self, capsys, tmp_path, pants_file, monkeypatch):
+        from hexflow import prescribe
+
+        jacobian = prescribe.boundary_jacobian
+        monkeypatch.setattr(prescribe, "boundary_jacobian", lambda *args: jacobian(*args) * np.nan)
+        target = tmp_path / "target.csv"
+        target.write_text("1,1.0\n2,0.9\n3,1.1\n")
+        out_file = tmp_path / "w.csv"
+        code, out = invoke(capsys, ["prescribe", str(pants_file), "--target", str(target), "--out", str(out_file)])
+        assert code == 1
+        assert [l for l in out.splitlines() if l.startswith("ERROR")] == [out.splitlines()[-1]]
+        assert out.splitlines()[-1].startswith("ERROR 1:")
         assert not out_file.exists()
 
     def test_missing_component_in_target(self, capsys, tmp_path, pants_file):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from hexflow import (
     ConvergenceError,
@@ -168,3 +169,56 @@ def test_one_kernel_call_per_trial_step(monkeypatch, kernel_calls):
     # B at the start, then per trial step one call on the 8 Gauss nodes
     # and the trial point, whose row is B at the next iterate.
     assert kernel_calls == [1] + [9] * len(trials)
+
+
+class TestNewtonStep:
+    @pytest.mark.parametrize("faces", [4, 8, 12, 16, 20])
+    def test_step_is_scipys_cholesky_bit_for_bit(self, monkeypatch, faces):
+        tri, l0 = generated(faces, 5)
+        w_star = np.random.default_rng(faces).uniform(0.0, 0.5, tri.n_boundaries)
+        seen = []
+        newton_step = prescribe._newton_step
+        monkeypatch.setattr(prescribe, "_newton_step", lambda H, grad: seen.append((H, grad)) or newton_step(H, grad))
+        result = solve_prescribed(tri, l0, boundary_lengths(tri, l0, w_star))
+        assert len(seen) == result.iterations >= 3
+        for H, grad in seen:
+            H_before, grad_before = H.copy(), grad.copy()
+            reference = scipy.linalg.cho_solve(scipy.linalg.cho_factor(-H), grad)
+            assert np.array_equal(newton_step(H, grad), reference)
+            assert np.array_equal(H, H_before) and np.array_equal(grad, grad_before)
+
+    def test_indefinite_jacobian_takes_the_gradient_step(self, monkeypatch):
+        tri, l0 = generated(8, 2)
+        w_star = np.random.default_rng(3).uniform(0.0, 0.5, tri.n_boundaries)
+        target = boundary_lengths(tri, l0, w_star)
+        jacobian = prescribe.boundary_jacobian
+        bad = []
+
+        def once_indefinite(*args):
+            H = jacobian(*args)
+            if not bad:
+                H[0, 0] = -H[0, 0]  # a positive diagonal entry: -H is not positive definite
+                bad.append(H)
+            return H
+
+        monkeypatch.setattr(prescribe, "boundary_jacobian", once_indefinite)
+        steps = []
+        merit_gain = prescribe._merit_gain
+        monkeypatch.setattr(prescribe, "_merit_gain", lambda *args: steps.append(args[4]) or merit_gain(*args))
+        result = solve_prescribed(tri, l0, target)
+        grad = boundary_lengths(tri, l0, np.zeros(tri.n_boundaries)) - target
+        assert np.array_equal(steps[0], grad / np.max(np.abs(bad[0])))
+        assert np.max(np.abs(result.factors - w_star)) < 1e-8
+
+    def test_non_finite_jacobian_is_a_value_error(self, monkeypatch, pants):
+        tri, l0 = pants
+        jacobian = prescribe.boundary_jacobian
+
+        def with_nan(*args):
+            H = jacobian(*args)
+            H[1, 2] = np.nan
+            return H
+
+        monkeypatch.setattr(prescribe, "boundary_jacobian", with_nan)
+        with pytest.raises(ValueError):
+            solve_prescribed(tri, l0, [1.0, 0.9, 1.1])
