@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Subcommands: validate, lengths, flow, prescribe, check-jacobian.  Exit
-codes: 0 success, 1 validation failure or an output file that cannot be
-written, 2 numeric failure (iteration cap, step underflow, failed
-checks), 64 usage error.  Every error path prints a single
-machine-parsable line prefixed ``ERROR <code>:``.  Output is
+codes: 0 success, 1 an input problem (an input file that cannot be read
+or is malformed, a failed validation, an invalid value) or an output
+file that cannot be written, 2 numeric failure (iteration cap, step
+underflow, failed checks), 64 usage error.  Every error path prints a
+single machine-parsable line prefixed ``ERROR <code>:``.  Output is
 deterministic: fixed row order, 17 significant digits in CSV, shortest
 round-trip floats in JSON, and for flow and prescribe a run header
 restating every field of their options dataclass.  The flow flags are the
@@ -71,23 +72,23 @@ def _read_indexed_csv(path, what):
         with open(path, "r", encoding="utf-8") as handle:
             lines = handle.read().splitlines()
     except OSError as exc:
-        raise HexflowError(f"cannot read {what} file {path}: {exc}") from exc
+        raise ParseError(f"cannot read {what} file {path}: {exc}") from exc
     for line_no, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         parts = [p.strip() for p in line.split(",")]
         if len(parts) != 2:
-            raise HexflowError(f"{path} line {line_no}: expected 'boundary_index,value', got {raw!r}")
+            raise ParseError(f"{path} line {line_no}: expected 'boundary_index,value', got {raw!r}")
         try:
             index = int(parts[0])
             value = float(parts[1])
         except ValueError:
             if line_no == 1:
                 continue  # header row
-            raise HexflowError(f"{path} line {line_no}: expected 'boundary_index,value', got {raw!r}") from None
+            raise ParseError(f"{path} line {line_no}: expected 'boundary_index,value', got {raw!r}") from None
         if index in values:
-            raise HexflowError(f"{path} line {line_no}: duplicate boundary index {index}")
+            raise ParseError(f"{path} line {line_no}: duplicate boundary index {index}")
         values[index] = value
     return values
 
@@ -96,11 +97,11 @@ def _vector_from_map(values, n, what, default=None):
     out = np.zeros(n) if default is None else np.full(n, default)
     for index, value in values.items():
         if not 1 <= index <= n:
-            raise HexflowError(f"{what} names boundary {index} outside 1..{n}")
+            raise ParseError(f"{what} names boundary {index} outside 1..{n}")
         out[index - 1] = value
     missing = [i for i in range(1, n + 1) if i not in values]
     if default is None and missing:
-        raise HexflowError(f"{what} missing boundary components {missing}")
+        raise ParseError(f"{what} missing boundary components {missing}")
     return out
 
 

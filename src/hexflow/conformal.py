@@ -41,7 +41,11 @@ reductions.  Rows run in blocks of at most ``_BLOCK_EDGES`` edge values,
 so a block's temporaries stay in cache; B is one ``bincount`` over the
 corners offset by n per row, which keeps each row's sum order, and each
 face picks its branch alone, so every row is bit-identical to a
-single-factor call (a single factor is a stack of one row).  The scalar
+single-factor call (a single factor is a stack of one row).  The Newton
+trial call (:func:`_trial_rows`) checks the trial row's interior cushion
+on the stack's slacks before any arc is formed, and hands back the
+trial row's slack-table terms, from which :func:`_jacobian` assembles H
+at that point exactly as :func:`boundary_jacobian` does.  The scalar
 :func:`edge_length`, :func:`face_sides` and :func:`face_hexagon`, with
 :func:`.hexagon_arcs` and :func:`.arc_jacobian`, are the per-hexagon
 reference API the kernel is tested against.
@@ -170,7 +174,10 @@ def _finite(w):
 def _edge_slack(compiled, w):
     """u_e = w_a + w_b + ln cosh(l0_e/2) along the last axis of w."""
     a, b = compiled.ends
-    return w.take(a, axis=-1) + w.take(b, axis=-1) + compiled.log_cosh0
+    u = w.take(a, axis=-1)
+    u += w.take(b, axis=-1)
+    u += compiled.log_cosh0
+    return u
 
 
 def _slack(tri, l0, w):
@@ -198,58 +205,77 @@ def _lengths(u):
 
 
 def _arc_terms(compiled, u):
-    """(S_c, S_a, S_b), N and Q of the arc opposite slot t of every face of
-    the (..., E) slacks, from its sides c = t, a = t+1, b = t+2, with
+    """S, N and Q of the arc opposite slot t of every face of the (..., E)
+    slacks, from its sides c = t, a = t+1, b = t+2, with
     S = sinh^2(l/2) = expm1(2u), x = cosh(l/2) = e^u and s = sinh(l/2):
     sinh^2(theta/2) = N / (4 Q), N = S_c + D^2, Q = x_a x_b s_a s_b and
     D = cosh((l_a - l_b)/2) = (1 + S_a + S_b) / (x_a x_b + s_a s_b), all
-    positive terms; 4 Q = sinh l_a sinh l_b."""
+    positive terms; 4 Q = sinh l_a sinh l_b.  S (..., 5, F) holds S of
+    slots 0, 1, 2, 0, 1, so rows t, t+1, t+2 are S_c, S_a, S_b of the arc
+    opposite slot t; N and Q are (..., 3, F)."""
     S = np.expm1(2.0 * u)
     # (..., 13, F): rows t, t+1, t+2 of a window are slots t, t+1, t+2 of
     # each face, so every rotation is a contiguous (..., 3, F) slice.
     G = np.concatenate([S, np.exp(u), np.sqrt(S)], axis=-1).take(compiled.table, axis=-1)
-    Sc, Sa, Sb = G[..., 0:3, :], G[..., 1:4, :], G[..., 2:5, :]
     xx, ss = G[..., 5:8, :] * G[..., 6:9, :], G[..., 9:12, :] * G[..., 10:13, :]
-    D = (1.0 + Sa + Sb) / (xx + ss)
-    return (Sc, Sa, Sb), Sc + D * D, xx * ss
+    Q = xx * ss
+    xx += ss
+    N = 1.0 + G[..., 1:4, :]
+    N += G[..., 2:5, :]
+    N /= xx
+    N *= N
+    N += G[..., 0:3, :]
+    return G[..., :5, :], N, Q
 
 
-def _face_arcs(compiled, u, largest):
+def _face_arcs(compiled, u, largest, jacobian=False):
     """(..., 3, F) arcs of the (..., E) slacks, whose largest is
     ``largest``, row t the arcs opposite slot t; each face of each row
-    takes the far form iff a slack exceeds ln cosh(100)."""
+    takes the far form iff a slack exceeds ln cosh(100).  Returned with
+    what H needs of the last row's :func:`_arc_terms` when ``jacobian``
+    is set (S, and N and Q of the arc opposite slot 2), else None."""
     large = largest > _FAR_SLACK
     # Clipped slacks keep the direct pass finite; its values on the far
     # faces are overwritten.
-    _, N, Q = _arc_terms(compiled, np.minimum(u, _FAR_SLACK) if large else u)
-    arcs = 2.0 * np.arcsinh(0.5 * np.sqrt(N / Q))
+    S, N, Q = _arc_terms(compiled, np.minimum(u, _FAR_SLACK) if large else u)
+    # Copy N's row before N becomes the arcs.
+    terms = (S[-1], N[-1, 2].copy(), Q[-1, 2]) if jacobian else None
+    # arcs = 2 asinh(sqrt(N / Q) / 2), in place.
+    arcs = np.divide(N, Q, out=N)
+    np.sqrt(arcs, out=arcs)
+    arcs *= 0.5
+    np.arcsinh(arcs, out=arcs)
+    arcs *= 2.0
     if large:
         face_u = u.take(compiled.table[:3].T, axis=-1)
         far = np.nonzero(face_u.max(axis=-1) > _FAR_SLACK)
         arcs.swapaxes(-1, -2)[far] = _far_arcs(face_u[far])
-    return arcs
+    return arcs, terms
 
 
-def _geometry(compiled, w, corners=None):
+def _geometry(compiled, w, corners=None, u=None, jacobian=False):
     """Edge slacks (..., E), arcs (..., F, 3) and B (..., n) of a factor
-    (n,) or stack (m, n); ValueError if an entry of w is not finite and
-    DomainError if any row leaves the domain.  A stack takes ``corners``,
-    the corners of row r offset by n r, for at least the rows of w.
+    (n,) or stack (m, n), and the last row's terms of H from
+    :func:`_face_arcs` (None unless ``jacobian``); ValueError if an entry
+    of w is not finite and DomainError if any row leaves the domain.  A
+    stack takes ``corners``, the corners of row r offset by n r, for at
+    least the rows of w, and may take its slacks ``u`` ready made.
 
     The entry check reads the slack reductions the kernel takes anyway: a
     NaN or -inf entry shows at the least slack and +inf at the largest, so
     w itself is scanned only when one of them is out of range.  (An edge
     joining a +inf and a -inf entry has slack NaN, which numpy reports
     with its "invalid value" RuntimeWarning before the ValueError.)"""
-    u = _edge_slack(compiled, w)
+    if u is None:
+        u = _edge_slack(compiled, w)
     least, largest = u.min(), u.max()
     if not (least > 0.0 and largest < math.inf):
         _finite(w)
         _admissible(u)
-    arcs = _face_arcs(compiled, u, largest)
+    arcs, terms = _face_arcs(compiled, u, largest, jacobian)
     corners = compiled.corners if corners is None else corners[: arcs.size]
     B = np.bincount(corners, weights=arcs.ravel(), minlength=w.size)
-    return u, arcs.swapaxes(-1, -2), B.reshape(w.shape)
+    return u, arcs.swapaxes(-1, -2), B.reshape(w.shape), terms
 
 
 def in_domain(tri, l0, w):
@@ -300,7 +326,7 @@ def face_hexagon(tri, l0, w, face):
 def surface_geometry(tri, l0, w):
     """Edge lengths, face arcs and boundary lengths at w in one pass; B_i
     sums the arcs on component i slot by slot, face by face."""
-    u, arcs, B = _geometry(_compiled(tri, l0), _factor(tri, w))
+    u, arcs, B, _ = _geometry(_compiled(tri, l0), _factor(tri, w))
     return SurfaceGeometry(edge_lengths=_lengths(u), arcs=arcs, boundary=B)
 
 
@@ -313,15 +339,17 @@ def _stack(tri, w):
     return w
 
 
-def _blocks(tri, l0, w):
+def _blocks(tri, l0, w, u=None, jacobian=False):
     """The kernel on the (m, n) stack w in blocks of at most _BLOCK_EDGES
-    edge values: yields each block's row slice, edge slacks, arcs and B."""
+    edge values: yields each block's row slice, edge slacks, arcs, B and
+    the terms of H at its last row (None unless ``jacobian``), from the
+    slacks ``u`` of w when they are at hand."""
     compiled = _compiled(tri, l0)
     block = max(1, min(len(w), _BLOCK_EDGES // len(tri.edges)))
-    corners = (compiled.corners + tri.n_boundaries * np.arange(block)[:, None]).ravel()
+    corners = (np.arange(0, block * tri.n_boundaries, tri.n_boundaries)[:, None] + compiled.corners).ravel()
     for start in range(0, len(w), block):
         part = slice(start, start + block)
-        yield (part, *_geometry(compiled, w[part], corners))
+        yield (part, *_geometry(compiled, w[part], corners, None if u is None else u[part], jacobian))
 
 
 def _boundary_rows(tri, l0, w):
@@ -329,7 +357,7 @@ def _boundary_rows(tri, l0, w):
     the per-row reductions, for callers that read B alone."""
     w = _stack(tri, w)
     B = np.empty(w.shape)
-    for part, _, _, block in _blocks(tri, l0, w):
+    for part, _, _, block, _ in _blocks(tri, l0, w):
         B[part] = block
     return B
 
@@ -344,7 +372,7 @@ def geometry_rows(tri, l0, w):
     """
     w = _stack(tri, w)
     rows = GeometryRows(np.empty(w.shape), np.empty(len(w)), np.empty(len(w)))
-    for part, u, arcs, B in _blocks(tri, l0, w):
+    for part, u, arcs, B, _ in _blocks(tri, l0, w):
         rows.boundary[part] = B
         # The shortest edge is the one of least slack.
         rows.min_edge[part] = _lengths(u.min(axis=1))
@@ -355,7 +383,7 @@ def geometry_rows(tri, l0, w):
 def _geometry_row(tri, l0, w):
     """(B, shortest edge, longest arc) of the finite factor w (n,): one
     row of :func:`geometry_rows`, bit for bit, without the stack."""
-    u, arcs, B = _geometry(_compiled(tri, l0), w)
+    u, arcs, B, _ = _geometry(_compiled(tri, l0), w)
     return B, float(_lengths(u.min())), float(arcs.max())
 
 
@@ -363,6 +391,52 @@ def boundary_lengths(tri, l0, w):
     """The boundary-length map: B_i = sum of the arcs on component i over
     all incident face corners."""
     return _geometry(_compiled(tri, l0), _factor(tri, w))[2]
+
+
+def _trial_rows(tri, l0, w, margin):
+    """B of every row of the (m, n) stack w, whose last row is a trial
+    point, with the arguments of :func:`_jacobian` for H there; None when
+    expm1 of the trial point's least slack is not above ``margin``, found
+    from the stack's slacks before any arc is formed.  Raises ValueError
+    unless the trial point is finite."""
+    compiled = _compiled(tri, l0)
+    _finite(w[-1])
+    u = _edge_slack(compiled, w)
+    if not math.expm1(float(u[-1].min())) > margin:
+        return None
+    B = np.empty(w.shape)
+    for part, _, _, rows, terms in _blocks(tri, l0, w, u, jacobian=True):
+        B[part] = rows
+    # The trial point is the last row of the last block.
+    return B, (compiled, tri.n_boundaries, u[-1], *terms)
+
+
+def _jacobian(compiled, n, u, S, N, Q):
+    """H of :func:`boundary_jacobian` at one factor, from its slacks u (E,)
+    and the arc terms of :func:`_arc_terms` at u clipped to ln cosh(100):
+    S (5, F), and N and Q of the arc opposite slot 2, each (F,)."""
+    Sx, Sy, Sz = S[0:3], S[1:4], S[2:5]
+    # Row t of the coefficient matrix by cosh l = 1 + 2S, S_t of slot t:
+    # M_tt = P/S_(t+1) + P/S_(t+2) + 4 S_t and M_(t, t+1) = P/S_(t+2) - 2
+    # (row 2 holds M_13 = M_31), where P = 1 + S_0 + S_1 + S_2.
+    P = 1.0 + Sx
+    P += Sy
+    P += Sz
+    M = np.empty((6, S.shape[-1]))
+    P_Sz = np.divide(P, Sz, out=M[3:])
+    diagonal = np.divide(P, Sy, out=M[:3])
+    diagonal += P_Sz
+    diagonal += 4.0 * Sx
+    P_Sz -= 2.0
+    # -2 / (sinh theta_k sinh l_ki sinh l_jk) = -1 / sqrt(N (N + 4Q)),
+    # theta_k the arc opposite slot 2, whose neighbours are slots 0 and 1.
+    M *= -1.0 / np.sqrt(N * (N + 4.0 * Q))
+    blocks = M.T[:, _BLOCK_LAYOUT]
+    if u.max() > _FAR_SLACK:
+        face_u = u[compiled.table[:3].T]
+        far = np.flatnonzero(face_u.max(axis=1) > _FAR_SLACK)
+        blocks[far] = _far_arcs(face_u[far], jacobian=True)[1].reshape(-1, 9)
+    return np.bincount(compiled.pairs, weights=blocks.ravel(), minlength=n * n).reshape(n, n)
 
 
 def boundary_jacobian(tri, l0, w):
@@ -377,22 +451,5 @@ def boundary_jacobian(tri, l0, w):
     """
     compiled = _compiled(tri, l0)
     u = _admissible(_slack(tri, l0, w))
-    n = tri.n_boundaries
-    large = u.max() > _FAR_SLACK
-    (Sx, Sy, Sz), N, Q = _arc_terms(compiled, np.minimum(u, _FAR_SLACK) if large else u)
-    # Row t of the coefficient matrix by cosh l = 1 + 2S, S_t of slot t:
-    # M_tt = P/S_(t+1) + P/S_(t+2) + 4 S_t and M_(t, t+1) = P/S_(t+2) - 2
-    # (row 2 holds M_13 = M_31), where P = 1 + S_0 + S_1 + S_2.
-    P = 1.0 + Sx + Sy + Sz
-    P_Sz = P / Sz
-    diagonal = P / Sy + P_Sz + 4.0 * Sx
-    off = P_Sz - 2.0
-    # -2 / (sinh theta_k sinh l_ki sinh l_jk) = -1 / sqrt(N (N + 4Q)),
-    # theta_k the arc opposite slot 2, whose neighbours are slots 0 and 1.
-    N, Q = N[2], Q[2]
-    blocks = (np.concatenate([diagonal, off]) * (-1.0 / np.sqrt(N * (N + 4.0 * Q))))[_BLOCK_LAYOUT]
-    if large:
-        face_u = u[compiled.table[:3].T]
-        far = np.flatnonzero(face_u.max(axis=1) > _FAR_SLACK)
-        blocks[:, far] = _far_arcs(face_u[far], jacobian=True)[1].reshape(-1, 9).T
-    return np.bincount(compiled.pairs, weights=blocks.T.ravel(), minlength=n * n).reshape(n, n)
+    S, N, Q = _arc_terms(compiled, np.minimum(u, _FAR_SLACK) if u.max() > _FAR_SLACK else u)
+    return _jacobian(compiled, tri.n_boundaries, u, S, N[2], Q[2])

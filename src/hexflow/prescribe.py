@@ -19,10 +19,15 @@ the line integral
 
 evaluated by a fixed Gauss-Legendre rule.  It never subtracts two large
 energy totals, so the test stays meaningful down to the final residuals.
-A trial step is one batched kernel call (:func:`._boundary_rows`, the
+A trial step is one batched kernel call (:func:`._trial_rows`, the
 blocks of :func:`.geometry_rows` for B alone) on the rule's nodes plus
-the trial point itself, whose row is B at the next iterate once the step
-is accepted.
+the trial point itself, and the only kernel pass of an iteration.  It
+forms the slacks of its rows once and rejects a trial point within the
+cushion from them before any arc is formed.  Once the step is accepted,
+the trial point's row is B at the next iterate, and its row of the slack
+table gives H there (:func:`._jacobian`, the assembly of
+:func:`.boundary_jacobian`, bit for bit); only the start point calls
+:func:`.boundary_jacobian` itself.
 """
 
 import math
@@ -33,7 +38,7 @@ from typing import List
 import numpy as np
 import scipy.linalg
 
-from .conformal import _boundary_rows, _slack, boundary_jacobian, boundary_lengths
+from .conformal import _jacobian, _trial_rows, boundary_jacobian, boundary_lengths
 from .energy import total_energy
 from .errors import ConvergenceError
 
@@ -75,12 +80,6 @@ class SolveResult:
     converged: bool = True
 
 
-def _interior_slack(tri, l0, w):
-    """min_e (e^(w_a + w_b) cosh(l0_e/2) - 1); positive inside the domain.
-    expm1 is increasing, so this is expm1 of the smallest edge slack."""
-    return math.expm1(float(_slack(tri, l0, w).min()))
-
-
 # Nodes and weights on [-1, 1] of the rule that integrates the merit change,
 # and the points of one trial step as fractions of its length: the nodes
 # mapped to [0, 1], then the trial point itself.
@@ -89,13 +88,18 @@ _GL_POINTS = np.append(0.5 * (1.0 + _GL_NODES), 1.0)
 
 
 def _merit_gain(tri, l0, target, w, step, alpha):
-    """(G(w + alpha step) - G(w), B(w + alpha step)): the gain integrates
-    <B - target, step> along the segment, and the trial point is the last
-    row of the same kernel call; both endpoints admissible, so every node
-    is."""
-    B = _boundary_rows(tri, l0, w + (alpha * _GL_POINTS)[:, None] * step)
+    """None when the trial point w + alpha step lies within the cushion
+    (expm1 of its least slack at most _MARGIN); otherwise
+    (G(w + alpha step) - G(w), B(w + alpha step), the terms of H there).
+    The gain integrates <B - target, step> along the segment, and the trial
+    point is the last row of the same kernel call; both endpoints are
+    admissible, so every node is."""
+    rows = _trial_rows(tri, l0, w + (alpha * _GL_POINTS)[:, None] * step, _MARGIN)
+    if rows is None:
+        return None
+    B, jacobian = rows
     gain = 0.5 * alpha * float(_GL_WEIGHTS @ ((B[:-1] - target) @ step))
-    return gain, B[-1]
+    return gain, B[-1], jacobian
 
 
 def _newton_step(H, grad):
@@ -147,9 +151,10 @@ def solve_prescribed(tri, l0, target, opts=None, start=None):
             )
         if not np.all(np.isfinite(w)):
             raise ValueError("start must be finite")
-    B = boundary_lengths(tri, l0, w)
+    grad = boundary_lengths(tri, l0, w) - target  # gradient of G
+    jacobian = None  # the terms of H at w, from the accepted trial's kernel call
     objective = [total_energy(tri, l0, w) - float(target @ w)]
-    residuals = [float(np.max(np.abs(B - target)))]
+    residuals = [float(np.abs(grad).max())]
 
     for iteration in range(opts.max_iter + 1):
         residual = residuals[-1]
@@ -169,17 +174,15 @@ def solve_prescribed(tri, l0, target, opts=None, start=None):
                 partial=result,
             )
 
-        H = boundary_jacobian(tri, l0, w)
-        grad = B - target  # gradient of G
+        H = boundary_jacobian(tri, l0, w) if jacobian is None else _jacobian(*jacobian)
         step = _newton_step(H, grad)  # H step = target - B
 
         slope = float(grad @ step)
         alpha = 1.0
         while alpha >= _MIN_STEP:
-            if _interior_slack(tri, l0, w + alpha * step) > _MARGIN:
-                gain, B_trial = _merit_gain(tri, l0, target, w, step, alpha)
-                if gain >= _ARMIJO * alpha * slope:
-                    break
+            trial = _merit_gain(tri, l0, target, w, step, alpha)
+            if trial is not None and trial[0] >= _ARMIJO * alpha * slope:
+                break
             alpha *= _BACKTRACK
         else:
             raise ConvergenceError(
@@ -187,6 +190,7 @@ def solve_prescribed(tri, l0, target, opts=None, start=None):
                 partial=result,
             )
 
-        w, B = w + alpha * step, B_trial
+        gain, B, jacobian = trial
+        w, grad = w + alpha * step, B - target
         objective.append(objective[-1] + gain)
-        residuals.append(float(np.max(np.abs(B - target))))
+        residuals.append(float(np.abs(grad).max()))

@@ -79,6 +79,16 @@ class TestLengthsCommand:
         got = float(edge_row.split(",")[-1])
         assert got == pytest.approx(2.0 * math.acosh(math.exp(0.2) * 2.0), rel=1e-12)
 
+    def test_unreadable_or_malformed_factor_file_exits_one(self, capsys, tmp_path, pants_file):
+        factors = tmp_path / "w.csv"
+        code, out = invoke(capsys, ["lengths", str(pants_file), "--factors", str(factors)])
+        assert code == 1
+        assert out.startswith(f"ERROR 1: cannot read factors file {factors}:") and len(out.splitlines()) == 1
+        factors.write_text("boundary_index,w\n1,0.1\n2;0.1\n")
+        code, out = invoke(capsys, ["lengths", str(pants_file), "--factors", str(factors)])
+        assert code == 1
+        assert out == f"ERROR 1: {factors} line 3: expected 'boundary_index,value', got '2;0.1'\n"
+
     def test_out_of_domain_factors(self, capsys, tmp_path, pants_file):
         factors = tmp_path / "w.csv"
         factors.write_text("1,-0.5\n2,-0.5\n3,-0.5\n")
@@ -265,8 +275,46 @@ class TestPrescribeCommand:
         target = tmp_path / "target.csv"
         target.write_text("1,1.0\n2,1.0\n")
         code, out = invoke(capsys, ["prescribe", str(pants_file), "--target", str(target)])
-        assert code == 2
+        assert code == 1
         assert "missing boundary components" in out
+
+    def test_unreadable_target_file_exits_one(self, capsys, tmp_path, pants_file):
+        target = tmp_path / "absent.csv"
+        out_file = tmp_path / "w.csv"
+        code, out = invoke(capsys, ["prescribe", str(pants_file), "--target", str(target), "--out", str(out_file)])
+        assert code == 1
+        assert out.startswith(f"ERROR 1: cannot read target file {target}:") and len(out.splitlines()) == 1
+        assert not out_file.exists()
+
+    @pytest.mark.parametrize("line", ["2,1.0,7", "2,abc", "4,1.0", "1,2.0"])
+    def test_malformed_target_line_exits_one(self, capsys, tmp_path, pants_file, line):
+        target = tmp_path / "target.csv"
+        target.write_text(f"boundary_index,target_length\n1,1.0\n{line}\n3,1.1\n")
+        out_file = tmp_path / "w.csv"
+        code, out = invoke(capsys, ["prescribe", str(pants_file), "--target", str(target), "--out", str(out_file)])
+        assert code == 1
+        assert out.startswith("ERROR 1:") and len(out.splitlines()) == 1
+        assert not out_file.exists()
+
+    def test_nan_trial_point_is_one_error_line(self, capsys, tmp_path, pants_file, monkeypatch):
+        from hexflow import prescribe
+
+        newton_step = prescribe._newton_step
+
+        def with_nan(H, grad):
+            step = newton_step(H, grad)
+            step[1] = np.nan
+            return step
+
+        monkeypatch.setattr(prescribe, "_newton_step", with_nan)
+        target = tmp_path / "target.csv"
+        target.write_text("1,1.0\n2,0.9\n3,1.1\n")
+        out_file = tmp_path / "w.csv"
+        code, out = invoke(capsys, ["prescribe", str(pants_file), "--target", str(target), "--out", str(out_file)])
+        assert code == 1
+        assert [l for l in out.splitlines() if l.startswith("ERROR")] == [out.splitlines()[-1]]
+        assert out.splitlines()[-1].startswith("ERROR 1: factor entries must be finite")
+        assert not out_file.exists()
 
 
 class TestCheckJacobianCommand:

@@ -10,7 +10,7 @@ from hexflow import (
     boundary_lengths,
     solve_prescribed,
 )
-from hexflow import prescribe
+from hexflow import conformal, prescribe
 
 from conftest import generated, random_in_domain
 
@@ -171,6 +171,20 @@ def test_one_kernel_call_per_trial_step(monkeypatch, kernel_calls):
     assert kernel_calls == [1] + [9] * len(trials)
 
 
+def test_trial_inside_the_cushion_forms_no_arc(monkeypatch, kernel_calls, pants):
+    # Target 20 pulls w towards the domain wall, so some full steps end
+    # within the cushion; those trials are rejected from their slacks alone.
+    tri, l0 = pants
+    trials = []
+    merit_gain = prescribe._merit_gain
+    monkeypatch.setattr(prescribe, "_merit_gain", lambda *args: trials.append(merit_gain(*args)) or trials[-1])
+    kernel_calls.clear()
+    result = solve_prescribed(tri, l0, np.full(3, 20.0))
+    assert result.converged
+    assert None in trials
+    assert kernel_calls == [1] + [9] * sum(trial is not None for trial in trials)
+
+
 class TestNewtonStep:
     @pytest.mark.parametrize("faces", [4, 8, 12, 16, 20])
     def test_step_is_scipys_cholesky_bit_for_bit(self, monkeypatch, faces):
@@ -210,6 +224,21 @@ class TestNewtonStep:
         assert np.array_equal(steps[0], grad / np.max(np.abs(bad[0])))
         assert np.max(np.abs(result.factors - w_star)) < 1e-8
 
+    def test_nan_trial_point_is_a_value_error(self, monkeypatch, pants):
+        # Read as "inside the cushion", a NaN slack would backtrack down to
+        # a line-search ConvergenceError instead.
+        tri, l0 = pants
+        newton_step = prescribe._newton_step
+
+        def with_nan(H, grad):
+            step = newton_step(H, grad)
+            step[0] = np.nan
+            return step
+
+        monkeypatch.setattr(prescribe, "_newton_step", with_nan)
+        with pytest.raises(ValueError, match="finite"):
+            solve_prescribed(tri, l0, [1.0, 0.9, 1.1])
+
     def test_non_finite_jacobian_is_a_value_error(self, monkeypatch, pants):
         tri, l0 = pants
         jacobian = prescribe.boundary_jacobian
@@ -222,3 +251,58 @@ class TestNewtonStep:
         monkeypatch.setattr(prescribe, "boundary_jacobian", with_nan)
         with pytest.raises(ValueError):
             solve_prescribed(tri, l0, [1.0, 0.9, 1.1])
+
+
+class TestJacobianFromTrialPass:
+    """H at every iterate after the start comes from the accepted trial's
+    kernel call; it must be boundary_jacobian's H bit for bit."""
+
+    @staticmethod
+    def _solve_recording(monkeypatch, tri, l0, target, **kwargs):
+        seen, iterates, jacobian_calls = [], [], []
+        newton_step, merit_gain = prescribe._newton_step, prescribe._merit_gain
+        jacobian = prescribe.boundary_jacobian
+
+        def record_step(H, grad):
+            seen.append(H.copy())
+            return newton_step(H, grad)
+
+        def record_iterate(*args):
+            if len(iterates) < len(seen):
+                iterates.append(args[3].copy())
+            return merit_gain(*args)
+
+        monkeypatch.setattr(prescribe, "_newton_step", record_step)
+        monkeypatch.setattr(prescribe, "_merit_gain", record_iterate)
+        monkeypatch.setattr(prescribe, "boundary_jacobian", lambda *args: jacobian_calls.append(1) or jacobian(*args))
+        result = solve_prescribed(tri, l0, target, **kwargs)
+        assert len(seen) == len(iterates) == result.iterations
+        assert len(jacobian_calls) == 1
+        return result, seen, iterates
+
+    @pytest.mark.parametrize("faces", [4, 8, 12, 16, 20])
+    def test_round_trip_iterates(self, monkeypatch, faces):
+        tri, l0 = generated(faces, 5)
+        w_star = np.random.default_rng(faces).uniform(0.0, 0.5, tri.n_boundaries)
+        result, seen, iterates = self._solve_recording(monkeypatch, tri, l0, boundary_lengths(tri, l0, w_star))
+        assert result.iterations >= 3
+        for H, w in zip(seen, iterates):
+            assert np.array_equal(H, conformal.boundary_jacobian(tri, l0, w))
+
+    @pytest.mark.parametrize("faces", [4, 8, 12])
+    def test_iterates_with_far_faces(self, monkeypatch, faces):
+        # Components at w ~ 60 put slacks near 120, beyond ln cosh(100),
+        # on the edges joining two of them; the rest stay direct.
+        tri, l0 = generated(faces, 7)
+        rng = np.random.default_rng(faces)
+        w_star = rng.uniform(0.0, 0.5, tri.n_boundaries)
+        w_star[::2] += 60.0
+        target = boundary_lengths(tri, l0, w_star)
+        options = SolveOptions(grad_tol=1e-10 * float(target.max()))
+        result, seen, iterates = self._solve_recording(monkeypatch, tri, l0, target, opts=options, start=w_star - 0.2)
+        assert result.converged and result.iterations >= 2
+        assert np.max(np.abs(result.factors - w_star)) < 1e-7
+        slacks = [conformal._slack(tri, l0, w) for w in iterates]
+        assert all(u.max() > conformal._FAR_SLACK > u.min() for u in slacks)
+        for H, w in zip(seen, iterates):
+            assert np.array_equal(H, conformal.boundary_jacobian(tri, l0, w))
