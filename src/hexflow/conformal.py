@@ -52,6 +52,7 @@ reference API the kernel is tested against.
 """
 
 import math
+import sys
 from typing import NamedTuple
 
 import numpy as np
@@ -114,20 +115,23 @@ class _Compiled(NamedTuple):
     pairs: np.ndarray  # (9F,) flat position in H of each face-block entry
 
 
-def _base_length(l0, edge_id):
-    value = l0[edge_id]
-    if not (math.isfinite(value) and value > 0.0):
-        raise ValueError(f"base length must be positive, got {value!r}")
-    return value
+def _base_slack(l0):
+    """ln cosh(l0/2) of a base length; ValueError unless l0 is positive and
+    finite with a slack of at least the least normal float (l0 above about
+    4.2e-154), since a subnormal slack keeps too few digits for the arcs
+    and a zero one leaves w = 0 outside the domain."""
+    slack = _logcosh(0.5 * l0) if l0 > 0.0 else 0.0
+    if not sys.float_info.min <= slack < math.inf:
+        raise ValueError(f"base length must be positive, finite and above about 4.2e-154, got {l0!r}")
+    return slack
 
 
 def _compile(tri, l0):
     n = tri.n_boundaries
     index = {e.edge_id: k for k, e in enumerate(tri.edges)}
     ends = tuple(np.array([[e.b_i - 1 for e in tri.edges], [e.b_j - 1 for e in tri.edges]], dtype=np.intp))
-    # The scalar _logcosh, so the slack (and the domain margin) is exactly
-    # that of edge_length.
-    log_cosh0 = np.array([_logcosh(0.5 * _base_length(l0, e.edge_id)) for e in tri.edges])
+    # The slack (and the domain margin) is exactly that of edge_length.
+    log_cosh0 = np.array([_base_slack(l0[e.edge_id]) for e in tri.edges])
     slot = np.array(
         [[index[eid] for eid in f.opposite_edges] for f in tri.faces], dtype=np.intp
     ).reshape(-1, 3)
@@ -296,15 +300,15 @@ def edge_length(l0, w_a, w_b):
     """Rescaled length 2 arccosh(e^(w_a + w_b) cosh(l0/2)) of one edge.
 
     Raises DomainError when the factor drops the argument to 1 or below
-    (the strict inequality defining the admissible domain fails).
+    (the strict inequality defining the admissible domain fails), and
+    ValueError on a base length :func:`_base_slack` refuses.
     """
-    if not (math.isfinite(l0) and l0 > 0.0):
-        raise ValueError(f"base length must be positive, got {l0!r}")
-    u = w_a + w_b + _logcosh(0.5 * l0)
+    slack = _base_slack(l0)
+    u = w_a + w_b + slack
     if u <= 0.0:
         raise DomainError(
             f"w_a + w_b = {w_a + w_b!r} at or below the admissibility "
-            f"threshold {-_logcosh(0.5 * l0)!r} for base length {l0!r}"
+            f"threshold {-slack!r} for base length {l0!r}"
         )
     return 2.0 * _acosh_exp(u)
 

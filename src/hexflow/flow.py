@@ -30,8 +30,9 @@ right-hand-side evaluation, so an attempted step costs twelve.
 The run ends at the crossing of its stop, not at the first step past it:
 inside the last step, the point where max B reaches cusp_tol (or the
 shortest edge reaches length_cap) is found on the step's 7th-order dense
-output, starting from the tail law B_k ~ K_k e^(-2 w_k), one kernel call
-per iterate, and replaces the step's end as the last accepted row.
+output, starting from the regula falsi point of the distances to the stop
+measured at the step's two ends, one kernel call per iterate, and
+replaces the step's end as the last accepted row.
 
 The samples come from the 7th-order dense output of the accepted steps
 that hold a sample time.  Its three extra stages are needed only there:
@@ -50,9 +51,7 @@ import numpy as np
 from .conformal import (
     _boundary_rows,
     _compiled,
-    _edge_slack,
     _geometry_row,
-    _lengths,
     boundary_lengths,
     geometry_rows,
     in_domain,
@@ -78,11 +77,9 @@ _EXPONENT = -1.0 / 8.0
 
 # A cusp or length-cap stop lands where ln(max B / cusp_tol) or
 # ln(length_cap / shortest edge) lies in [-_CROSSING_TOL, 0), at most
-# _CROSSING_ITERATIONS kernel calls in; the first iterate comes from a
-# prediction on _CROSSING_GRID intervals of the last step.
+# _CROSSING_ITERATIONS kernel calls in.
 _CROSSING_TOL = 5e-10
 _CROSSING_ITERATIONS = 60
-_CROSSING_GRID = 64
 
 # The DOP853 8(5,3) pair of Hairer, Norsett & Wanner (Solving Ordinary
 # Differential Equations I, Sec. II.10), the values of scipy.integrate.DOP853
@@ -391,23 +388,12 @@ def integrate_flow(tri, l0, opts):
     stages(last, range(13, 16), tau0, h, w0)
     if _stopped(rows[-1], opts):
         coefficients = _coefficients(h, w0, w1, last)
-        # The tail law B_k ~ K_k e^(-2 w_k) of flow_limit and the shortest
-        # edge from the least slack predict the distance to the stops.
-        log_K = np.log(flow_limit(tri, l0)[0])
-        compiled = _compiled(tri, l0)
-
-        def predicted(x):
-            w = _interpolate(w0, coefficients, x[:, None])
-            return np.minimum(
-                np.max(log_K - 2.0 * w, axis=1) - math.log(opts.cusp_tol),
-                math.log(opts.length_cap) - np.log(_lengths(_edge_slack(compiled, w).min(axis=1))),
-            )
 
         def measured(x):
             w = _interpolate(w0, coefficients, x)
             return w, geometry_at(w)
 
-        found = _crossing(measured, predicted, rows[-2], rows[-1], opts)
+        found = _crossing(measured, rows[-2], rows[-1], opts)
         if found is not None:
             x, factors[-1], rows[-1] = found
             times[-1] = t = math.expm1(tau0 + x * h) / rate
@@ -431,53 +417,57 @@ def _stopped(row, opts):
     return float(np.max(row[0])) < opts.cusp_tol or row[1] > opts.length_cap
 
 
-def _distance(row, opts):
-    """The lesser of ln(max B / cusp_tol) and ln(length_cap / shortest
-    edge) at a geometry row: negative past a stop."""
-    return min(math.log(float(np.max(row[0])) / opts.cusp_tol), math.log(opts.length_cap / row[1]))
+def _distances(row, opts):
+    """ln(max B / cusp_tol) and ln(length_cap / shortest edge) at a
+    geometry row: each negative past its stop."""
+    return math.log(float(np.max(row[0])) / opts.cusp_tol), math.log(opts.length_cap / row[1])
 
 
-def _crossing(measured, predicted, start, end, opts):
+def _crossing(measured, start, end, opts):
     """(x, w, row) where the last step first passes a stop, x its fraction
     of the step, from its start (geometry row ``start``) before the stops
     to its end (row ``end``) past one: the row lies past the stop, within
-    _CROSSING_TOL of it in _distance.  None if the end row already does,
-    or if the start row lies past a stop too.
+    _CROSSING_TOL of it in :func:`_distances`.  None if the end row
+    already does, or if the start row lies past a stop too.
 
     ``measured(x)`` gives the factor and its geometry row (one kernel
-    call) and ``predicted(xs)`` the distance on a grid without the kernel.
-    The first iterate is the root of the prediction, corrected linearly
-    to the measured distance at the two ends; the later ones are Illinois
-    steps on the measured distance.  Every iterate aims at the middle of
-    the window, so the run converges into it from either side."""
-    g_end = _distance(end, opts)
-    if _stopped(start, opts) or g_end >= -_CROSSING_TOL:
+    call).  The distance is the lesser of those to the stops the end row
+    lies past, so it is smooth along the step where only one stop is
+    crossed.  The first iterate is the regula falsi point of the distances
+    at the two ends; each later one interpolates the last three measured
+    distances by an inverse quadratic, or is an Illinois step where that
+    point leaves the bracket.  Every iterate aims at the middle of the
+    window, so the run converges into it from either side."""
+    ends = _distances(end, opts)
+    if _stopped(start, opts) or min(ends) >= -_CROSSING_TOL:
         return None
+    past = [d < 0.0 for d in ends]
+
+    def distance(row):
+        return min(d for d, p in zip(_distances(row, opts), past) if p)
+
     target = -0.5 * _CROSSING_TOL
-    fa, fb = _distance(start, opts) - target, g_end - target
-    # The prediction's error is smooth along the step: correct it linearly
-    # to the measured ends, then locate its root on a grid and again on a
-    # grid inside the interval that holds it.
-    xs = np.linspace(0.0, 1.0, _CROSSING_GRID + 1)
-    guess = predicted(xs)
-    shift = (fa - guess[0], fb - guess[-1])
-    for level in range(2):
-        if level:
-            xs = np.linspace(xs[j - 1], xs[j], _CROSSING_GRID + 1)
-            guess = predicted(xs)
-        guess += shift[0] * (1.0 - xs) + shift[1] * xs
-        j = min(max(int(np.argmax(guess <= 0.0)), 1), _CROSSING_GRID)
-    x = xs[j - 1] + (xs[j] - xs[j - 1]) * guess[j - 1] / (guess[j - 1] - guess[j])
-    a, b, found = 0.0, 1.0, None
-    side = 0
+    a, b = 0.0, 1.0
+    fa, fb = distance(start) - target, distance(end) - target
+    points = [(a, fa), (b, fb)]
+    found, side = None, 0
     for _ in range(_CROSSING_ITERATIONS):
+        x = (a * fb - b * fa) / (fb - fa)
+        if len(points) > 2:
+            (x0, f0), (x1, f1), (x2, f2) = points[-3:]
+            if f0 != f1 and f1 != f2 and f2 != f0:
+                y = (x0 * f1 * f2 / ((f0 - f1) * (f0 - f2)) + x1 * f0 * f2 / ((f1 - f0) * (f1 - f2))
+                     + x2 * f0 * f1 / ((f2 - f0) * (f2 - f1)))
+                if a < y < b:
+                    x = y
         if not a < x < b:
             x = 0.5 * (a + b)
             if not a < x < b:
                 break
         w, row = measured(x)
-        g = _distance(row, opts)
-        if _stopped(row, opts):
+        g = distance(row)
+        points.append((x, g - target))
+        if g < 0.0:
             found = (x, w, row)
             if g >= -_CROSSING_TOL:
                 break
@@ -490,7 +480,6 @@ def _crossing(measured, predicted, start, end, opts):
             if side < 0:
                 fb *= 0.5
             side = -1
-        x = (a * fb - b * fa) / (fb - fa)
     return found
 
 

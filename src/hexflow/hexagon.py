@@ -34,10 +34,12 @@ cross-check in the test suite.
 
 A side beyond 200 (cosh overflows near l ~ 710, while the flow drives
 edge lengths without bound) sends a hexagon, here and in the array kernel,
-to the far form :func:`_far_arcs` of its slacks u = ln cosh(l/2), and tiny
-arcs come from a cancellation-free form of cosh(theta) - 1, so arcs remain
-accurate down to the underflow threshold (theta ~ 1e-308, sides ~ 1400)
-and merely underflow to 0.0 beyond it instead of failing.
+to the far form :func:`_far_arcs` of its slacks u = ln cosh(l/2).  Below it,
+a cancellation-free form of cosh(theta) - 1 (:func:`_q`) gives the arcs
+and the sinh(theta) of their Jacobian, so tiny arcs keep full relative
+accuracy.  Arcs remain accurate down to the underflow threshold
+(theta ~ 1e-308, sides ~ 1400) and merely underflow to 0.0 beyond it
+instead of failing.
 """
 
 import math
@@ -59,17 +61,11 @@ _OFFSETS = (np.arange(3) - np.arange(3)[:, None]) % 3
 
 
 def acosh_stable(x):
-    """arccosh(x) = log(x + sqrt((x-1)(x+1))), with a log1p branch near 1.
-
-    The plain formula cancels badly for x - 1 < 1e-4 (arcs approaching 0),
-    where log1p(t + sqrt(t(t+2))) with t = x - 1 is exact.
-    """
+    """arccosh(x) for x >= 1: :func:`_acosh1p` of x - 1, exact near 1 (arcs
+    approaching 0) and finite up to the largest float."""
     if not x >= 1.0:
         raise ValueError(f"acosh requires x >= 1, got {x!r}")
-    t = x - 1.0
-    if t < 1e-4:
-        return math.log1p(t + math.sqrt(t * (t + 2.0)))
-    return math.log(x + math.sqrt((x - 1.0) * (x + 1.0)))
+    return _acosh1p(x - 1.0)
 
 
 def _acosh1p(q):
@@ -94,52 +90,30 @@ def _logcosh(x):
     return x - LN2 + math.log1p(math.exp(-2.0 * x))
 
 
-def _logsinh(x):
-    """log(sinh(x)) for x > 0 without overflow."""
-    if x < 1.0:
-        return math.log(math.sinh(x))
-    return x - LN2 + math.log1p(-math.exp(-2.0 * x))
-
-
-def _logaddexp(x, y):
-    if x < y:
-        x, y = y, x
-    if y == -math.inf:
-        return x
-    return x + math.log1p(math.exp(y - x))
-
-
 def _check_sides(*values):
     for v in values:
         if not (math.isfinite(v) and v > 0.0):
             raise ValueError(f"hexagon side and arc lengths must be positive finite reals, got {v!r}")
 
 
-def _arc_direct(lc, la, lb):
-    """Arc opposite side lc, adjacent to la and lb; all sides <= 200.
+def _q(lc, la, lb):
+    """cosh(theta) - 1 of the arc theta opposite side lc, adjacent to la
+    and lb; all sides <= 200.  Formed as
 
-    cosh(theta) - 1 is formed as
         (cosh lc + (cosh^2 la + cosh^2 lb - 1)/(cosh la cosh lb + sinh la sinh lb))
-        / (sinh la sinh lb)
-    which is a sum of positive terms, so tiny arcs keep full relative
-    accuracy (the naive cosine law rounds cosh theta to 1 and loses them).
+        / (sinh la sinh lb),
+
+    a sum of positive terms, so tiny arcs keep full relative accuracy (the
+    naive cosine law rounds cosh theta to 1 and loses them).
     """
     cc, ca, cb = math.cosh(lc), math.cosh(la), math.cosh(lb)
     sa, sb = math.sinh(la), math.sinh(lb)
-    q = (cc + (ca * ca + cb * cb - 1.0) / (ca * cb + sa * sb)) / (sa * sb)
-    return _acosh1p(q)
+    return (cc + (ca * ca + cb * cb - 1.0) / (ca * cb + sa * sb)) / (sa * sb)
 
 
-def _log_q(lc, la, lb):
-    """log(cosh(theta) - 1) for the arc opposite lc: the q-form of
-    :func:`_arc_direct` in the log domain, valid for arbitrarily large sides."""
-    lcc, lca, lcb = _logcosh(lc), _logcosh(la), _logcosh(lb)
-    lsa, lsb = _logsinh(la), _logsinh(lb)
-    # cosh^2 la + cosh^2 lb - 1 = 1 + sinh^2 la + sinh^2 lb, a sum of
-    # non-negative terms in every regime.
-    log_a2b2m1 = _logaddexp(0.0, _logaddexp(2.0 * lsa, 2.0 * lsb))
-    log_den = _logaddexp(lca + lcb, lsa + lsb)
-    return _logaddexp(lcc, log_a2b2m1 - log_den) - (lsa + lsb)
+def _arc_direct(lc, la, lb):
+    """Arc opposite side lc, adjacent to la and lb; all sides <= 200."""
+    return _acosh1p(_q(lc, la, lb))
 
 
 def _two_sum(a, b):
@@ -286,21 +260,16 @@ def coefficient_matrix(a, b, c):
     return CoefficientMatrix(matrix=_coefficients(a, b, c, a - 1.0, b - 1.0, c - 1.0), a=a, b=b, c=c)
 
 
-def _log_sinh_arc(lc, la, lb):
-    """log(sinh(theta)) for the arc opposite lc, via the stable q-form."""
-    log_q = _log_q(lc, la, lb)
-    # sinh(theta) = sqrt(q (q + 2))
-    return 0.5 * (log_q + _logaddexp(log_q, LN2))
-
-
 def arc_jacobian(l_jk, l_ki, l_ij):
     """Jacobian of (theta_i, theta_j, theta_k) with respect to the conformal
     factors (w_i, w_j, w_k), at current side lengths (l_jk, l_ki, l_ij).
 
-    Closed form -2 M(a,b,c) / (sinh theta_k sinh l_ki sinh l_jk); the
-    conformal rule enters only through d l = 2 coth(l/2) (dw_a + dw_b),
-    which depends on the current lengths alone.  Symmetric bit-for-bit and
-    negative definite.
+    Closed form -2 M(a,b,c) / (sinh theta_k sinh l_ki sinh l_jk), with
+    sinh theta_k = sqrt(q (q + 2)) from the q-form q = cosh theta_k - 1 of
+    the arcs (:func:`_q`); the conformal rule enters only through
+    d l = 2 coth(l/2) (dw_a + dw_b), which depends on the current lengths
+    alone.  Symmetric bit-for-bit and negative definite.  ValueError where
+    the block overflows, on sides below about 1e-154.
     """
     _check_sides(l_jk, l_ki, l_ij)
     sides = (l_jk, l_ki, l_ij)
@@ -309,9 +278,12 @@ def arc_jacobian(l_jk, l_ki, l_ij):
     # cosh l - 1 = 2 sinh^2(l/2): no cancellation on short sides, whose
     # cosh rounds toward 1.
     excess = [2.0 * math.sinh(0.5 * side) ** 2 for side in sides]
-    if not min(excess) > 0.0:
-        raise ValueError(f"hexagon sides too short for the arc Jacobian, got {sides!r}")
-    m = _coefficients(*(math.cosh(side) for side in sides), *excess)
-    sinh_theta_k = math.exp(_log_sinh_arc(l_ij, l_jk, l_ki))
-    scale = -2.0 / (sinh_theta_k * math.sinh(l_ki) * math.sinh(l_jk))
-    return scale * m
+    if min(excess) > 0.0:
+        q = _q(l_ij, l_jk, l_ki)
+        scale = -2.0 / (math.sqrt(q) * math.sqrt(q + 2.0) * math.sinh(l_ki) * math.sinh(l_jk))
+        # Sides near 1e-154 overflow M (or q), leaving inf or 0 * inf.
+        with np.errstate(over="ignore", invalid="ignore"):
+            block = scale * _coefficients(*(math.cosh(side) for side in sides), *excess)
+        if np.isfinite(block).all():
+            return block
+    raise ValueError(f"hexagon sides too short for the arc Jacobian, got {sides!r}")

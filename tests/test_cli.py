@@ -109,6 +109,53 @@ class TestLengthsCommand:
         assert first == second
 
 
+class TestTinyBaseLength:
+    """A base length whose slack ln cosh(l0/2) would be subnormal (l0 below
+    about 4.2e-154) passes validate but is refused, naming the value, by
+    every command that evaluates the metric."""
+
+    @staticmethod
+    def _files(tmp_path, length):
+        surface = tmp_path / "tiny.surf"
+        surface.write_text(pants_text().replace(f"edge 1 2 3 {PANTS_EDGE!r}", f"edge 1 2 3 {length!r}"))
+        target = tmp_path / "target.csv"
+        target.write_text("1,1.0\n2,1.0\n3,1.0\n")
+        return surface, target
+
+    def test_subnormal_slack_is_refused(self, capsys, tmp_path):
+        surface, target = self._files(tmp_path, 1e-170)
+        assert invoke(capsys, ["validate", str(surface)])[0] == 0
+        out_file = str(tmp_path / "out.csv")
+        for argv in (
+            ["lengths"],
+            ["flow", "--t-end", "5", "--out", out_file],
+            ["prescribe", "--target", str(target), "--out", out_file],
+        ):
+            code, out = invoke(capsys, [argv[0], str(surface), *argv[1:]])
+            assert code == 1
+            assert out.splitlines()[-1].startswith("ERROR 1: base length")
+            assert "1e-170" in out
+
+    def test_normal_slack_is_accepted(self, capsys, tmp_path):
+        surface, target = self._files(tmp_path, 1e-150)
+        code, out = invoke(capsys, ["lengths", str(surface), "--format", "json"])
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["edges"][0]["length"] == pytest.approx(1e-150, rel=1e-15)
+        base = [b["length"] for b in payload["boundaries"]]
+        assert all(math.isfinite(b) and b > 0.0 for b in base)
+        # The base metric solves its own boundary lengths at once.
+        target.write_text("".join(f"{i},{b!r}\n" for i, b in enumerate(base, start=1)))
+        out_file = str(tmp_path / "out.csv")
+        code, out = invoke(capsys, ["prescribe", str(surface), "--target", str(target), "--out", out_file])
+        assert code == 0
+        assert "iterations=0" in out
+        # The flow accepts the metric (its first step then meets the domain
+        # wall, where B is singular).
+        code, out = invoke(capsys, ["flow", str(surface), "--t-end", "5", "--out", out_file])
+        assert "base length" not in out
+
+
 class TestFlowCommand:
     def test_run_and_trace(self, capsys, tmp_path, pants_file):
         out_file = tmp_path / "trace.csv"

@@ -59,6 +59,14 @@ class TestEdgeLength:
         with pytest.raises(ValueError):
             edge_length(-1.0, 0.0, 0.0)
 
+    def test_rejects_base_length_with_subnormal_slack(self):
+        # ln cosh(l0/2) ~ l0^2 / 8 drops below the least normal float at
+        # l0 ~ 4.2e-154.
+        for bad in (1e-170, 4e-154, math.inf, math.nan):
+            with pytest.raises(ValueError, match="base length"):
+                edge_length(bad, 0.0, 0.0)
+        assert edge_length(1e-150, 0.0, 0.0) == pytest.approx(1e-150, rel=1e-15)
+
 
 class TestInDomain:
     def test_zero_always_inside(self, pants, tetra, twin_pants, torus):

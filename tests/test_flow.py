@@ -283,8 +283,37 @@ class TestIntegrateFlow:
         monkeypatch.setattr(conformal, "_far_arcs", counted)
         trace = integrate_flow(tri, l0, FlowOptions(t_end=1e6, cusp_tol=1e-4))
         assert trace.stop_reason == "cusp_tol"
-        assert trace.rhs_evaluations <= 390  # 354
+        assert trace.rhs_evaluations <= 390  # 355
         assert far_calls == []
+
+    @pytest.mark.parametrize("name", [*FIXTURES, *(f"generated-{seed}" for seed in range(4))])
+    def test_crossing_costs_few_kernel_calls(self, request, monkeypatch, name):
+        # The crossing search starts from the regula falsi point of the
+        # distances measured at the step's two ends.
+        if name.startswith("generated"):
+            tri, l0 = generated(200, int(name.split("-")[1]))
+        else:
+            tri, l0 = request.getfixturevalue(name)
+        crossing = flow_module._crossing
+        calls = []
+
+        def counted(measured, *args):
+            calls.append(0)
+
+            def wrapped(x):
+                calls[-1] += 1
+                return measured(x)
+
+            return crossing(wrapped, *args)
+
+        monkeypatch.setattr(flow_module, "_crossing", counted)
+        for opts, reason, most in (
+            (FlowOptions(t_end=1e6, cusp_tol=1e-4), "cusp_tol", 2),
+            (FlowOptions(t_end=1e6, cusp_tol=1e-9, length_cap=15.0), "length_cap", 6),
+        ):
+            calls.clear()
+            assert integrate_flow(tri, l0, opts).stop_reason == reason
+            assert len(calls) == 1 and 1 <= calls[0] <= most
 
     def test_samples_take_one_kernel_call_per_block(self, monkeypatch, kernel_calls):
         # Each of the three extra dense-output stages is one batched call over

@@ -300,9 +300,38 @@ class TestArcJacobian:
         assert np.array_equal(j, j.T)
         assert np.max(np.linalg.eigvalsh(j)) < 0.0
 
+    def test_matches_high_precision_block(self):
+        # -2 M / (sinh theta_k sinh l_ki sinh l_jk) at 400 digits on
+        # log-uniform sides in [1e-8, 200], the range of the direct form.
+        rng = np.random.default_rng(14)
+        worst = 0.0
+        for sides in np.exp(rng.uniform(math.log(1e-8), math.log(200.0), (300, 3))):
+            with mp.workdps(400):
+                l_jk, l_ki, l_ij = (mp.mpf(float(s)) for s in sides)
+                a, b, c = mp.cosh(l_jk), mp.cosh(l_ki), mp.cosh(l_ij)
+                q = (c + (a * a + b * b - 1) / (a * b + mp.sinh(l_jk) * mp.sinh(l_ki))) / (
+                    mp.sinh(l_jk) * mp.sinh(l_ki)
+                )
+                scale = -2 / (mp.sqrt(q * (q + 2)) * mp.sinh(l_ki) * mp.sinh(l_jk))
+                m11 = (c + a * b) / (b - 1) + (b + a * c) / (c - 1)
+                m22 = (c + a * b) / (a - 1) + (a + b * c) / (c - 1)
+                m33 = (b + a * c) / (a - 1) + (a + b * c) / (b - 1)
+                m12, m13, m23 = (a + b - c + 1) / (c - 1), (a + c - b + 1) / (b - 1), (b + c - a + 1) / (a - 1)
+                ref = np.array(
+                    [[float(scale * m) for m in row] for row in ((m11, m12, m13), (m12, m22, m23), (m13, m23, m33))]
+                )
+            worst = max(worst, np.max(np.abs(arc_jacobian(*sides) - ref)) / np.max(np.abs(ref)))
+        assert worst <= 4e-15
+
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
             arc_jacobian(1.0, 0.0, 1.0)
+
+    def test_sides_too_short_for_a_finite_block(self):
+        # Sides below about 1e-154 overflow M (and the arc's q-form).
+        with pytest.raises(ValueError, match="too short"):
+            arc_jacobian(1e-155, 1e-155, 1.0)
+        assert np.all(np.isfinite(arc_jacobian(1e-150, 1e-150, 1.0)))
 
 
 class TestAcoshStable:
@@ -316,6 +345,11 @@ class TestAcoshStable:
     @given(st.floats(1.0 + 1e-12, 1e8))
     def test_matches_math_acosh_away_from_one(self, x):
         assert acosh_stable(x) == pytest.approx(math.acosh(x), rel=1e-12)
+
+    @pytest.mark.parametrize("x", [1e155, 1e200, 1.7e308])
+    def test_matches_reference_for_huge_arguments(self, x):
+        with mp.workdps(60):
+            assert acosh_stable(x) == pytest.approx(float(mp.acosh(mp.mpf(x))), rel=1e-15)
 
     def test_rejects_below_one(self):
         with pytest.raises(ValueError):
