@@ -15,6 +15,8 @@ FlowOptions fields themselves; prescribe exposes only --tol (grad_tol) and
 
 import argparse
 import json
+import os
+import stat
 import sys
 from dataclasses import MISSING, fields
 
@@ -230,9 +232,16 @@ def _write_factor_csv(path, factors):
 
 
 def _write_file(path, text):
+    """Write ``text`` to ``path`` in place: an existing file is overwritten
+    from its start and then cut to the new length, never truncated to zero
+    first (on ext4 that truncation makes each close start writeback).
+    Devices and pipes, which cannot be cut, are only written."""
     try:
-        with open(path, "w", encoding="utf-8") as handle:
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        with open(fd, "w", encoding="utf-8") as handle:
             handle.write(text)
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                handle.truncate()
     except OSError as exc:
         raise OutputError(f"cannot write {path}: {exc}") from exc
 

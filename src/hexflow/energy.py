@@ -19,8 +19,10 @@ alone).
 one :func:`.hexagon_arcs` call per node.
 
 The Newton solver reads the energy once per solve, for the first entry
-of its objective trace; otherwise these values serve as diagnostics and
-as the reference the tests check B against.
+of its objective trace.  At its default start w = 0 that is 0.0, returned
+after the domain check without quadrature; the integral runs only for a
+caller's ``start``.  Otherwise these values serve as diagnostics and as
+the reference the tests check B against.
 """
 
 import numpy as np

@@ -53,8 +53,10 @@ _ARMIJO = 1e-4
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """Newton controls: residual tolerance (inf-norm on B(w) - target),
-    positive and finite, and iteration cap, an integer >= 1."""
+    """Newton controls: the tolerance, positive and finite, and the
+    iteration cap, an integer >= 1.  A solve has converged when every
+    |B_i(w) - target_i| <= grad_tol * min(1, target_i): an absolute test
+    for targets of at least 1, a relative one below."""
 
     grad_tol: float = 1e-10
     max_iter: int = 100
@@ -70,7 +72,9 @@ class SolveOptions:
 class SolveResult:
     """Outcome of :func:`solve_prescribed`.  ``objective_trace[k]`` is the
     merit G(w_k) = total_energy(w_k) - <target, w_k> at iterate k and
-    ``residual_trace[k]`` is |B(w_k) - target|_inf."""
+    ``residual_trace[k]`` is the absolute residual |B(w_k) - target|_inf,
+    of which ``residual`` is the last; ``converged`` is the componentwise
+    test of :class:`SolveOptions`."""
 
     factors: np.ndarray
     iterations: int
@@ -151,6 +155,7 @@ def solve_prescribed(tri, l0, target, opts=None, start=None):
             )
         if not np.all(np.isfinite(w)):
             raise ValueError("start must be finite")
+    tolerance = opts.grad_tol * np.minimum(1.0, target)
     grad = boundary_lengths(tri, l0, w) - target  # gradient of G
     jacobian = None  # the terms of H at w, from the accepted trial's kernel call
     objective = [total_energy(tri, l0, w) - float(target @ w)]
@@ -164,7 +169,7 @@ def solve_prescribed(tri, l0, target, opts=None, start=None):
             residual=residual,
             objective_trace=objective,
             residual_trace=residuals,
-            converged=residual <= opts.grad_tol,
+            converged=bool(np.all(np.abs(grad) <= tolerance)),
         )
         if result.converged:
             return result

@@ -364,6 +364,54 @@ class TestPrescribeCommand:
         assert not out_file.exists()
 
 
+class TestOutputFiles:
+    """--out is rewritten in place and cut to the new length; the bytes are
+    those of a fresh write, and devices, which cannot be cut, still work."""
+
+    @pytest.fixture(params=["flow", "prescribe"])
+    def argv(self, request, tmp_path, pants_file):
+        if request.param == "flow":
+            return lambda out: ["flow", str(pants_file), "--t-end", "3", "--out", str(out)]
+        target = tmp_path / "target.csv"
+        target.write_text("1,1.0\n2,0.9\n3,1.1\n")
+        return lambda out: ["prescribe", str(pants_file), "--target", str(target), "--out", str(out)]
+
+    def test_longer_file_is_cut_to_a_fresh_write(self, capsys, tmp_path, argv):
+        fresh, reused = tmp_path / "fresh.csv", tmp_path / "reused.csv"
+        invoke(capsys, argv(fresh))
+        reused.write_bytes(b"x" * (3 * len(fresh.read_bytes())) + b"\n")
+        code, _ = invoke(capsys, argv(reused))
+        assert code == 0
+        assert reused.read_bytes() == fresh.read_bytes()
+
+    def test_inode_and_mode_are_kept(self, capsys, tmp_path, argv):
+        out = tmp_path / "out.csv"
+        out.write_text("old contents\n" * 100)
+        out.chmod(0o640)
+        before = out.stat()
+        code, _ = invoke(capsys, argv(out))
+        after = out.stat()
+        assert code == 0
+        assert (after.st_ino, after.st_mode) == (before.st_ino, before.st_mode)
+
+    def test_symlink_is_written_through(self, capsys, tmp_path, argv):
+        fresh, real, link = tmp_path / "fresh.csv", tmp_path / "real.csv", tmp_path / "link.csv"
+        invoke(capsys, argv(fresh))
+        real.write_text("old contents\n" * 100)
+        link.symlink_to(real)
+        code, _ = invoke(capsys, argv(link))
+        assert code == 0
+        assert link.is_symlink()
+        assert real.read_bytes() == fresh.read_bytes()
+
+    def test_dev_null(self, capsys, tmp_path, argv):
+        out = tmp_path / "out.csv"
+        _, expected = invoke(capsys, argv(out))
+        code, got = invoke(capsys, argv("/dev/null"))
+        assert code == 0
+        assert got == expected.replace(str(out), "/dev/null")
+
+
 class TestCheckJacobianCommand:
     def test_passes_on_good_surface(self, capsys, pants_file):
         code, out = invoke(capsys, ["check-jacobian", str(pants_file), "--samples", "25"])

@@ -155,6 +155,36 @@ class TestSolvePrescribed:
         assert np.max(np.abs(boundary_lengths(tri, l0, result.factors) - target)) <= 1e-9
 
 
+def _tiny_target_sets():
+    """The mixed sets (targets log-uniform over [1e-150, 30]) and uniform
+    tiny targets on generated surfaces, as (label, tri, l0, target)."""
+    for faces in (4, 8, 12, 20, 200):
+        for seed in range(8):
+            tri, l0 = generated(faces, seed)
+            rng = np.random.default_rng(seed)
+            target = np.exp(rng.uniform(math.log(1e-150), math.log(30.0), tri.n_boundaries))
+            yield f"mixed F={faces} seed={seed}", tri, l0, target
+    for faces, seed in ((4, 0), (12, 0), (200, 9000)):
+        tri, l0 = generated(faces, seed)
+        for value in (1e-12, 1e-150, 1e-6):
+            yield f"uniform {value:g} F={faces}", tri, l0, np.full(tri.n_boundaries, value)
+
+
+def test_tiny_targets_never_converge_off_target():
+    # An absolute stopping test would accept any factor whose B lies under
+    # grad_tol, however far from a tiny target.
+    off_target = []
+    for label, tri, l0, target in _tiny_target_sets():
+        try:
+            result = solve_prescribed(tri, l0, target)
+        except ConvergenceError:
+            continue
+        error = float(np.max(np.abs(boundary_lengths(tri, l0, result.factors) - target) / target))
+        if error > 1e-10:
+            off_target.append((label, error))
+    assert off_target == []
+
+
 def test_one_kernel_call_per_trial_step(monkeypatch, kernel_calls):
     tri, l0 = generated(20, 3)
     w_star = np.random.default_rng(43).uniform(0.0, 0.5, tri.n_boundaries)
