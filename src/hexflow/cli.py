@@ -67,18 +67,21 @@ def _load_surface(path, strict=True):
 
 
 def _read_indexed_csv(path, what):
-    """CSV lines 'boundary_index,value'; a non-numeric first line is
-    treated as a header and skipped."""
+    """CSV lines 'boundary_index,value'; '#' starts a comment, blank lines
+    are ignored, and a non-numeric first line of content is treated as a
+    header and skipped."""
     values = {}
     try:
         with open(path, "r", encoding="utf-8") as handle:
             lines = handle.read().splitlines()
     except OSError as exc:
         raise ParseError(f"cannot read {what} file {path}: {exc}") from exc
+    header = True  # the first line of content may be a header
     for line_no, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        first, header = header, False
         parts = [p.strip() for p in line.split(",")]
         if len(parts) != 2:
             raise ParseError(f"{path} line {line_no}: expected 'boundary_index,value', got {raw!r}")
@@ -86,8 +89,8 @@ def _read_indexed_csv(path, what):
             index = int(parts[0])
             value = float(parts[1])
         except ValueError:
-            if line_no == 1:
-                continue  # header row
+            if first:
+                continue
             raise ParseError(f"{path} line {line_no}: expected 'boundary_index,value', got {raw!r}") from None
         if index in values:
             raise ParseError(f"{path} line {line_no}: duplicate boundary index {index}")
@@ -209,21 +212,19 @@ def _cmd_prescribe(args):
     target = _vector_from_map(_read_indexed_csv(args.target, "target"), n, "target file")
     opts = SolveOptions(grad_tol=args.tol, max_iter=args.max_iter)
     _header("prescribe", opts)
+    failure = None
     try:
         result = solve_prescribed(tri, metric, target, opts)
     except ConvergenceError as exc:
-        print(f"iterations={exc.partial.iterations if exc.partial else args.max_iter}")
-        if exc.partial is not None:
-            print(f"residual={_fmt(exc.partial.residual)}")
-            _write_factor_csv(args.out, exc.partial.factors)
-            print(f"partial factors written to {args.out}")
-        print(f"ERROR 2: {exc}")
-        return 2
+        result, failure = exc.partial, exc
     print(f"iterations={result.iterations}")
     print(f"residual={_fmt(result.residual)}")
     _write_factor_csv(args.out, result.factors)
-    print(f"factors written to {args.out}")
-    return 0
+    print(f"{'' if failure is None else 'partial '}factors written to {args.out}")
+    if failure is None:
+        return 0
+    print(f"ERROR 2: {failure}")
+    return 2
 
 
 def _write_factor_csv(path, factors):

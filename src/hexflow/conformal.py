@@ -158,12 +158,13 @@ def _compiled(tri, l0):
     return compiled
 
 
-def _factor(tri, w):
-    """w as a float array; ValueError unless it has shape (n,)."""
+def _factor(tri, w, name="factor"):
+    """w as a float array; ValueError naming it ``name`` unless it has
+    shape (n,), one entry per boundary component."""
     w = np.asarray(w, dtype=float)
     if w.shape != (tri.n_boundaries,):
         raise ValueError(
-            f"factor must have one entry per boundary component "
+            f"{name} must have one entry per boundary component "
             f"({tri.n_boundaries}), got shape {w.shape}"
         )
     return w
@@ -313,12 +314,19 @@ def edge_length(l0, w_a, w_b):
     return 2.0 * _acosh_exp(u)
 
 
-def face_sides(tri, l0, w, face):
-    """Rescaled lengths of a face's slot edges, in slot order."""
+def _slot_lengths(l0_sides, w_corners):
+    """Rescaled slot lengths of one face from its base slot lengths and corner
+    factors (slot t joins corners t+1 and t+2); DomainError outside its domain."""
     return tuple(
-        edge_length(l0[eid], w[tri.edge(eid).b_i - 1], w[tri.edge(eid).b_j - 1])
-        for eid in face.opposite_edges
+        edge_length(l0, w_corners[(t + 1) % 3], w_corners[(t + 2) % 3])
+        for t, l0 in enumerate(l0_sides)
     )
+
+
+def face_sides(tri, l0, w, face):
+    """Rescaled lengths of a face's slot edges, in slot order, each between
+    the face's other two corners."""
+    return _slot_lengths([l0[eid] for eid in face.opposite_edges], [w[c - 1] for c in face.corners])
 
 
 def face_hexagon(tri, l0, w, face):

@@ -16,7 +16,8 @@ each panel's nodes are one batched kernel call
 (:func:`._boundary_rows`, the blocks of :func:`.geometry_rows` for B
 alone).
 :func:`segment_energy` and :func:`face_energy` are the scalar reference,
-one :func:`.hexagon_arcs` call per node.
+one :func:`.hexagon_arcs` call per node on the slot lengths that
+:func:`.face_sides` also reads.
 
 The Newton solver reads the energy once per solve, for the first entry
 of its objective trace.  At its default start w = 0 that is 0.0, returned
@@ -27,7 +28,7 @@ the reference the tests check B against.
 
 import numpy as np
 
-from .conformal import _boundary_rows, edge_length, in_domain
+from .conformal import _boundary_rows, _slot_lengths, in_domain
 from .errors import DomainError, QuadratureError
 from .hexagon import hexagon_arcs
 
@@ -47,25 +48,22 @@ def _gl_panel(f, a, b):
     return half * sum(wt * v for v, wt in zip(f(mid + half * _NODES), _WEIGHTS))
 
 
-def _adaptive(f, a, b, tol, depth):
-    coarse = _gl_panel(f, a, b)
+def _adaptive(f, a, b, tol, depth, coarse=None):
+    """Integral of f over [a, b] by bisection against ``coarse``, the rule
+    on [a, b]; each half goes down as its child's coarse value, so no
+    panel is evaluated twice."""
+    if coarse is None:
+        coarse = _gl_panel(f, a, b)
     mid = 0.5 * (a + b)
-    fine = _gl_panel(f, a, mid) + _gl_panel(f, mid, b)
+    left, right = _gl_panel(f, a, mid), _gl_panel(f, mid, b)
+    fine = left + right
     if abs(fine - coarse) <= tol:
         return fine
     if depth <= 1:
         raise QuadratureError(
             f"no convergence on [{a!r}, {b!r}]: refinements differ by {abs(fine - coarse):.3e} > {tol:.3e}"
         )
-    return _adaptive(f, a, mid, 0.5 * tol, depth - 1) + _adaptive(f, mid, b, 0.5 * tol, depth - 1)
-
-
-def _face_sides_at(l0_sides, w_point):
-    """Rescaled slot lengths of one face; DomainError outside its admissible set."""
-    return tuple(
-        edge_length(l0, w_point[pa], w_point[pb])
-        for l0, (pa, pb) in zip(l0_sides, ((1, 2), (2, 0), (0, 1)))
-    )
+    return _adaptive(f, a, mid, 0.5 * tol, depth - 1, left) + _adaptive(f, mid, b, 0.5 * tol, depth - 1, right)
 
 
 def segment_energy(l0_sides, w_from, w_to):
@@ -77,15 +75,15 @@ def segment_energy(l0_sides, w_from, w_to):
     """
     w_from = tuple(float(v) for v in w_from)
     w_to = tuple(float(v) for v in w_to)
-    _face_sides_at(l0_sides, w_from)
-    _face_sides_at(l0_sides, w_to)
+    _slot_lengths(l0_sides, w_from)
+    _slot_lengths(l0_sides, w_to)
     delta = tuple(b - a for a, b in zip(w_from, w_to))
     if all(d == 0.0 for d in delta):
         return 0.0
 
     def integrand(s):
         point = tuple(a + s * d for a, d in zip(w_from, delta))
-        arcs = hexagon_arcs(*_face_sides_at(l0_sides, point))
+        arcs = hexagon_arcs(*_slot_lengths(l0_sides, point))
         return arcs[0] * delta[0] + arcs[1] * delta[1] + arcs[2] * delta[2]
 
     return _adaptive(lambda nodes: [integrand(s) for s in nodes], 0.0, 1.0, _TOLERANCE, _MAX_DEPTH)

@@ -38,7 +38,7 @@ from typing import List
 import numpy as np
 import scipy.linalg
 
-from .conformal import _jacobian, _trial_rows, boundary_jacobian, boundary_lengths
+from .conformal import _factor, _jacobian, _trial_rows, boundary_jacobian, boundary_lengths
 from .energy import total_energy
 from .errors import ConvergenceError
 
@@ -135,24 +135,14 @@ def solve_prescribed(tri, l0, target, opts=None, start=None):
     infinity) exist in principle but may exhaust the cap.
     """
     opts = opts or SolveOptions()
-    target = np.asarray(target, dtype=float)
-    if target.shape != (tri.n_boundaries,):
-        raise ValueError(
-            f"target must have one entry per boundary component "
-            f"({tri.n_boundaries}), got shape {target.shape}"
-        )
+    target = _factor(tri, target, "target")
     if not np.all(np.isfinite(target) & (target > 0.0)):
         raise ValueError("target must be strictly positive")
 
     if start is None:
         w = np.zeros(tri.n_boundaries)
     else:
-        w = np.array(start, dtype=float)
-        if w.shape != (tri.n_boundaries,):
-            raise ValueError(
-                f"start must have one entry per boundary component "
-                f"({tri.n_boundaries}), got shape {w.shape}"
-            )
+        w = _factor(tri, start, "start").copy()
         if not np.all(np.isfinite(w)):
             raise ValueError("start must be finite")
     tolerance = opts.grad_tol * np.minimum(1.0, target)

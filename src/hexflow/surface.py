@@ -43,14 +43,6 @@ class IdealTriangulation:
     edges: Tuple[Edge, ...]
     faces: Tuple[Face, ...]
 
-    def __post_init__(self):
-        # Cache the id lookup once; the scalar conformal.face_sides reads
-        # it for every face slot.
-        object.__setattr__(self, "edge_by_id", {e.edge_id: e for e in self.edges})
-
-    def edge(self, edge_id):
-        return self.edge_by_id[edge_id]
-
 
 @dataclass(frozen=True)
 class Metric:
@@ -64,9 +56,6 @@ class Metric:
 
     def __getitem__(self, edge_id):
         return self.lengths[edge_id]
-
-    def __len__(self):
-        return len(self.lengths)
 
     def items(self):
         return self.lengths.items()
@@ -85,8 +74,9 @@ class ValidationReport:
     violations: Tuple[Violation, ...] = field(default_factory=tuple)
 
 
-def validate(tri, l0=None):
-    """Check every structural invariant; returns a report, never raises.
+def validate(tri, l0):
+    """Check every structural invariant of tri and its metric l0; returns
+    a report, never raises.
 
     Codes: counts, duplicate id, boundary range, unknown edge,
     edge multiplicity, corner/edge mismatch, unused boundary,
@@ -164,16 +154,15 @@ def validate(tri, l0=None):
         if b not in used:
             flag("unused boundary", f"boundary component {b} never appears as a corner", b)
 
-    if l0 is not None:
-        for eid in sorted(seen_edges):
-            if eid not in l0.lengths:
-                flag("metric mismatch", f"edge {eid} has no length", eid)
-        for eid in sorted(l0.lengths):
-            if eid not in seen_edges:
-                flag("metric mismatch", f"length given for undeclared edge {eid}", eid)
-        for eid, value in sorted(l0.items()):
-            if not (isfinite(value) and value > 0.0):
-                flag("non-positive length", f"edge {eid} has length {value!r}, must be > 0", eid)
+    for eid in sorted(seen_edges):
+        if eid not in l0.lengths:
+            flag("metric mismatch", f"edge {eid} has no length", eid)
+    for eid in sorted(l0.lengths):
+        if eid not in seen_edges:
+            flag("metric mismatch", f"length given for undeclared edge {eid}", eid)
+    for eid, value in sorted(l0.items()):
+        if not (isfinite(value) and value > 0.0):
+            flag("non-positive length", f"edge {eid} has length {value!r}, must be > 0", eid)
 
     return ValidationReport(ok=not violations, violations=tuple(violations))
 

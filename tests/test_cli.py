@@ -79,6 +79,17 @@ class TestLengthsCommand:
         got = float(edge_row.split(",")[-1])
         assert got == pytest.approx(2.0 * math.acosh(math.exp(0.2) * 2.0), rel=1e-12)
 
+    def test_commented_factor_file_reads_as_plain(self, capsys, tmp_path, pants_file):
+        plain, commented = tmp_path / "plain.csv", tmp_path / "commented.csv"
+        plain.write_text("boundary_index,w\n1,0.1\n2,0.2\n3,0.3\n")
+        commented.write_text("# made by x\n\nboundary_index,w  # header\n1,0.1\n\n2,0.2 # two\n3,0.3\n# end\n")
+        outputs = [invoke(capsys, ["lengths", str(pants_file), "--factors", str(path)]) for path in (plain, commented)]
+        assert outputs[0][0] == 0
+        assert outputs[1] == outputs[0]
+        commented.write_text("# made by x\nboundary_index,w\nw,0.1\n")
+        code, out = invoke(capsys, ["lengths", str(pants_file), "--factors", str(commented)])
+        assert (code, out) == (1, f"ERROR 1: {commented} line 3: expected 'boundary_index,value', got 'w,0.1'\n")
+
     def test_unreadable_or_malformed_factor_file_exits_one(self, capsys, tmp_path, pants_file):
         factors = tmp_path / "w.csv"
         code, out = invoke(capsys, ["lengths", str(pants_file), "--factors", str(factors)])
@@ -267,6 +278,27 @@ class TestPrescribeCommand:
         assert out.splitlines()[-1].startswith("ERROR 2:")
         assert out_file.exists()
 
+    def test_failed_line_search_writes_the_start(self, capsys, tmp_path, pants_file, monkeypatch):
+        import hexflow
+        from hexflow import prescribe
+
+        monkeypatch.setattr(prescribe, "_merit_gain", lambda *args: None)
+        target = tmp_path / "target.csv"
+        target.write_text("1,1.0\n2,0.9\n3,1.1\n")
+        out_file = tmp_path / "w.csv"
+        code, out = invoke(capsys, ["prescribe", str(pants_file), "--target", str(target), "--out", str(out_file)])
+        tri, l0 = hexflow.parse_surface(pants_text())
+        residual = float(np.abs(hexflow.boundary_lengths(tri, l0, np.zeros(3)) - [1.0, 0.9, 1.1]).max())
+        assert code == 2
+        assert out.splitlines() == [
+            "# prescribe grad_tol=1e-10 max_iter=100",
+            "iterations=0",
+            f"residual={residual:.17g}",
+            f"partial factors written to {out_file}",
+            f"ERROR 2: line search failed at iteration 0 (residual {residual:.3e})",
+        ]
+        assert out_file.read_text() == "boundary_index,w\n1,0\n2,0\n3,0\n"
+
     @pytest.mark.parametrize("tol", ["inf", "nan", "0"])
     def test_non_finite_or_nonpositive_tol_rejected(self, capsys, tmp_path, pants_file, tol):
         target = tmp_path / "target.csv"
@@ -324,6 +356,18 @@ class TestPrescribeCommand:
         code, out = invoke(capsys, ["prescribe", str(pants_file), "--target", str(target)])
         assert code == 1
         assert "missing boundary components" in out
+
+    def test_commented_target_file_reads_as_plain(self, capsys, tmp_path, pants_file):
+        plain, commented = tmp_path / "plain.csv", tmp_path / "commented.csv"
+        plain.write_text("boundary_index,target_length\n1,1.0\n2,0.9\n3,1.1\n")
+        commented.write_text("# made by x\nboundary_index,target_length\n\n1,1.0 # first\n2,0.9\n\n3,1.1\n# end\n")
+        outputs = []
+        for path in (plain, commented):
+            out_file = tmp_path / f"w_{path.stem}.csv"
+            code, out = invoke(capsys, ["prescribe", str(pants_file), "--target", str(path), "--out", str(out_file)])
+            outputs.append((code, out.replace(str(out_file), "OUT"), out_file.read_text()))
+        assert outputs[0][0] == 0
+        assert outputs[1] == outputs[0]
 
     def test_unreadable_target_file_exits_one(self, capsys, tmp_path, pants_file):
         target = tmp_path / "absent.csv"

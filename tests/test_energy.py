@@ -224,3 +224,14 @@ def test_total_energy_makes_one_kernel_call_per_panel(monkeypatch, kernel_calls)
     total_energy(tri, l0, np.full(tri.n_boundaries, 5.0))
     assert len(panels) >= 3
     assert kernel_calls == [len(energy._NODES)] * len(panels)
+
+
+@pytest.mark.parametrize("faces", [20, 200])
+def test_total_energy_evaluates_each_panel_once(monkeypatch, faces):
+    tri, l0 = generated(faces, 3)
+    panels = []
+    gl_panel = energy._gl_panel
+    monkeypatch.setattr(energy, "_gl_panel", lambda f, a, b: panels.append((a, b)) or gl_panel(f, a, b))
+    total_energy(tri, l0, np.full(tri.n_boundaries, 5.0))
+    assert len(panels) > 3
+    assert len(set(panels)) == len(panels)

@@ -132,6 +132,19 @@ class TestSolvePrescribed:
         assert partial.iterations == 2
         assert partial.residual > 0.0
 
+    def test_failed_line_search_reports_the_start(self, monkeypatch, pants):
+        tri, l0 = pants
+        monkeypatch.setattr(prescribe, "_merit_gain", lambda *args: None)
+        start = np.array([0.1, 0.2, 0.3])
+        target = np.array([1.0, 0.9, 1.1])
+        with pytest.raises(ConvergenceError, match="line search failed at iteration 0") as err:
+            solve_prescribed(tri, l0, target, start=start)
+        partial = err.value.partial
+        assert partial.iterations == 0
+        assert not partial.converged
+        assert np.array_equal(partial.factors, start)
+        assert partial.residual == np.abs(boundary_lengths(tri, l0, start) - target).max()
+
     def test_extreme_target_still_converges_with_budget(self, pants):
         tri, l0 = pants
         result = solve_prescribed(tri, l0, np.full(3, 1e-4))
