@@ -43,7 +43,7 @@ print()
 # energy strictly concave.
 print("== derivative structure ==")
 sides = (1.0, 1.5, 2.0)
-M = coefficient_matrix(*np.cosh(sides)).matrix
+M = coefficient_matrix(*np.cosh(sides))
 J = arc_jacobian(*sides)
 print("M(a, b, c) =")
 print(M)

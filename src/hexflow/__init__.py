@@ -15,7 +15,6 @@ from .conformal import (
     boundary_jacobian,
     boundary_lengths,
     edge_length,
-    face_hexagon,
     face_sides,
     geometry_rows,
     in_domain,
@@ -40,8 +39,6 @@ from .flow import (
     trace_csv,
 )
 from .hexagon import (
-    CoefficientMatrix,
-    HexagonGeometry,
     acosh_stable,
     arc_jacobian,
     coefficient_matrix,
@@ -66,7 +63,6 @@ from .surface import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CoefficientMatrix",
     "ConvergenceError",
     "CuspReport",
     "DomainCheck",
@@ -76,7 +72,6 @@ __all__ = [
     "FlowOptions",
     "FlowTrace",
     "GeometryRows",
-    "HexagonGeometry",
     "HexflowError",
     "IdealTriangulation",
     "Metric",
@@ -98,7 +93,6 @@ __all__ = [
     "edge_length",
     "euler_characteristic",
     "face_energy",
-    "face_hexagon",
     "face_sides",
     "flow_limit",
     "geometry_rows",

@@ -46,9 +46,11 @@ trial call (:func:`_trial_rows`) checks the trial row's interior cushion
 on the stack's slacks before any arc is formed, and hands back the
 trial row's slack-table terms, from which :func:`_jacobian` assembles H
 at that point exactly as :func:`boundary_jacobian` does.  The scalar
-:func:`edge_length`, :func:`face_sides` and :func:`face_hexagon`, with
-:func:`.hexagon_arcs` and :func:`.arc_jacobian`, are the per-hexagon
-reference API the kernel is tested against.
+:func:`edge_length` and :func:`face_sides`, with :func:`.hexagon_arcs`
+and :func:`.arc_jacobian`, are the per-hexagon reference API the kernel
+is tested against: a face's realized hexagon has sides
+``face_sides(tri, l0, w, face)`` and arcs ``hexagon_arcs(*sides)``, the
+arc in slot t on the component of corner t.
 """
 
 import math
@@ -60,7 +62,6 @@ import numpy as np
 from .errors import DomainError
 from .hexagon import (
     _FAR_SIDE,
-    HexagonGeometry,
     _acosh_exp,
     _far_arcs,
     _logcosh,
@@ -270,13 +271,16 @@ def _geometry(compiled, w, corners=None, u=None, jacobian=False):
     NaN or -inf entry shows at the least slack and +inf at the largest, so
     w itself is scanned only when one of them is out of range.  (An edge
     joining a +inf and a -inf entry has slack NaN, which numpy reports
-    with its "invalid value" RuntimeWarning before the ValueError.)"""
+    with its "invalid value" RuntimeWarning before the ValueError.)  A
+    finite, admissible w whose largest slack is still +inf overflowed in
+    the sum w_a + w_b + ln cosh(l0/2), and raises ValueError too."""
     if u is None:
         u = _edge_slack(compiled, w)
     least, largest = u.min(), u.max()
     if not (least > 0.0 and largest < math.inf):
         _finite(w)
         _admissible(u)
+        raise ValueError("factor too large: an edge slack w_a + w_b + ln cosh(l0/2) overflows")
     arcs, terms = _face_arcs(compiled, u, largest, jacobian)
     corners = compiled.corners if corners is None else corners[: arcs.size]
     B = np.bincount(corners, weights=arcs.ravel(), minlength=w.size)
@@ -327,12 +331,6 @@ def face_sides(tri, l0, w, face):
     """Rescaled lengths of a face's slot edges, in slot order, each between
     the face's other two corners."""
     return _slot_lengths([l0[eid] for eid in face.opposite_edges], [w[c - 1] for c in face.corners])
-
-
-def face_hexagon(tri, l0, w, face):
-    """Realized hexagon of one face under the rescaled metric; the arc in
-    slot t lies on the component of corner t."""
-    return HexagonGeometry.from_sides(*face_sides(tri, l0, w, face))
 
 
 def surface_geometry(tri, l0, w):

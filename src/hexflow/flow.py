@@ -43,6 +43,7 @@ one more batched call (:func:`.geometry_rows`) over all sampled factors.
 """
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -160,9 +161,12 @@ class FlowOptions:
 
     The run stops at ``t_end``, or earlier where max_i B_i first drops
     below ``cusp_tol`` or the shortest edge first exceeds ``length_cap``
-    (kept below the cosh overflow threshold near 710).  ``sample_dt`` spaces the sampled trace
-    grid (at most ``_MAX_SAMPLES`` times); None picks a hundredth of the
-    final time.
+    (kept below the cosh overflow threshold near 710).  ``t_end`` is a
+    normal float and ``rel_tol`` lies below 1; :func:`integrate_flow`
+    refuses a ``cusp_tol`` not below max B(0) and a ``length_cap`` not
+    above the shortest edge at t = 0.  ``sample_dt`` spaces the sampled
+    trace grid (at most ``_MAX_SAMPLES`` times); None picks a hundredth
+    of the final time.
     """
 
     t_end: float
@@ -177,6 +181,13 @@ class FlowOptions:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be positive, got {value!r}")
+        # A subnormal t_end has too few digits for the sample grid, whose
+        # default spacing t_end / 100 may round to 0.
+        if self.t_end < sys.float_info.min:
+            raise ValueError(f"t_end must be at least {sys.float_info.min!r}, got {self.t_end!r}")
+        # The first-step probe forms exp(sqrt(rel_tol)).
+        if not self.rel_tol < 1.0:
+            raise ValueError(f"rel_tol must lie below 1, got {self.rel_tol!r}")
         if self.sample_dt is not None and not (math.isfinite(self.sample_dt) and self.sample_dt > 0.0):
             raise ValueError(f"sample_dt must be positive and finite, got {self.sample_dt!r}")
 
@@ -317,6 +328,11 @@ def integrate_flow(tri, l0, opts):
             f"cusp_tol {opts.cusp_tol!r} must lie below the initial max "
             f"boundary length {rate!r}"
         )
+    if not opts.length_cap > row[1]:
+        raise ValueError(
+            f"length_cap {opts.length_cap!r} must lie above the initial "
+            f"shortest edge {row[1]!r}"
+        )
     times, factors, rows = [0.0], [w], [row]
     # (tau, h, factors at both ends, stages 0-15) of each accepted step: its
     # dense output once stages 13-15 are filled in.
@@ -325,7 +341,10 @@ def integrate_flow(tri, l0, opts):
     # point and rows 13-15 the extra stages of the dense output.
     K = np.empty((16, n))
     K[0] = B / rate
-    tau_end = math.log1p(rate * opts.t_end)
+    # Where r t_end overflows, ln(1 + r t_end) is ln r + ln t_end to
+    # float precision.
+    rt_end = rate * opts.t_end
+    tau_end = math.log1p(rt_end) if rt_end < math.inf else math.log(rate) + math.log(opts.t_end)
     # At w = 0 the error scale rel_tol |w_new| grows like h, so the first
     # step's error grows like (lam h)^7 / rel_tol, lam the relative rate at
     # which the slope changes.  One probe at h = sqrt(rel_tol) reads lam;
@@ -343,7 +362,9 @@ def integrate_flow(tri, l0, opts):
         if remaining <= 1e-12 * tau_end:
             break
         h_try = min(h, remaining)
-        if h_try < 1e-13 * max(1.0, tau):
+        # The landing step spans what is left, however short.
+        landing = h_try == remaining
+        if h_try < 1e-13 * max(1.0, tau) and not landing:
             raise ConvergenceError(
                 f"step size underflow at t = {t!r} (h = {h_try!r} in ln(1 + r t), "
                 f"r = {rate!r})"
@@ -368,7 +389,6 @@ def integrate_flow(tri, l0, opts):
                 h = h_try * _SAFETY * err ** -0.2
             continue
         steps.append((tau, h_try, w, w_new, K.copy()))
-        landing = h_try == remaining
         tau = tau_end if landing else tau + h_try
         t = opts.t_end if landing else math.expm1(tau) / rate
         w = w_new
@@ -428,7 +448,7 @@ def _crossing(measured, start, end, opts):
     of the step, from its start (geometry row ``start``) before the stops
     to its end (row ``end``) past one: the row lies past the stop, within
     _CROSSING_TOL of it in :func:`_distances`.  None if the end row
-    already does, or if the start row lies past a stop too.
+    already does.
 
     ``measured(x)`` gives the factor and its geometry row (one kernel
     call).  The distance is the lesser of those to the stops the end row
@@ -439,7 +459,7 @@ def _crossing(measured, start, end, opts):
     point leaves the bracket.  Every iterate aims at the middle of the
     window, so the run converges into it from either side."""
     ends = _distances(end, opts)
-    if _stopped(start, opts) or min(ends) >= -_CROSSING_TOL:
+    if min(ends) >= -_CROSSING_TOL:
         return None
     past = [d < 0.0 for d in ends]
 

@@ -43,7 +43,6 @@ instead of failing.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -216,29 +215,6 @@ def hexagon_sides(theta_i, theta_j, theta_k):
     return hexagon_arcs(theta_i, theta_j, theta_k)
 
 
-@dataclass(frozen=True)
-class HexagonGeometry:
-    """Side and arc lengths of one realized right-angled hexagon."""
-
-    sides: tuple
-    arcs: tuple
-
-    @classmethod
-    def from_sides(cls, l_jk, l_ki, l_ij):
-        return cls(sides=(l_jk, l_ki, l_ij), arcs=hexagon_arcs(l_jk, l_ki, l_ij))
-
-
-@dataclass(frozen=True)
-class CoefficientMatrix:
-    """The symmetric positive-definite 3x3 matrix M(a, b, c) of the
-    derivative cosine law, with a = cosh l_jk, b = cosh l_ki, c = cosh l_ij."""
-
-    matrix: np.ndarray
-    a: float
-    b: float
-    c: float
-
-
 def _coefficients(a, b, c, am1, bm1, cm1):
     """M(a, b, c) from the cosh values and their excesses am1 = a - 1,
     bm1, cm1; entries share subexpressions so the result is symmetric
@@ -253,11 +229,12 @@ def _coefficients(a, b, c, am1, bm1, cm1):
 
 
 def coefficient_matrix(a, b, c):
-    """M(a, b, c) for a, b, c > 1; symmetric bit-for-bit."""
+    """M(a, b, c) as a 3x3 array, a = cosh l_jk, b = cosh l_ki and
+    c = cosh l_ij all > 1; symmetric bit-for-bit."""
     for v in (a, b, c):
         if not (math.isfinite(v) and v > 1.0):
             raise ValueError(f"coefficient matrix requires cosh values > 1, got {v!r}")
-    return CoefficientMatrix(matrix=_coefficients(a, b, c, a - 1.0, b - 1.0, c - 1.0), a=a, b=b, c=c)
+    return _coefficients(a, b, c, a - 1.0, b - 1.0, c - 1.0)
 
 
 def arc_jacobian(l_jk, l_ki, l_ij):

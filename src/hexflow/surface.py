@@ -205,8 +205,9 @@ def parse_surface(text, strict=True):
 
     Lines: ``surface <name>``, ``boundaries <n>``,
     ``edge <id> <b_i> <b_j> <l0>``, ``face <id> <e0> <e1> <e2> <c0> <c1> <c2>``;
-    '#' starts a comment, blank lines are ignored.  Ids are arbitrary
-    positive integers and are kept exactly as written.
+    '#' starts a comment, blank lines are ignored.  Edge and face ids are
+    arbitrary integers, zero and negative ones included, and are kept
+    exactly as written.
 
     With ``strict=True`` (default) the parsed surface must also pass
     :func:`validate`; ``strict=False`` returns whatever was declared, so a

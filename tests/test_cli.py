@@ -114,6 +114,15 @@ class TestLengthsCommand:
         assert code == 1
         assert out == "ERROR 1: factors outside the admissible domain (margin nan)\n"
 
+    def test_overflowing_factors_are_one_error_line(self, capsys, tmp_path, pants_file):
+        # Every edge slack w_a + w_b + ln cosh(l0/2) overflows to +inf.
+        factors = tmp_path / "w.csv"
+        factors.write_text("1,1e308\n2,1e308\n3,1e308\n")
+        with np.errstate(over="ignore"):
+            code, out = invoke(capsys, ["lengths", str(pants_file), "--factors", str(factors)])
+        assert code == 1
+        assert out.startswith("ERROR 1: factor too large") and len(out.splitlines()) == 1
+
     def test_deterministic_output(self, capsys, pants_file):
         _, first = invoke(capsys, ["lengths", str(pants_file)])
         _, second = invoke(capsys, ["lengths", str(pants_file)])
@@ -211,6 +220,44 @@ class TestFlowCommand:
         code, out = invoke(capsys, ["flow", str(pants_file), "--t-end", "5", "--cusp-tol", "99"])
         assert code == 1
         assert out.splitlines()[-1].startswith("ERROR 1:")
+
+    @pytest.mark.parametrize(
+        "t_end, reason",
+        [("1e-14", "t_end"), ("1e-300", "t_end"), ("1.7976931348623157e308", "cusp_tol")],
+    )
+    def test_extreme_t_end(self, capsys, tmp_path, pants_file, t_end, reason):
+        out_file = tmp_path / "trace.csv"
+        code, out = invoke(capsys, ["flow", str(pants_file), "--t-end", t_end, "--out", str(out_file)])
+        assert code == 0
+        assert f"stop_reason={reason}" in out.splitlines()
+        if reason == "t_end":
+            assert f"t_final={float(t_end):.17g}" in out.splitlines()
+            assert float(out_file.read_text().splitlines()[-1].split(",")[0]) == float(t_end)
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--t-end", "1e6", "--length-cap", "1"], "length_cap 1.0 must lie above the initial shortest edge"),
+            (["--t-end", "1", "--rel-tol", "1e6"], "rel_tol must lie below 1"),
+            (["--t-end", "5e-324"], "t_end must be at least"),
+        ],
+    )
+    def test_options_the_run_cannot_honour(self, capsys, tmp_path, pants_file, flags, message):
+        out_file = tmp_path / "trace.csv"
+        code, out = invoke(capsys, ["flow", str(pants_file), *flags, "--out", str(out_file)])
+        assert code == 1
+        assert [l for l in out.splitlines() if l.startswith("ERROR")] == [out.splitlines()[-1]]
+        assert out.splitlines()[-1].startswith(f"ERROR 1: {message}")
+        assert not out_file.exists()
+
+    def test_step_underflow_exits_two(self, capsys, tmp_path, pants_file):
+        out_file = tmp_path / "trace.csv"
+        argv = ["flow", str(pants_file), "--t-end", "1", "--rel-tol", "1e-300", "--abs-tol", "1e-300"]
+        code, out = invoke(capsys, argv + ["--out", str(out_file)])
+        assert code == 2
+        assert [l for l in out.splitlines() if l.startswith("ERROR")] == [out.splitlines()[-1]]
+        assert out.splitlines()[-1].startswith("ERROR 2: step size underflow at t = 0.0")
+        assert not out_file.exists()
 
     @pytest.mark.parametrize("sample_dt", ["inf", "nan", "1e-12", "1e-300"])
     def test_unusable_sample_dt_is_one_error_line(self, capsys, tmp_path, pants_file, sample_dt):
@@ -463,6 +510,16 @@ class TestCheckJacobianCommand:
         assert "all jacobian checks passed" in out
         sym = [l for l in out.splitlines() if l.startswith("max_symmetry_deviation=")][0]
         assert float(sym.split("=")[1]) < 1e-12
+
+    def test_failed_check_exits_two(self, capsys, pants_file, monkeypatch):
+        from hexflow import cli
+
+        jacobian = cli.boundary_jacobian
+        monkeypatch.setattr(cli, "boundary_jacobian", lambda *args: -jacobian(*args))
+        code, out = invoke(capsys, ["check-jacobian", str(pants_file), "--samples", "3"])
+        assert code == 2
+        assert out.splitlines()[-1] == "ERROR 2: jacobian checks failed"
+        assert "passed" not in out
 
     def test_deterministic(self, capsys, pants_file):
         _, a = invoke(capsys, ["check-jacobian", str(pants_file), "--samples", "10"])

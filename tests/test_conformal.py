@@ -11,7 +11,6 @@ from hexflow import (
     boundary_jacobian,
     boundary_lengths,
     edge_length,
-    face_hexagon,
     face_sides,
     geometry_rows,
     hexagon_arcs,
@@ -107,9 +106,9 @@ class TestBoundaryLengths:
         B = boundary_lengths(tri, l0, np.zeros(4))
         expected = np.zeros(4)
         for face in tri.faces:
-            hexagon = face_hexagon(tri, l0, np.zeros(4), face)
+            arcs = hexagon_arcs(*face_sides(tri, l0, np.zeros(4), face))
             for t in range(3):
-                expected[face.corners[t] - 1] += hexagon.arcs[t]
+                expected[face.corners[t] - 1] += arcs[t]
         assert B == pytest.approx(expected, rel=1e-15)
 
     def test_uniform_blowup_kills_all_lengths(self, pants):
@@ -498,6 +497,18 @@ def test_opposite_infinities_on_one_edge_raise_value_error(pants):
         for kernel in (boundary_lengths, surface_geometry):
             with pytest.raises(ValueError, match="finite"):
                 kernel(tri, l0, w)
+
+
+def test_overflowing_slack_raises_value_error(pants):
+    # w_a + w_b overflows to +inf on finite entries; B would be NaN.
+    tri, l0 = pants
+    w = np.full(3, 1e308)
+    with np.errstate(over="ignore"):
+        for kernel in (boundary_lengths, surface_geometry):
+            with pytest.raises(ValueError, match="edge slack .* overflows"):
+                kernel(tri, l0, w)
+        with pytest.raises(ValueError, match="overflows"):
+            geometry_rows(tri, l0, np.stack([np.zeros(3), w]))
 
 
 class TestCompiledCache:

@@ -18,6 +18,7 @@ from hexflow import (
     cusp_report,
     edge_length,
     flow_limit,
+    geometry_rows,
     hexagon_arcs,
     integrate_flow,
     surface_geometry,
@@ -74,6 +75,29 @@ class TestFlowOptions:
         tri, l0 = pants
         with pytest.raises(ValueError, match="cusp_tol"):
             integrate_flow(tri, l0, FlowOptions(t_end=1.0, cusp_tol=10.0))
+
+    def test_length_cap_must_exceed_initial_shortest_edge(self, pants):
+        # A cap the run starts past would stop it inside its first step.
+        tri, l0 = pants
+        shortest = geometry_rows(tri, l0, np.zeros((1, 3))).min_edge[0]
+        for cap in (1.0, shortest):
+            with pytest.raises(ValueError, match="length_cap"):
+                integrate_flow(tri, l0, FlowOptions(t_end=1e6, length_cap=cap))
+        trace = integrate_flow(tri, l0, FlowOptions(t_end=1e6, length_cap=math.nextafter(shortest, math.inf)))
+        assert trace.stop_reason == "length_cap"
+
+    @pytest.mark.parametrize("rel_tol", [1.0, 1e6])
+    def test_rel_tol_must_lie_below_one(self, rel_tol):
+        # The first-step probe forms exp(sqrt(rel_tol)).
+        with pytest.raises(ValueError, match="rel_tol must lie below 1"):
+            FlowOptions(t_end=1.0, rel_tol=rel_tol)
+        FlowOptions(t_end=1.0, rel_tol=0.99)
+
+    def test_t_end_must_be_normal(self):
+        # Its default sample spacing t_end / 100 would round to 0.
+        with pytest.raises(ValueError, match="t_end must be at least"):
+            FlowOptions(t_end=5e-324)
+        FlowOptions(t_end=sys.float_info.min)
 
 
 class TestIntegrateFlow:
@@ -211,6 +235,22 @@ class TestIntegrateFlow:
         trace, rejected = attempts_before_first_step(monkeypatch, tri, l0)
         assert trace.stop_reason == "cusp_tol"
         assert rejected == 1
+
+    @pytest.mark.parametrize("t_end", [1e-14, 1e-300, sys.float_info.min])
+    def test_tiny_t_end_lands(self, pants, t_end):
+        # The landing step spans all of ln(1 + r t_end), however short.
+        tri, l0 = pants
+        trace = integrate_flow(tri, l0, FlowOptions(t_end=t_end))
+        assert trace.stop_reason == "t_end"
+        assert trace.accepted.times[-1] == trace.sampled.times[-1] == t_end
+
+    def test_largest_t_end_runs_to_the_cusp(self, pants):
+        # r t_end overflows; the run matches one whose t_end does not.
+        tri, l0 = pants
+        trace = integrate_flow(tri, l0, FlowOptions(t_end=sys.float_info.max))
+        assert trace.stop_reason == "cusp_tol"
+        reference = integrate_flow(tri, l0, FlowOptions(t_end=1e308))
+        assert trace_csv(trace.accepted, 3) == trace_csv(reference.accepted, 3)
 
     def test_step_underflow_raises(self, pants):
         tri, l0 = pants
@@ -356,6 +396,45 @@ class TestIntegrateFlow:
         trace = integrate_flow(tri, l0, FlowOptions(t_end=1e6, cusp_tol=1e-4))
         for w, min_edge in zip(trace.accepted.factors, trace.accepted.min_edge):
             assert min_edge == surface_geometry(tri, l0, w).edge_lengths.min()
+
+
+class TestCrossing:
+    """The crossing search on a synthetic step, with cusp_tol = 1: a row's
+    distance is ln max B, and its shortest edge stays far below the cap."""
+
+    OPTS = FlowOptions(t_end=1.0, cusp_tol=1.0)
+    TARGET = -0.5 * flow_module._CROSSING_TOL
+
+    @staticmethod
+    def row(B):
+        return (np.array([B]), 1.0, 0.0)
+
+    def test_end_inside_the_window_is_kept(self):
+        def measured(x):
+            raise AssertionError("no iterate needed")
+
+        end = self.row(1.0 - 1e-10)
+        assert flow_module._crossing(measured, self.row(2.0), end, self.OPTS) is None
+
+    def test_illinois_then_bisection(self):
+        # Before 1 - 2e-15 every iterate lies short of the stop, so the bracket
+        # keeps its end b = 1: fb is halved from the second iterate on, until
+        # the regula falsi point rounds onto b and the search bisects.
+        crossing = 1.0 - 2e-15
+        xs = []
+
+        def measured(x):
+            xs.append(x)
+            return np.array([x]), self.row(2.0 if x < crossing else 1.0 - 1e-10)
+
+        found = flow_module._crossing(measured, self.row(2.0), self.row(0.25), self.OPTS)
+        fa, fb = math.log(2.0) - self.TARGET, math.log(0.25) - self.TARGET
+        x1 = (0.0 * fb - 1.0 * fa) / (fb - fa)
+        x2 = (x1 * fb - 1.0 * fa) / (fb - fa)
+        assert xs[:3] == [x1, x2, (x2 * (0.5 * fb) - 1.0 * fa) / (0.5 * fb - fa)]
+        assert found is not None and found[0] == xs[-1] >= crossing
+        assert found[1] == np.array([xs[-1]])
+        assert xs[-1] == 0.5 * (xs[-2] + 1.0)
 
 
 class TestSampleGrid:

@@ -172,25 +172,25 @@ class TestRoundTrip:
 
 class TestCoefficientMatrix:
     def test_value_at_2(self):
-        m = coefficient_matrix(2.0, 2.0, 2.0).matrix
+        m = coefficient_matrix(2.0, 2.0, 2.0)
         assert np.array_equal(m, [[12.0, 3.0, 3.0], [3.0, 12.0, 3.0], [3.0, 3.0, 12.0]])
 
     def test_eigenvalues_at_2(self):
-        eig = np.linalg.eigvalsh(coefficient_matrix(2.0, 2.0, 2.0).matrix)
+        eig = np.linalg.eigvalsh(coefficient_matrix(2.0, 2.0, 2.0))
         assert eig == pytest.approx([9.0, 9.0, 18.0], abs=1e-12)
 
     def test_bitwise_symmetric(self):
         rng = np.random.default_rng(6)
         for _ in range(200):
             a, b, c = np.exp(rng.uniform(np.log(1.0 + 1e-9), np.log(1e6), 3))
-            m = coefficient_matrix(a, b, c).matrix
+            m = coefficient_matrix(a, b, c)
             assert np.array_equal(m, m.T)
 
     def test_positive_definite_over_huge_range(self):
         rng = np.random.default_rng(7)
         for _ in range(500):
             a, b, c = np.exp(rng.uniform(np.log(1.0 + 1e-9), np.log(1e6), 3))
-            np.linalg.cholesky(coefficient_matrix(a, b, c).matrix)
+            np.linalg.cholesky(coefficient_matrix(a, b, c))
 
     def test_rejects_values_at_or_below_one(self):
         with pytest.raises(ValueError):
@@ -206,7 +206,7 @@ class TestCoefficientMatrix:
         for _ in range(50):
             sides = rng.uniform(0.3, 4.0, 3)
             arcs = hexagon_arcs(*sides)
-            det = np.linalg.det(coefficient_matrix(*np.cosh(sides)).matrix)
+            det = np.linalg.det(coefficient_matrix(*np.cosh(sides)))
             sl = np.sinh(sides)
             expected = (
                 2.0

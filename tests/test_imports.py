@@ -1,27 +1,48 @@
 """Every name imported in src/hexflow/*.py is used: read in its module,
-re-exported in its ``__all__``, or marked ``# noqa: F401`` on its line
-(the sites the benchmark tracer in bench/tracing.py wraps)."""
+re-exported in its ``__all__``, or marked ``# noqa: F401`` on its line,
+and a marked name is a site the benchmark tracer in bench/tracing.py
+wraps."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "hexflow").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "hexflow").glob("*.py"))
+
+BENCH = str(ROOT / "bench")
+if BENCH not in sys.path:
+    sys.path.append(BENCH)
+
+import tracing  # noqa: E402
+
+SITES = {(path, attr) for path, attr, _ in tracing.SPAN_SITES + tracing.KERNEL_SITES}
+
+
+def _imports(source):
+    """(name, line, marked) of every name an import in ``source`` binds,
+    marked when its line carries ``# noqa: F401``."""
+    lines = source.splitlines()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                marked = {lines[node.lineno - 1], lines[alias.lineno - 1]}
+                name = (alias.asname or alias.name).split(".")[0]
+                yield name, alias.lineno, any("# noqa: F401" in line for line in marked)
+
+
+def marked_imports(source):
+    """Names bound by an import in ``source`` that are marked ``# noqa: F401``."""
+    return sorted(name for name, _, marked in _imports(source) if marked)
 
 
 def unused_imports(source):
     """Names bound by an import in ``source`` that its module never reads,
     does not list in ``__all__`` and does not mark ``# noqa: F401``."""
-    lines = source.splitlines()
     tree = ast.parse(source)
-    imported = {}
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            for alias in node.names:
-                marked = {lines[node.lineno - 1], lines[alias.lineno - 1]}
-                if not any("# noqa: F401" in line for line in marked):
-                    imported[(alias.asname or alias.name).split(".")[0]] = alias.lineno
+    imported = {name: line for name, line, marked in _imports(source) if not marked}
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
     exported = set()
     for node in tree.body:
@@ -33,6 +54,24 @@ def unused_imports(source):
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_marked_imports_are_tracer_sites(path):
+    module = "hexflow" if path.stem == "__init__" else f"hexflow.{path.stem}"
+    assert [name for name in marked_imports(path.read_text()) if (module, name) not in SITES] == []
+
+
+def test_marked_imports_are_found():
+    source = (
+        "import os  # noqa: F401\n"
+        "from .conformal import (\n"
+        "    edge_length,\n"
+        "    face_sides,  # noqa: F401 - a tracer site\n"
+        ")\n"
+        "from .hexagon import hexagon_arcs, arc_jacobian  # noqa: F401\n"
+    )
+    assert marked_imports(source) == ["arc_jacobian", "face_sides", "hexagon_arcs", "os"]
 
 
 def test_an_unused_import_is_found():

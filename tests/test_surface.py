@@ -8,6 +8,7 @@ from hexflow import (
     IdealTriangulation,
     Metric,
     ParseError,
+    Violation,
     corner_incidence,
     euler_characteristic,
     parse_surface,
@@ -103,6 +104,43 @@ class TestParse:
         tri, metric = parse_surface(text, strict=False)
         assert not validate(tri, metric).ok
 
+    @pytest.mark.parametrize(
+        "text, message, line",
+        [
+            ("surface a b\n", "surface line takes exactly one name token", 1),
+            ("surface a\nsurface b\n", "surface declared twice", 2),
+            ("surface s\nboundaries 1 2\n", "boundaries line takes exactly one integer", 2),
+            ("surface s\nboundaries 1\nboundaries 2\n", "boundaries declared twice", 3),
+            ("surface s\nboundaries 0\n", "boundary count must be >= 1, got 0", 2),
+            ("surface s\nedge 1 1 1 1.0\n", "edge declared before boundaries", 2),
+            ("surface s\nface 1 1 1 1 1 1 1\n", "face declared before boundaries", 2),
+            ("surface s\nboundaries 1\nface 1 1 1 1 1 1\n",
+             "face line needs: face <id> <e0> <e1> <e2> <c0> <c1> <c2>", 3),
+            ("surface s\nboundaries 1\nface 1 1 1 1 1 1 2\n",
+             "face 1 corner on undeclared boundary 2 (declared 1..1)", 3),
+            ("boundaries 1\n", "missing surface line", None),
+            ("surface s\n", "missing boundaries line", None),
+            ("surface s\nboundaries 1\nedge 1 1 1 1,5\n", "expected decimal length, got '1,5'", 3),
+            # validate's violations, joined, with no line.
+            ("surface s\nboundaries 1\n",
+             "invalid surface: need at least one face, have 0; "
+             "boundary component 1 never appears as a corner", None),
+        ],
+    )
+    def test_error_message_and_line(self, text, message, line):
+        with pytest.raises(ParseError) as info:
+            parse_surface(text)
+        assert info.value.line == line
+        assert str(info.value) == (message if line is None else f"line {line}: {message}")
+
+    @pytest.mark.parametrize("edge_id, face_id", [(0, 0), (-1, -5)])
+    def test_zero_and_negative_ids_round_trip(self, edge_id, face_id):
+        text = pants_text().replace("edge 1 ", f"edge {edge_id} ").replace("face 2 1 ", f"face {face_id} {edge_id} ")
+        text = text.replace("face 1 1 ", f"face 1 {edge_id} ")
+        tri, metric = parse_surface(text)
+        assert tri.edges[0].edge_id == edge_id and tri.faces[1].face_id == face_id
+        assert parse_surface(serialize_surface(tri, metric, "pants")) == (tri, metric)
+
     def test_all_fixture_texts_parse_strictly(self):
         for text in (pants_text(), TETRA_TEXT, TWIN_TEXT, TORUS_TEXT):
             tri, metric = parse_surface(text)
@@ -191,6 +229,14 @@ class TestValidate:
         tri, _ = pants
         report = validate(tri, Metric({1: 1.0, 2: 1.0}))
         assert any(v.code == "metric mismatch" for v in report.violations)
+
+    def test_no_faces_and_duplicate_face_ids(self, pants):
+        tri, metric = pants
+        report = validate(_corrupt(tri, edges=(), faces=()), Metric({}))
+        assert Violation("counts", "need at least one face, have 0") in report.violations
+        # The parser refuses a repeated face id first, so only validate sees it.
+        report = validate(_corrupt(tri, faces=(tri.faces[0], tri.faces[0])), metric)
+        assert report.violations == (Violation("duplicate id", "face id 1 declared twice", (1,)),)
 
     def test_ok_iff_no_violations(self, pants):
         tri, metric = pants
