@@ -22,7 +22,7 @@ from dataclasses import MISSING, fields
 
 import numpy as np
 
-from .conformal import _boundary_rows, boundary_jacobian, in_domain, surface_geometry
+from .conformal import boundary_jacobian, geometry_rows, in_domain, surface_geometry
 from .errors import ConvergenceError, DomainError, HexflowError, ParseError
 from .flow import FlowOptions, cusp_report, integrate_flow, trace_csv
 from .prescribe import SolveOptions, solve_prescribed
@@ -267,7 +267,7 @@ def _cmd_check_jacobian(args):
         step = 1e-5
         # Row j of the stack is w + step e_j, row n + j is w - step e_j.
         bumps = step * np.eye(n)
-        B = _boundary_rows(tri, metric, np.concatenate([w + bumps, w - bumps]))
+        B = geometry_rows(tri, metric, np.concatenate([w + bumps, w - bumps])).boundary
         for j in range(n):
             column = (B[j] - B[n + j]) / (2.0 * step)
             fd_worst = max(fd_worst, float(np.max(np.abs(column - H[:, j]))) / scale)

@@ -31,13 +31,13 @@ their block of H from the far form :func:`.hexagon._far_arcs` of their
 three slacks, which the scalar reference shares.  Edge lengths
 2 arccosh(e^u) are formed only where they are read.  B is one
 ``bincount`` over the corners, slot by slot and then face by face; H
-sums face by face.
+sums face by face.  Every evaluator (B, H, geometry, energy) refuses a
+factor by one check on the slacks, :func:`_checked`.
 
 The kernel evaluates a stack of factors, one per row, in one pass:
 :func:`geometry_rows` takes an (m, n) stack and returns B, the shortest
 edge (2 arccosh(e^u) of the least slack) and the longest arc of every
-row; callers that read B alone run the same blocks without the two
-reductions.  Rows run in blocks of at most ``_BLOCK_EDGES`` edge values,
+row.  Rows run in blocks of at most ``_BLOCK_EDGES`` edge values,
 so a block's temporaries stay in cache; B is one ``bincount`` over the
 corners offset by n per row, which keeps each row's sum order, and each
 face picks its branch alone, so every row is bit-identical to a
@@ -186,24 +186,6 @@ def _edge_slack(compiled, w):
     return u
 
 
-def _slack(tri, l0, w):
-    """Per-edge slack u_e = w_a + w_b + ln cosh(l0_e/2), in ``tri.edges``
-    order; w is admissible iff every u_e > 0.  Raises ValueError unless w
-    is a finite vector of shape (n,)."""
-    return _edge_slack(_compiled(tri, l0), _finite(_factor(tri, w)))
-
-
-def _admissible(u):
-    """The slacks u; DomainError unless every one is positive."""
-    margin = u.min()
-    if not margin > 0.0:
-        raise DomainError(
-            f"factor outside the admissible domain: an edge slack "
-            f"w_a + w_b + ln cosh(l0/2) is {float(margin)!r} <= 0"
-        )
-    return u
-
-
 def _lengths(u):
     """Edge lengths 2 arccosh(e^u) = 2 (u + ln(1 + sqrt(1 - e^(-2u)))) of
     positive slacks: a sum of positive terms that never forms e^u."""
@@ -259,28 +241,39 @@ def _face_arcs(compiled, u, largest, jacobian=False):
     return arcs, terms
 
 
-def _geometry(compiled, w, corners=None, u=None, jacobian=False):
-    """Edge slacks (..., E), arcs (..., F, 3) and B (..., n) of a factor
-    (n,) or stack (m, n), and the last row's terms of H from
-    :func:`_face_arcs` (None unless ``jacobian``); ValueError if an entry
-    of w is not finite and DomainError if any row leaves the domain.  A
-    stack takes ``corners``, the corners of row r offset by n r, for at
-    least the rows of w, and may take its slacks ``u`` ready made.
+def _checked(compiled, w, u=None):
+    """The edge slacks u of a factor (n,) or stack (m, n), formed unless
+    given, and the largest of them: ValueError if an entry of w is not
+    finite, DomainError if a slack is <= 0, ValueError if one overflowed.
 
-    The entry check reads the slack reductions the kernel takes anyway: a
-    NaN or -inf entry shows at the least slack and +inf at the largest, so
-    w itself is scanned only when one of them is out of range.  (An edge
+    The check reads the slack reductions the kernel takes anyway: a NaN or
+    -inf entry shows at the least slack and +inf at the largest, so w
+    itself is scanned only when one of them is out of range.  (An edge
     joining a +inf and a -inf entry has slack NaN, which numpy reports
     with its "invalid value" RuntimeWarning before the ValueError.)  A
     finite, admissible w whose largest slack is still +inf overflowed in
-    the sum w_a + w_b + ln cosh(l0/2), and raises ValueError too."""
+    the sum w_a + w_b + ln cosh(l0/2)."""
     if u is None:
         u = _edge_slack(compiled, w)
     least, largest = u.min(), u.max()
     if not (least > 0.0 and largest < math.inf):
         _finite(w)
-        _admissible(u)
+        if not least > 0.0:
+            raise DomainError(
+                f"factor outside the admissible domain: an edge slack "
+                f"w_a + w_b + ln cosh(l0/2) is {float(least)!r} <= 0"
+            )
         raise ValueError("factor too large: an edge slack w_a + w_b + ln cosh(l0/2) overflows")
+    return u, largest
+
+
+def _geometry(compiled, w, corners=None, u=None, jacobian=False):
+    """Edge slacks (..., E), arcs (..., F, 3) and B (..., n) of a factor
+    (n,) or stack (m, n), after :func:`_checked`, and the last row's
+    terms of H from :func:`_face_arcs` (None unless ``jacobian``).  A
+    stack takes ``corners``, the corners of row r offset by n r, for at
+    least the rows of w, and may take its slacks ``u`` ready made."""
+    u, largest = _checked(compiled, w, u)
     arcs, terms = _face_arcs(compiled, u, largest, jacobian)
     corners = compiled.corners if corners is None else corners[: arcs.size]
     B = np.bincount(corners, weights=arcs.ravel(), minlength=w.size)
@@ -293,11 +286,14 @@ def in_domain(tri, l0, w):
     The test is strict, matching the open domain; solvers that need a
     safety cushion keep their own.  A factor with a non-finite entry is
     reported outside with margin NaN; one of the wrong shape raises
-    ValueError.
+    ValueError.  A finite factor whose slack overflows (entries near
+    1e308) is inside, with margin +inf, but every evaluator refuses it
+    with ValueError.
     """
-    if not np.isfinite(_factor(tri, w)).all():
+    w = _factor(tri, w)
+    if not np.isfinite(w).all():
         return DomainCheck(ok=False, margin=math.nan)
-    margin = float(_slack(tri, l0, w).min())
+    margin = float(_edge_slack(_compiled(tri, l0), w).min())
     return DomainCheck(ok=margin > 0.0, margin=margin)
 
 
@@ -341,8 +337,9 @@ def surface_geometry(tri, l0, w):
 
 
 def _stack(tri, w):
-    """w as a float array; ValueError unless it is a finite (m, n) stack."""
-    w = _finite(np.asarray(w, dtype=float))
+    """w as a float array; ValueError unless it is an (m, n) stack.  Its
+    entries are checked block by block, as the kernel reaches them."""
+    w = np.asarray(w, dtype=float)
     n = tri.n_boundaries
     if w.ndim != 2 or w.shape[1] != n:
         raise ValueError(f"factor rows must have shape (m, {n}), got shape {w.shape}")
@@ -362,23 +359,14 @@ def _blocks(tri, l0, w, u=None, jacobian=False):
         yield (part, *_geometry(compiled, w[part], corners, None if u is None else u[part], jacobian))
 
 
-def _boundary_rows(tri, l0, w):
-    """B of every row of the (m, n) stack w: :func:`geometry_rows` without
-    the per-row reductions, for callers that read B alone."""
-    w = _stack(tri, w)
-    B = np.empty(w.shape)
-    for part, _, _, block, _ in _blocks(tri, l0, w):
-        B[part] = block
-    return B
-
-
 def geometry_rows(tri, l0, w):
     """B, the shortest edge and the longest arc of every row of the
     (m, n) stack of factors w, each row bit-identical to a single
     :func:`surface_geometry` call.
 
-    Raises ValueError unless w is a finite (m, n) array and DomainError
-    if any row lies outside the domain.
+    Raises ValueError unless w is an (m, n) array; block by block, a
+    non-finite entry or an overflowing slack raises ValueError and a row
+    outside the domain DomainError, so the first failing block decides.
     """
     w = _stack(tri, w)
     rows = GeometryRows(np.empty(w.shape), np.empty(len(w)), np.empty(len(w)))
@@ -460,6 +448,6 @@ def boundary_jacobian(tri, l0, w):
     beyond 200) take their block from the far form of their slacks.
     """
     compiled = _compiled(tri, l0)
-    u = _admissible(_slack(tri, l0, w))
-    S, N, Q = _arc_terms(compiled, np.minimum(u, _FAR_SLACK) if u.max() > _FAR_SLACK else u)
+    u, largest = _checked(compiled, _factor(tri, w))
+    S, N, Q = _arc_terms(compiled, np.minimum(u, _FAR_SLACK) if largest > _FAR_SLACK else u)
     return _jacobian(compiled, tri.n_boundaries, u, S, N[2], Q[2])

@@ -13,8 +13,7 @@ order-32 rule typically converges in a single panel.
 :func:`total_energy` integrates all faces at once, E(w) = int_0^1
 <B(s w), w> ds on the array kernel, to the per-face tolerance times F;
 each panel's nodes are one batched kernel call
-(:func:`._boundary_rows`, the blocks of :func:`.geometry_rows` for B
-alone).
+(:func:`.geometry_rows`, of which it reads B).
 :func:`segment_energy` and :func:`face_energy` are the scalar reference,
 one :func:`.hexagon_arcs` call per node on the slot lengths that
 :func:`.face_sides` also reads.
@@ -28,7 +27,7 @@ the reference the tests check B against.
 
 import numpy as np
 
-from .conformal import _boundary_rows, _slot_lengths, in_domain
+from .conformal import _factor, _finite, _slot_lengths, geometry_rows, in_domain
 from .errors import DomainError, QuadratureError
 from .hexagon import hexagon_arcs
 
@@ -102,8 +101,10 @@ def face_energy(l0_sides, w):
 
 def total_energy(tri, l0, w):
     """E(w) = int_0^1 <B(s w), w> ds, the sum of the face energies.
-    Strictly concave in w; its gradient is the boundary-length map."""
-    w = np.asarray(w, dtype=float)
+    Strictly concave in w; its gradient is the boundary-length map.
+    Refuses w as the kernel does: ValueError on a non-finite entry or an
+    overflowing slack, DomainError outside the domain."""
+    w = _finite(_factor(tri, w))
     check = in_domain(tri, l0, w)
     if not check.ok:
         raise DomainError(f"factor outside the admissible domain (margin {check.margin!r})")
@@ -111,6 +112,6 @@ def total_energy(tri, l0, w):
         return 0.0
 
     def integrand(nodes):
-        return [float(B @ w) for B in _boundary_rows(tri, l0, nodes[:, None] * w)]
+        return [float(B @ w) for B in geometry_rows(tri, l0, nodes[:, None] * w).boundary]
 
     return _adaptive(integrand, 0.0, 1.0, _TOLERANCE * len(tri.faces), _MAX_DEPTH)

@@ -50,7 +50,6 @@ from typing import Optional
 import numpy as np
 
 from .conformal import (
-    _boundary_rows,
     _compiled,
     _geometry_row,
     boundary_lengths,
@@ -555,7 +554,7 @@ def _sample(tri, l0, steps, rate, times):
         for s in range(13, 16):
             stage = w0[fresh] + h[fresh, None] * np.einsum("j,mjn->mn", _A[s, :s], K[fresh, :s])
             rates = np.exp(tau0[fresh] + _C[s] * h[fresh]) / rate
-            K[fresh, s] = rates[:, None] * _boundary_rows(tri, l0, stage)
+            K[fresh, s] = rates[:, None] * geometry_rows(tri, l0, stage).boundary
     F = _coefficients(h, w0, step_w1[held], K)[k]
     factors = _interpolate(w0[k], F, ((tau - tau0[k]) / h[k])[:, None])
     return _table(times, factors, *geometry_rows(tri, l0, factors)), 3 * len(fresh)

@@ -19,15 +19,15 @@ the line integral
 
 evaluated by a fixed Gauss-Legendre rule.  It never subtracts two large
 energy totals, so the test stays meaningful down to the final residuals.
-A trial step is one batched kernel call (:func:`._trial_rows`, the
-blocks of :func:`.geometry_rows` for B alone) on the rule's nodes plus
-the trial point itself, and the only kernel pass of an iteration.  It
-forms the slacks of its rows once and rejects a trial point within the
-cushion from them before any arc is formed.  Once the step is accepted,
-the trial point's row is B at the next iterate, and its row of the slack
-table gives H there (:func:`._jacobian`, the assembly of
-:func:`.boundary_jacobian`, bit for bit); only the start point calls
-:func:`.boundary_jacobian` itself.
+A trial step is one batched kernel call (:func:`._trial_rows`) on the
+rule's nodes plus the trial point itself, and the only kernel pass of
+an iteration.  It forms the slacks of its rows once, rejects a trial
+point within the cushion from them before any arc is formed, and hands
+them to the kernel blocks, which check them as every evaluator does.
+Once the step is accepted, the trial point's row is B at the next
+iterate, and its row of the slack table gives H there
+(:func:`._jacobian`, the assembly of :func:`.boundary_jacobian`, bit
+for bit); only the start point calls :func:`.boundary_jacobian` itself.
 """
 
 import math

@@ -10,6 +10,7 @@ from hexflow import (
     arc_jacobian,
     boundary_jacobian,
     boundary_lengths,
+    cusp_report,
     edge_length,
     face_sides,
     geometry_rows,
@@ -17,6 +18,7 @@ from hexflow import (
     in_domain,
     parse_surface,
     surface_geometry,
+    total_energy,
 )
 from hexflow.hexagon import _logcosh
 
@@ -509,6 +511,31 @@ def test_overflowing_slack_raises_value_error(pants):
                 kernel(tri, l0, w)
         with pytest.raises(ValueError, match="overflows"):
             geometry_rows(tri, l0, np.stack([np.zeros(3), w]))
+
+
+ENTRIES = {
+    "boundary_lengths": boundary_lengths,
+    "boundary_jacobian": boundary_jacobian,
+    "surface_geometry": surface_geometry,
+    "geometry_rows": lambda tri, l0, w: geometry_rows(tri, l0, w[None]),
+    "cusp_report": cusp_report,
+    "total_energy": total_energy,
+}
+
+
+@pytest.mark.parametrize(
+    "value, error",
+    [(math.nan, ValueError), (math.inf, ValueError), (-math.inf, ValueError), (-10.0, DomainError), (1e308, ValueError)],
+    ids=["nan", "inf", "-inf", "outside", "overflow"],
+)
+@pytest.mark.parametrize("entry", ENTRIES)
+def test_every_entry_refuses_alike(entry, value, error):
+    # One check on the edge slacks guards every entry: a non-finite entry
+    # and an overflowing slack raise ValueError, a slack <= 0 DomainError.
+    tri, l0 = generated(4, 3)
+    with np.errstate(over="ignore"), pytest.raises((ValueError, DomainError)) as caught:
+        ENTRIES[entry](tri, l0, np.full(tri.n_boundaries, value))
+    assert type(caught.value) is error
 
 
 class TestCompiledCache:

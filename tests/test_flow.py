@@ -364,7 +364,7 @@ class TestIntegrateFlow:
         sample_calls = []
         held = []
         sample = flow_module._sample
-        boundary_rows = flow_module._boundary_rows
+        geometry_rows = flow_module.geometry_rows
 
         def counted(*args):
             before = len(kernel_calls)
@@ -374,14 +374,14 @@ class TestIntegrateFlow:
 
         def stage_rows(tri, l0, w):
             held.append(len(w))
-            return boundary_rows(tri, l0, w)
+            return geometry_rows(tri, l0, w)
 
         monkeypatch.setattr(flow_module, "_sample", counted)
-        monkeypatch.setattr(flow_module, "_boundary_rows", stage_rows)
+        monkeypatch.setattr(flow_module, "geometry_rows", stage_rows)
         trace = integrate_flow(tri, l0, FlowOptions(t_end=1e6, cusp_tol=1e-4))
         rows = block_rows(tri)
         steps = held[0]
-        assert held == [steps] * 3
+        assert held == [steps] * 3 + [len(trace.sampled)]
         assert 1 < steps < len(trace.accepted)
         assert len(sample_calls) == 3 * math.ceil(steps / rows) + math.ceil(len(trace.sampled) / rows)
         assert sum(sample_calls) == 3 * steps + len(trace.sampled)

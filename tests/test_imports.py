@@ -1,7 +1,8 @@
 """Every name imported in src/hexflow/*.py is used: read in its module,
 re-exported in its ``__all__``, or marked ``# noqa: F401`` on its line,
 and a marked name is a site the benchmark tracer in bench/tracing.py
-wraps."""
+wraps.  The kernel's internals, which run only behind its admissibility
+check, are imported by no module but conformal.py."""
 
 import ast
 import sys
@@ -19,6 +20,7 @@ if BENCH not in sys.path:
 import tracing  # noqa: E402
 
 SITES = {(path, attr) for path, attr, _ in tracing.SPAN_SITES + tracing.KERNEL_SITES}
+KERNEL_INTERNALS = {"_edge_slack", "_checked", "_geometry", "_blocks", "_arc_terms", "_face_arcs"}
 
 
 def _imports(source):
@@ -36,6 +38,17 @@ def _imports(source):
 def marked_imports(source):
     """Names bound by an import in ``source`` that are marked ``# noqa: F401``."""
     return sorted(name for name, _, marked in _imports(source) if marked)
+
+
+def internal_imports(source):
+    """Kernel internals an import in ``source`` names, under any alias."""
+    return sorted(
+        alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name in KERNEL_INTERNALS
+    )
 
 
 def unused_imports(source):
@@ -60,6 +73,22 @@ def test_every_import_is_used(path):
 def test_marked_imports_are_tracer_sites(path):
     module = "hexflow" if path.stem == "__init__" else f"hexflow.{path.stem}"
     assert [name for name in marked_imports(path.read_text()) if (module, name) not in SITES] == []
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "conformal.py"], ids=lambda path: path.name)
+def test_kernel_internals_stay_in_conformal(path):
+    assert internal_imports(path.read_text()) == []
+
+
+def test_internal_imports_are_found():
+    source = (
+        "from .conformal import _compiled, _geometry as kernel\n"
+        "from .conformal import (\n"
+        "    _checked,\n"
+        "    boundary_lengths,\n"
+        ")\n"
+    )
+    assert internal_imports(source) == ["_checked", "_geometry"]
 
 
 def test_marked_imports_are_found():

@@ -345,7 +345,7 @@ class TestJacobianFromTrialPass:
         result, seen, iterates = self._solve_recording(monkeypatch, tri, l0, target, opts=options, start=w_star - 0.2)
         assert result.converged and result.iterations >= 2
         assert np.max(np.abs(result.factors - w_star)) < 1e-7
-        slacks = [conformal._slack(tri, l0, w) for w in iterates]
+        slacks = [conformal._edge_slack(conformal._compiled(tri, l0), w) for w in iterates]
         assert all(u.max() > conformal._FAR_SLACK > u.min() for u in slacks)
         for H, w in zip(seen, iterates):
             assert np.array_equal(H, conformal.boundary_jacobian(tri, l0, w))
