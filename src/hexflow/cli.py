@@ -54,30 +54,33 @@ def _header(command, opts):
     print(f"# {command}" + "".join(f" {name}={'auto' if v is None else _fmt(v)}" for name, v in values))
 
 
-def _load_surface(path, strict=True):
+def _read_text(path, name):
+    """The text of the file at ``path``; ParseError 'cannot read <name>'."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
+            return handle.read()
     except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
+        raise ParseError(f"cannot read {name}: {exc}") from exc
+
+
+def _load_surface(path, strict=True):
+    text = _read_text(path, path)
     try:
         return parse_surface(text, strict=strict)
     except ParseError as exc:
         raise ParseError(f"{path}: {exc}") from exc
 
 
-def _read_indexed_csv(path, what):
-    """CSV lines 'boundary_index,value'; '#' starts a comment, blank lines
-    are ignored, and a non-numeric first line of content is treated as a
-    header and skipped."""
+def _read_vector(path, n, what, default=None):
+    """The length-n vector in the ``what`` file at ``path``, CSV lines
+    'boundary_index,value': '#' starts a comment, blank lines are ignored,
+    and a non-numeric first line of content is treated as a header and
+    skipped.  Every line is parsed before the indices are checked against
+    1..n; components the file leaves out take ``default``, and without one
+    every component must be given."""
     values = {}
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
-    except OSError as exc:
-        raise ParseError(f"cannot read {what} file {path}: {exc}") from exc
     header = True  # the first line of content may be a header
-    for line_no, raw in enumerate(lines, start=1):
+    for line_no, raw in enumerate(_read_text(path, f"{what} file {path}").splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -95,19 +98,13 @@ def _read_indexed_csv(path, what):
         if index in values:
             raise ParseError(f"{path} line {line_no}: duplicate boundary index {index}")
         values[index] = value
-    return values
-
-
-def _vector_from_map(values, n, what, default=None):
-    out = np.zeros(n) if default is None else np.full(n, default)
-    for index, value in values.items():
+    for index in values:
         if not 1 <= index <= n:
-            raise ParseError(f"{what} names boundary {index} outside 1..{n}")
-        out[index - 1] = value
+            raise ParseError(f"{what} file names boundary {index} outside 1..{n}")
     missing = [i for i in range(1, n + 1) if i not in values]
     if default is None and missing:
-        raise ParseError(f"{what} missing boundary components {missing}")
-    return out
+        raise ParseError(f"{what} file missing boundary components {missing}")
+    return np.array([values.get(i, default) for i in range(1, n + 1)], dtype=float)
 
 
 def _positive_int(text):
@@ -140,10 +137,7 @@ def _cmd_validate(args):
 def _cmd_lengths(args):
     tri, metric = _load_surface(args.surface)
     n = tri.n_boundaries
-    if args.factors:
-        w = _vector_from_map(_read_indexed_csv(args.factors, "factors"), n, "factors file", default=0.0)
-    else:
-        w = np.zeros(n)
+    w = _read_vector(args.factors, n, "factors", default=0.0) if args.factors else np.zeros(n)
     check = in_domain(tri, metric, w)
     if not check.ok:
         raise DomainError(f"factors outside the admissible domain (margin {check.margin!r})")
@@ -209,7 +203,7 @@ def _cmd_flow(args):
 def _cmd_prescribe(args):
     tri, metric = _load_surface(args.surface)
     n = tri.n_boundaries
-    target = _vector_from_map(_read_indexed_csv(args.target, "target"), n, "target file")
+    target = _read_vector(args.target, n, "target")
     opts = SolveOptions(grad_tol=args.tol, max_iter=args.max_iter)
     _header("prescribe", opts)
     failure = None

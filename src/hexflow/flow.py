@@ -42,6 +42,7 @@ counts as a right-hand-side evaluation.  The geometry at the samples is
 one more batched call (:func:`.geometry_rows`) over all sampled factors.
 """
 
+import io
 import math
 import sys
 from dataclasses import dataclass, field
@@ -563,20 +564,9 @@ def _sample(tri, l0, steps, rate, times):
 def trace_csv(table, n_boundaries):
     """Render a trace table in the fixed CSV layout
     t,S,minLen,maxArc,w_1..w_n,B_1..B_n with 17 significant digits."""
-    header = (
-        ["t", "S", "minLen", "maxArc"]
-        + [f"w_{i}" for i in range(1, n_boundaries + 1)]
-        + [f"B_{i}" for i in range(1, n_boundaries + 1)]
-    )
-    lines = [",".join(header)]
-    for r in range(len(table)):
-        cells = [
-            table.times[r],
-            table.sum_sq[r],
-            table.min_edge[r],
-            table.max_arc[r],
-            *table.factors[r],
-            *table.lengths[r],
-        ]
-        lines.append(",".join(f"{c:.17g}" for c in cells))
-    return "\n".join(lines) + "\n"
+    labels = range(1, n_boundaries + 1)
+    header = ",".join(["t", "S", "minLen", "maxArc", *(f"w_{i}" for i in labels), *(f"B_{i}" for i in labels)])
+    columns = (table.times, table.sum_sq, table.min_edge, table.max_arc, table.factors, table.lengths)
+    out = io.StringIO()
+    np.savetxt(out, np.column_stack(columns), fmt="%.17g", delimiter=",", header=header, comments="")
+    return out.getvalue()
