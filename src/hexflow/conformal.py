@@ -172,8 +172,14 @@ def _factor(tri, w, name="factor"):
 
 
 def _finite(w):
-    if not np.isfinite(w).all():
-        raise ValueError(f"factor entries must be finite, got {w!r}")
+    """w unless an entry of the factor (n,) or stack (m, n) is not finite:
+    then ValueError naming the first such entry, its boundary component
+    and, in a stack, its row (from 0)."""
+    finite = np.isfinite(w)
+    if not finite.all():
+        *row, i = first = np.argwhere(~finite)[0]
+        where = f" in row {row[0]}" if row else ""
+        raise ValueError(f"factor entries must be finite, got {float(w[tuple(first)])!r} for component {i + 1}{where}")
     return w
 
 
@@ -356,7 +362,13 @@ def _blocks(tri, l0, w, u=None, jacobian=False):
     corners = (np.arange(0, block * tri.n_boundaries, tri.n_boundaries)[:, None] + compiled.corners).ravel()
     for start in range(0, len(w), block):
         part = slice(start, start + block)
-        yield (part, *_geometry(compiled, w[part], corners, None if u is None else u[part], jacobian))
+        try:
+            result = _geometry(compiled, w[part], corners, None if u is None else u[part], jacobian)
+        except ValueError:
+            # Every earlier block is finite, so this names the entry's row in w.
+            _finite(w)
+            raise
+        yield (part, *result)
 
 
 def geometry_rows(tri, l0, w):
@@ -376,6 +388,13 @@ def geometry_rows(tri, l0, w):
         rows.min_edge[part] = _lengths(u.min(axis=1))
         rows.max_arc[part] = arcs.max(axis=(1, 2))
     return rows
+
+
+def _check_rows(tri, l0, w):
+    """Refuse the (m, n) stack w as :func:`geometry_rows` would, by the
+    kernel's check :func:`_checked` alone, without forming any arc."""
+    if len(w):
+        _checked(_compiled(tri, l0), w)
 
 
 def _geometry_row(tri, l0, w):

@@ -27,6 +27,11 @@ estimate, the first stage of the next step ("first same as last") and,
 once the step is accepted, the recorded geometry.  It counts as one
 right-hand-side evaluation, so an attempted step costs twelve.
 
+A step with a stage or trial point outside the domain was too long (the
+exact flow only moves inwards) and is rejected like one that fails the
+error test, as is a last step whose extra dense-output stages, crossing
+search or sampled dense output leave the domain.
+
 The run ends at the crossing of its stop, not at the first step past it:
 inside the last step, the point where max B reaches cusp_tol (or the
 shortest edge reaches length_cap) is found on the step's 7th-order dense
@@ -51,6 +56,7 @@ from typing import Optional
 import numpy as np
 
 from .conformal import (
+    _check_rows,
     _compiled,
     _geometry_row,
     boundary_lengths,
@@ -228,10 +234,13 @@ class FlowTrace:
     point inside the last step where the stop first holds (max B within
     5e-10 relative below cusp_tol, or the shortest edge as close above
     length_cap), and the sample grid ends there too.
-    ``rhs_evaluations`` counts the kernel evaluations of B that advance
-    the flow: the first-step probe, every stage and trial point, each row
-    of the extra dense-output stages and each iterate of the crossing
-    search, but not the sampled geometry."""
+    No accepted row, and no sample in the last step, lies outside the
+    domain: a step with such a point is rejected and retried shorter (see
+    :func:`integrate_flow`).  ``rhs_evaluations`` counts the kernel
+    evaluations of B that advance the flow: the first-step probe, every
+    stage and trial point, each row of the extra dense-output stages and
+    each iterate of the crossing search, rejected steps included, but not
+    the sampled geometry."""
 
     accepted: TraceTable
     sampled: TraceTable
@@ -287,14 +296,19 @@ def _table(times, factors, lengths, min_edge, max_arc):
 def integrate_flow(tri, l0, opts):
     """Integrate the flow from w = 0 and return its trace.
 
-    Positivity of B keeps the flow admissible, and on a step short
-    enough for the error test every stage point lies above w (the pair
-    has negative weights, but they cancel to first order), so a domain
-    violation mid-run indicates an integrator defect and raises
-    DomainError rather than being treated as bad input.  The error per
-    component is |e5|^2 / hypot(e5, e3 / 10) from the embedded 5th- and
-    3rd-order estimates (as in DOP853), in the max norm; the 8th-order
-    solution is kept.
+    Positivity of B keeps the exact flow admissible: w only grows from
+    w = 0, and every w >= 0 is admissible.  A step with a point outside
+    the domain was therefore too long, however loose the tolerance, and
+    it is rejected, the next try _MIN_FACTOR times as long: a stage or
+    the trial point of any step, and for the last step (the one that
+    lands on t_end or passes a stop) also its extra dense-output stages,
+    an iterate of its crossing search, or its dense output at a sample
+    time it holds.  The last step is accepted only once all of these lie
+    inside, so the sampled trace never leaves the domain there.  The
+    error per component is |e5|^2 / hypot(e5, e3 / 10) from the embedded
+    5th- and 3rd-order estimates (as in DOP853), in the max norm; the
+    8th-order solution is kept.  Where e^tau overflows (t_end near the
+    largest float), e^tau / r is formed as e^(tau - ln r).
     """
     check = in_domain(tri, l0, np.zeros(tri.n_boundaries))
     if not check.ok:  # pragma: no cover - a positive metric always admits 0
@@ -315,7 +329,33 @@ def integrate_flow(tri, l0, opts):
     def stages(K, rows, tau, h, w):
         """Stage slopes dw/dtau = (e^tau / r) B of the given rows of _A into K."""
         for s in rows:
-            K[s] = math.exp(tau + _C[s] * h) / rate * rhs(w + h * (_A[s, :s] @ K[:s]))
+            K[s] = _scaled_exp(tau + _C[s] * h, rate) * rhs(w + h * (_A[s, :s] @ K[:s]))
+
+    def finish(tau0, h, w0, w1, t, start, end):
+        """The end of the run inside its last step (tau0 to tau0 + h, w0
+        to w1, stages 0-12 in K; t the time at its end, start and end the
+        geometry rows at its ends): fills in stages 13-15, lands a stop on
+        its crossing and returns the end's (t, w, geometry row) with the
+        sample times.  DomainError where a stage, a crossing iterate or
+        the dense output at a sample time in the step leaves the domain."""
+        stages(K, range(13, 16), tau0, h, w0)
+        coefficients = _coefficients(h, w0, w1, K)
+
+        def measured(x):
+            w = _interpolate(w0, coefficients, x)
+            return w, geometry_at(w)
+
+        w, row = w1, end
+        if _stopped(end, opts):
+            found = _crossing(measured, start, end, opts)
+            if found is not None:
+                x, w, row = found
+                t = _time(tau0 + x * h, rate)
+        times = _grid(t, opts.sample_dt)
+        # The samples _sample takes from this step's dense output.
+        tau = _log_times(rate, times)
+        _check_rows(tri, l0, _interpolate(w0, coefficients, ((tau[tau >= tau0] - tau0) / h)[:, None]))
+        return t, w, row, times
 
     n = tri.n_boundaries
     tau = t = 0.0
@@ -355,12 +395,9 @@ def integrate_flow(tri, l0, opts):
     h = min(tau_end, opts.rel_tol ** (1.0 / 7.0) / lam) if lam > 0.0 else tau_end
     rejected = False
     total_err = 0.0
-    stop_reason = "t_end"
 
     while True:
         remaining = tau_end - tau
-        if remaining <= 1e-12 * tau_end:
-            break
         h_try = min(h, remaining)
         # The landing step spans what is left, however short.
         landing = h_try == remaining
@@ -369,10 +406,14 @@ def integrate_flow(tri, l0, opts):
                 f"step size underflow at t = {t!r} (h = {h_try!r} in ln(1 + r t), "
                 f"r = {rate!r})"
             )
-        stages(K, range(1, 12), tau, h_try, w)
-        w_new = w + h_try * (_B @ K[:12])
-        trial = geometry_at(w_new)
-        K[12] = math.exp(tau + h_try) / rate * trial[0]
+        try:
+            stages(K, range(1, 12), tau, h_try, w)
+            w_new = w + h_try * (_B @ K[:12])
+            trial = geometry_at(w_new)
+        except DomainError:
+            h, rejected = h_try * _MIN_FACTOR, True
+            continue
+        K[12] = _scaled_exp(tau + h_try, rate) * trial[0]
         scale = opts.abs_tol + opts.rel_tol * np.maximum(np.abs(w), np.abs(w_new))
         e5 = np.abs(_E5 @ K[:13])
         e3 = _E3 @ K[:13]
@@ -388,40 +429,39 @@ def integrate_flow(tri, l0, opts):
                 # takes exponent -1/5 and no lower bound.
                 h = h_try * _SAFETY * err ** -0.2
             continue
+        tau_new = tau_end if landing else tau + h_try
+        t_new = opts.t_end if landing else _time(tau_new, rate)
+        # The last step lands on t_end (to 1e-12 relative in tau) or lies
+        # past a stop.
+        last = _stopped(trial, opts) or tau_end - tau_new <= 1e-12 * tau_end
+        if last:
+            try:
+                end = finish(tau, h_try, w, w_new, t_new, rows[-1], trial)
+            except DomainError:
+                h, rejected = h_try * _MIN_FACTOR, True
+                continue
         steps.append((tau, h_try, w, w_new, K.copy()))
-        tau = tau_end if landing else tau + h_try
-        t = opts.t_end if landing else math.expm1(tau) / rate
-        w = w_new
-        K[0] = K[12]
         total_err += err * float(np.max(scale))
+        if last:
+            break
+        tau, t, w = tau_new, t_new, w_new
+        K[0] = K[12]
         times.append(t)
         factors.append(w)
         rows.append(trial)
-        if _stopped(trial, opts):
-            break
         grow = min(_MAX_FACTOR, _SAFETY * err ** _EXPONENT) if err > 0.0 else _MAX_FACTOR
         h = h_try * (min(1.0, grow) if rejected else grow)
         rejected = False
 
-    # The last step holds the final sample, and a stop lands inside it.
-    tau0, h, w0, w1, last = steps[-1]
-    stages(last, range(13, 16), tau0, h, w0)
-    if _stopped(rows[-1], opts):
-        coefficients = _coefficients(h, w0, w1, last)
-
-        def measured(x):
-            w = _interpolate(w0, coefficients, x)
-            return w, geometry_at(w)
-
-        found = _crossing(measured, rows[-2], rows[-1], opts)
-        if found is not None:
-            x, factors[-1], rows[-1] = found
-            times[-1] = t = math.expm1(tau0 + x * h) / rate
-        row = rows[-1]
+    t, w, row, sample_times = end
+    times.append(t)
+    factors.append(w)
+    rows.append(row)
+    stop_reason = "t_end"
+    if _stopped(row, opts):
         stop_reason = "cusp_tol" if float(np.max(row[0])) < opts.cusp_tol else "length_cap"
-
     accepted = _table(times, factors, *zip(*rows))
-    sampled, dense_evaluations = _sample(tri, l0, steps, rate, _grid(t, opts.sample_dt))
+    sampled, dense_evaluations = _sample(tri, l0, steps, rate, sample_times)
     return FlowTrace(
         accepted=accepted,
         sampled=sampled,
@@ -429,6 +469,35 @@ def integrate_flow(tri, l0, opts):
         error_estimate=total_err,
         rhs_evaluations=evaluations + dense_evaluations,
     )
+
+
+def _scaled_exp(x, rate):
+    """e^x / rate, formed as e^(x - ln rate) only where e^x overflows, so
+    that runs whose e^x stays finite keep their bits."""
+    try:
+        return math.exp(x) / rate
+    except OverflowError:
+        return math.exp(x - math.log(rate))
+
+
+def _time(tau, rate):
+    """The time t = expm1(tau) / rate at tau = ln(1 + rate t); where e^tau
+    overflows, e^tau / rate, the 1 / rate lying far below its last digit."""
+    try:
+        return math.expm1(tau) / rate
+    except OverflowError:
+        return _scaled_exp(tau, rate)
+
+
+def _log_times(rate, times):
+    """tau = ln(1 + rate t) of an array of times; where rate t overflows,
+    ln rate + ln t, equal to float precision."""
+    with np.errstate(over="ignore"):
+        scaled = rate * times
+    tau = np.log1p(scaled)
+    far = np.isinf(scaled)
+    tau[far] = math.log(rate) + np.log(times[far])
+    return tau
 
 
 def _stopped(row, opts):
@@ -546,7 +615,7 @@ def _sample(tri, l0, steps, rate, times):
     steps that hold a sample, one row per step.  Returns the table and
     the number of those rows."""
     step_tau, step_h, step_w0, step_w1, step_K = (np.array(column) for column in zip(*steps))
-    tau = np.log1p(rate * times)
+    tau = _log_times(rate, times)
     k = np.clip(np.searchsorted(step_tau, tau, side="right") - 1, 0, len(steps) - 1)
     held, k = np.unique(k, return_inverse=True)
     tau0, h, w0, K = step_tau[held], step_h[held], step_w0[held], step_K[held]
@@ -554,7 +623,12 @@ def _sample(tri, l0, steps, rate, times):
     if len(fresh):
         for s in range(13, 16):
             stage = w0[fresh] + h[fresh, None] * np.einsum("j,mjn->mn", _A[s, :s], K[fresh, :s])
-            rates = np.exp(tau0[fresh] + _C[s] * h[fresh]) / rate
+            x = tau0[fresh] + _C[s] * h[fresh]
+            # e^x / r as e^(x - ln r) only where e^x overflows, as in _scaled_exp.
+            with np.errstate(over="ignore"):
+                rates = np.exp(x) / rate
+            far = np.isinf(rates)
+            rates[far] = np.exp(x[far] - math.log(rate))
             K[fresh, s] = rates[:, None] * geometry_rows(tri, l0, stage).boundary
     F = _coefficients(h, w0, step_w1[held], K)[k]
     factors = _interpolate(w0[k], F, ((tau - tau0[k]) / h[k])[:, None])

@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from hexflow import serialize_surface
 from hexflow.cli import run
 
-from conftest import PANTS_EDGE, pants_text
+from conftest import PANTS_EDGE, generated, pants_text
 
 PANTS_B0 = 2.0 * math.acosh(7.0 / 6.0)
 
@@ -223,11 +224,20 @@ class TestFlowCommand:
 
     @pytest.mark.parametrize(
         "t_end, reason",
-        [("1e-14", "t_end"), ("1e-300", "t_end"), ("1.7976931348623157e308", "cusp_tol")],
+        [
+            ("1e-14", "t_end"),
+            ("1e-300", "t_end"),
+            ("1.7976931348623157e308", "cusp_tol"),
+            # e^tau overflows in the stages: tau_end = ln(1 + r t_end) is about 709.9.
+            pytest.param(
+                "1.7976931348623157e308 --cusp-tol 5e-324 --length-cap 1e4", "t_end", id="1.7976931348623157e308-t_end"
+            ),
+        ],
     )
     def test_extreme_t_end(self, capsys, tmp_path, pants_file, t_end, reason):
         out_file = tmp_path / "trace.csv"
-        code, out = invoke(capsys, ["flow", str(pants_file), "--t-end", t_end, "--out", str(out_file)])
+        t_end, *flags = t_end.split()
+        code, out = invoke(capsys, ["flow", str(pants_file), "--t-end", t_end, *flags, "--out", str(out_file)])
         assert code == 0
         assert f"stop_reason={reason}" in out.splitlines()
         if reason == "t_end":
@@ -434,7 +444,8 @@ class TestPrescribeCommand:
         assert out.startswith("ERROR 1:") and len(out.splitlines()) == 1
         assert not out_file.exists()
 
-    def test_nan_trial_point_is_one_error_line(self, capsys, tmp_path, pants_file, monkeypatch):
+    @pytest.mark.parametrize("surface", ["pants", "F40-seed2"])
+    def test_nan_trial_point_is_one_error_line(self, capsys, tmp_path, pants_file, monkeypatch, surface):
         from hexflow import prescribe
 
         newton_step = prescribe._newton_step
@@ -447,8 +458,15 @@ class TestPrescribeCommand:
         monkeypatch.setattr(prescribe, "_newton_step", with_nan)
         target = tmp_path / "target.csv"
         target.write_text("1,1.0\n2,0.9\n3,1.1\n")
+        surface_file = pants_file
+        if surface != "pants":
+            # Eight components: numpy's repr of the whole factor would span two lines.
+            tri, l0 = generated(40, 2)
+            surface_file = tmp_path / "generated.surf"
+            surface_file.write_text(serialize_surface(tri, l0))
+            target.write_text("".join(f"{i},1.0\n" for i in range(1, tri.n_boundaries + 1)))
         out_file = tmp_path / "w.csv"
-        code, out = invoke(capsys, ["prescribe", str(pants_file), "--target", str(target), "--out", str(out_file)])
+        code, out = invoke(capsys, ["prescribe", str(surface_file), "--target", str(target), "--out", str(out_file)])
         assert code == 1
         assert [l for l in out.splitlines() if l.startswith("ERROR")] == [out.splitlines()[-1]]
         assert out.splitlines()[-1].startswith("ERROR 1: factor entries must be finite")

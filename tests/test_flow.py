@@ -398,6 +398,41 @@ class TestIntegrateFlow:
             assert min_edge == surface_geometry(tri, l0, w).edge_lengths.min()
 
 
+class TestDomainRejections:
+    """The exact flow never leaves the domain, so a step whose stages,
+    trial point, crossing search or sampled dense output do was too long:
+    it is rejected, and the next try is _MIN_FACTOR times as long."""
+
+    @pytest.mark.parametrize("faces", [4, 20, 200])
+    def test_loose_tolerances_end_where_asked(self, faces):
+        for seed in range(3):
+            tri, l0 = generated(faces, seed)
+            for rel_tol in (0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99):
+                for t_end, reason in ((10.0, "t_end"), (1e6, "cusp_tol")):
+                    trace = integrate_flow(tri, l0, FlowOptions(t_end=t_end, cusp_tol=1e-4, rel_tol=rel_tol))
+                    assert trace.stop_reason == reason
+                    assert np.all(np.diff(trace.accepted.times) > 0.0)
+                    assert np.all(np.diff(trace.accepted.factors, axis=0) > 0.0)
+
+    def test_stage_outside_the_domain_rejects_the_step(self, tetra, monkeypatch):
+        # The first stage of the first step is refused once; the retry
+        # starts with a stage point a fifth as far from w = 0.
+        tri, l0 = tetra
+        kernel = flow_module.boundary_lengths
+        points = []
+
+        def refuse_once(tri, l0, w):
+            points.append(w)
+            if len(points) == 2:  # points[0] is the first-step probe
+                raise DomainError("refused")
+            return kernel(tri, l0, w)
+
+        monkeypatch.setattr(flow_module, "boundary_lengths", refuse_once)
+        trace = integrate_flow(tri, l0, FlowOptions(t_end=1e6, cusp_tol=1e-4))
+        assert trace.stop_reason == "cusp_tol"
+        np.testing.assert_allclose(points[2], flow_module._MIN_FACTOR * points[1], rtol=1e-15)
+
+
 class TestCrossing:
     """The crossing search on a synthetic step, with cusp_tol = 1: a row's
     distance is ln max B, and its shortest edge stays far below the cap."""
@@ -554,3 +589,27 @@ class TestTraceCsv:
         a = trace_csv(integrate_flow(tri, l0, FlowOptions(t_end=2.0)).sampled, 3)
         b = trace_csv(integrate_flow(tri, l0, FlowOptions(t_end=2.0)).sampled, 3)
         assert a == b
+
+    @pytest.mark.parametrize(
+        "faces, options",
+        [
+            (None, dict(t_end=3.0)),
+            (20, dict(t_end=1e6, cusp_tol=1e-4)),
+            # B and S underflow to subnormals and zero.
+            (None, dict(t_end=1e308, cusp_tol=1e-300, length_cap=1e4)),
+        ],
+    )
+    def test_matches_per_cell_format(self, pants, faces, options):
+        # Every cell as f"{value:.17g}", row by row: the layout the CSV keeps.
+        tri, l0 = pants if faces is None else generated(faces, 0)
+        n = tri.n_boundaries
+        trace = integrate_flow(tri, l0, FlowOptions(**options))
+        for table in (trace.accepted, trace.sampled):
+            header = ",".join(["t", "S", "minLen", "maxArc"] + [f"w_{i}" for i in range(1, n + 1)]
+                              + [f"B_{i}" for i in range(1, n + 1)])
+            rows = [
+                ",".join(f"{c:.17g}" for c in (table.times[r], table.sum_sq[r], table.min_edge[r],
+                                               table.max_arc[r], *table.factors[r], *table.lengths[r]))
+                for r in range(len(table))
+            ]
+            assert trace_csv(table, n) == "\n".join([header, *rows]) + "\n"
