@@ -55,11 +55,12 @@ def _header(command, opts):
 
 
 def _read_text(path, name):
-    """The text of the file at ``path``; ParseError 'cannot read <name>'."""
+    """The text of the file at ``path``; ParseError 'cannot read <name>'
+    where it cannot be opened or is not UTF-8."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {name}: {exc}") from exc
 
 
@@ -74,10 +75,10 @@ def _load_surface(path, strict=True):
 def _read_vector(path, n, what, default=None):
     """The length-n vector in the ``what`` file at ``path``, CSV lines
     'boundary_index,value': '#' starts a comment, blank lines are ignored,
-    and a non-numeric first line of content is treated as a header and
-    skipped.  Every line is parsed before the indices are checked against
-    1..n; components the file leaves out take ``default``, and without one
-    every component must be given."""
+    and a first line of content whose index is not an integer is a header
+    and skipped.  Every line is parsed before the indices are checked
+    against 1..n; components the file leaves out take ``default``, and
+    without one every component must be given."""
     values = {}
     header = True  # the first line of content may be a header
     for line_no, raw in enumerate(_read_text(path, f"{what} file {path}").splitlines(), start=1):
@@ -90,6 +91,7 @@ def _read_vector(path, n, what, default=None):
             raise ParseError(f"{path} line {line_no}: expected 'boundary_index,value', got {raw!r}")
         try:
             index = int(parts[0])
+            first = False  # an integer index makes it a data line
             value = float(parts[1])
         except ValueError:
             if first:

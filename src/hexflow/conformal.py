@@ -390,13 +390,6 @@ def geometry_rows(tri, l0, w):
     return rows
 
 
-def _check_rows(tri, l0, w):
-    """Refuse the (m, n) stack w as :func:`geometry_rows` would, by the
-    kernel's check :func:`_checked` alone, without forming any arc."""
-    if len(w):
-        _checked(_compiled(tri, l0), w)
-
-
 def _geometry_row(tri, l0, w):
     """(B, shortest edge, longest arc) of the finite factor w (n,): one
     row of :func:`geometry_rows`, bit for bit, without the stack."""

@@ -30,7 +30,7 @@ right-hand-side evaluation, so an attempted step costs twelve.
 A step with a stage or trial point outside the domain was too long (the
 exact flow only moves inwards) and is rejected like one that fails the
 error test, as is a last step whose extra dense-output stages, crossing
-search or sampled dense output leave the domain.
+search or samples leave the domain.
 
 The run ends at the crossing of its stop, not at the first step past it:
 inside the last step, the point where max B reaches cusp_tol (or the
@@ -40,11 +40,10 @@ measured at the step's two ends, one kernel call per iterate, and
 replaces the step's end as the last accepted row.
 
 The samples come from the 7th-order dense output of the accepted steps
-that hold a sample time.  Its three extra stages are needed only there:
-the last step's are three single kernel calls, and for the other steps
-each is one batched kernel call with one row per such step; every row
-counts as a right-hand-side evaluation.  The geometry at the samples is
-one more batched call (:func:`.geometry_rows`) over all sampled factors.
+that hold a sample time, but for the last, which is the run's end.  Its
+three extra stages cost a right-hand-side evaluation per row: single
+kernel calls in the last step, batched over the other steps that hold a
+sample.  The sampled geometry is batched too (:func:`.geometry_rows`).
 """
 
 import io
@@ -56,7 +55,6 @@ from typing import Optional
 import numpy as np
 
 from .conformal import (
-    _check_rows,
     _compiled,
     _geometry_row,
     boundary_lengths,
@@ -167,12 +165,12 @@ class FlowOptions:
 
     The run stops at ``t_end``, or earlier where max_i B_i first drops
     below ``cusp_tol`` or the shortest edge first exceeds ``length_cap``
-    (kept below the cosh overflow threshold near 710).  ``t_end`` is a
-    normal float and ``rel_tol`` lies below 1; :func:`integrate_flow`
-    refuses a ``cusp_tol`` not below max B(0) and a ``length_cap`` not
-    above the shortest edge at t = 0.  ``sample_dt`` spaces the sampled
-    trace grid (at most ``_MAX_SAMPLES`` times); None picks a hundredth
-    of the final time.
+    (which may lie past 710: no cosh of an edge length is formed).
+    ``t_end`` is a normal float and ``rel_tol`` lies below 1;
+    :func:`integrate_flow` refuses a ``cusp_tol`` not below max B(0) and a
+    ``length_cap`` not above the shortest edge at t = 0.  ``sample_dt``
+    spaces the sampled trace grid (at most ``_MAX_SAMPLES`` times); None
+    picks a hundredth of the final time.
     """
 
     t_end: float
@@ -233,14 +231,14 @@ class FlowTrace:
     or ``length_cap`` ends at the crossing: its last accepted row is the
     point inside the last step where the stop first holds (max B within
     5e-10 relative below cusp_tol, or the shortest edge as close above
-    length_cap), and the sample grid ends there too.
-    No accepted row, and no sample in the last step, lies outside the
-    domain: a step with such a point is rejected and retried shorter (see
-    :func:`integrate_flow`).  ``rhs_evaluations`` counts the kernel
-    evaluations of B that advance the flow: the first-step probe, every
-    stage and trial point, each row of the extra dense-output stages and
-    each iterate of the crossing search, rejected steps included, but not
-    the sampled geometry."""
+    length_cap).  Whatever the stop, the last sampled row is the last
+    accepted row, bit for bit.  No accepted row, and no sample in the
+    last step, lies outside the domain: a step with such a point is
+    rejected and retried shorter (see :func:`integrate_flow`).
+    ``rhs_evaluations`` counts the kernel evaluations of B that advance
+    the flow: the first-step probe, every stage and trial point, each row
+    of the extra dense-output stages and each iterate of the crossing
+    search, rejected steps included, but not the sampled geometry."""
 
     accepted: TraceTable
     sampled: TraceTable
@@ -302,13 +300,14 @@ def integrate_flow(tri, l0, opts):
     it is rejected, the next try _MIN_FACTOR times as long: a stage or
     the trial point of any step, and for the last step (the one that
     lands on t_end or passes a stop) also its extra dense-output stages,
-    an iterate of its crossing search, or its dense output at a sample
-    time it holds.  The last step is accepted only once all of these lie
-    inside, so the sampled trace never leaves the domain there.  The
-    error per component is |e5|^2 / hypot(e5, e3 / 10) from the embedded
-    5th- and 3rd-order estimates (as in DOP853), in the max norm; the
-    8th-order solution is kept.  Where e^tau overflows (t_end near the
-    largest float), e^tau / r is formed as e^(tau - ln r).
+    an iterate of its crossing search, or a sample it holds (its dense
+    output there, the end itself at the last sample time, so that the
+    last sampled row is the last accepted one).  The last step is
+    accepted only once all of these lie inside.  The error per component
+    is |e5|^2 / hypot(e5, e3 / 10) from the embedded 5th- and 3rd-order
+    estimates (as in DOP853), in the max norm; the 8th-order solution is
+    kept.  Where e^tau overflows (t_end near the largest float), e^tau / r
+    is formed as e^(tau - ln r).
     """
     check = in_domain(tri, l0, np.zeros(tri.n_boundaries))
     if not check.ok:  # pragma: no cover - a positive metric always admits 0
@@ -334,10 +333,12 @@ def integrate_flow(tri, l0, opts):
     def finish(tau0, h, w0, w1, t, start, end):
         """The end of the run inside its last step (tau0 to tau0 + h, w0
         to w1, stages 0-12 in K; t the time at its end, start and end the
-        geometry rows at its ends): fills in stages 13-15, lands a stop on
-        its crossing and returns the end's (t, w, geometry row) with the
-        sample times.  DomainError where a stage, a crossing iterate or
-        the dense output at a sample time in the step leaves the domain."""
+        geometry rows at its ends): fills in stages 13-15 and lands a stop
+        on its crossing.  Returns the end's (t, w, geometry row), and the
+        sample times, the tau of those before the step and the factors and
+        geometry rows of the rest, the last factor the end's own w.
+        DomainError where a stage, crossing iterate or sample leaves the
+        domain."""
         stages(K, range(13, 16), tau0, h, w0)
         coefficients = _coefficients(h, w0, w1, K)
 
@@ -352,10 +353,13 @@ def integrate_flow(tri, l0, opts):
                 x, w, row = found
                 t = _time(tau0 + x * h, rate)
         times = _grid(t, opts.sample_dt)
-        # The samples _sample takes from this step's dense output.
         tau = _log_times(rate, times)
-        _check_rows(tri, l0, _interpolate(w0, coefficients, ((tau[tau >= tau0] - tau0) / h)[:, None]))
-        return t, w, row, times
+        # The step holds the times from its start on and the last, the end
+        # itself, which the grid's rounded tau would miss in its last bits.
+        first = np.searchsorted(tau[:-1], tau0)
+        tail = _interpolate(w0, coefficients, ((tau[first:] - tau0) / h)[:, None])
+        tail[-1] = w
+        return (t, w, row), (times, tau[:first], tail, geometry_rows(tri, l0, tail))
 
     n = tri.n_boundaries
     tau = t = 0.0
@@ -453,7 +457,7 @@ def integrate_flow(tri, l0, opts):
         h = h_try * (min(1.0, grow) if rejected else grow)
         rejected = False
 
-    t, w, row, sample_times = end
+    (t, w, row), (sample_times, earlier, tail, tail_rows) = end
     times.append(t)
     factors.append(w)
     rows.append(row)
@@ -461,7 +465,9 @@ def integrate_flow(tri, l0, opts):
     if _stopped(row, opts):
         stop_reason = "cusp_tol" if float(np.max(row[0])) < opts.cusp_tol else "length_cap"
     accepted = _table(times, factors, *zip(*rows))
-    sampled, dense_evaluations = _sample(tri, l0, steps, rate, sample_times)
+    head, head_rows, dense_evaluations = _sample(tri, l0, steps, rate, earlier)
+    geometry = map(np.concatenate, zip(head_rows, tail_rows))
+    sampled = _table(sample_times, np.concatenate([head, tail]), *geometry)
     return FlowTrace(
         accepted=accepted,
         sampled=sampled,
@@ -606,33 +612,22 @@ def _interpolate(w0, F, x):
     return w0 + x * value
 
 
-def _sample(tri, l0, steps, rate, times):
-    """The factors at the sample times from the 7th-order dense output of
-    the accepted step holding each time (steps in tau = ln(1 + rate t)),
-    with the geometry (B, shortest edge, longest arc) recomputed at the
-    sampled factors.  The last step comes with its extra dense-output
-    stages; each of the three is one batched kernel call over the other
-    steps that hold a sample, one row per step.  Returns the table and
-    the number of those rows."""
+def _sample(tri, l0, steps, rate, tau):
+    """The factors at the sample times tau (in ln(1 + rate t)) before the
+    last step, from the 7th-order dense output of the accepted step holding
+    each, with their :func:`.geometry_rows`.  Each extra dense-output stage
+    is one batched kernel call, one row per step that holds a sample.
+    Returns the factors, their geometry and the number of those rows."""
     step_tau, step_h, step_w0, step_w1, step_K = (np.array(column) for column in zip(*steps))
-    tau = _log_times(rate, times)
-    k = np.clip(np.searchsorted(step_tau, tau, side="right") - 1, 0, len(steps) - 1)
-    held, k = np.unique(k, return_inverse=True)
+    held, k = np.unique(np.searchsorted(step_tau, tau, side="right") - 1, return_inverse=True)
     tau0, h, w0, K = step_tau[held], step_h[held], step_w0[held], step_K[held]
-    fresh = np.flatnonzero(held < len(steps) - 1)
-    if len(fresh):
-        for s in range(13, 16):
-            stage = w0[fresh] + h[fresh, None] * np.einsum("j,mjn->mn", _A[s, :s], K[fresh, :s])
-            x = tau0[fresh] + _C[s] * h[fresh]
-            # e^x / r as e^(x - ln r) only where e^x overflows, as in _scaled_exp.
-            with np.errstate(over="ignore"):
-                rates = np.exp(x) / rate
-            far = np.isinf(rates)
-            rates[far] = np.exp(x[far] - math.log(rate))
-            K[fresh, s] = rates[:, None] * geometry_rows(tri, l0, stage).boundary
+    for s in range(13, 16):
+        stage = w0 + h[:, None] * np.einsum("j,mjn->mn", _A[s, :s], K[:, :s])
+        rates = np.array([_scaled_exp(x, rate) for x in tau0 + _C[s] * h])
+        K[:, s] = rates[:, None] * geometry_rows(tri, l0, stage).boundary
     F = _coefficients(h, w0, step_w1[held], K)[k]
     factors = _interpolate(w0[k], F, ((tau - tau0[k]) / h[k])[:, None])
-    return _table(times, factors, *geometry_rows(tri, l0, factors)), 3 * len(fresh)
+    return factors, geometry_rows(tri, l0, factors), 3 * len(held)
 
 
 def trace_csv(table, n_boundaries):

@@ -48,6 +48,12 @@ class TestValidateCommand:
         code, out = invoke(capsys, ["validate", str(tmp_path / "nope.surf")])
         assert code == 1
         assert out.startswith("ERROR 1:")
+        # A file that is not UTF-8 is named like one that cannot be opened.
+        surface = tmp_path / "utf16.surf"
+        surface.write_bytes(b"\xff\xfesurface s\n")
+        code, out = invoke(capsys, ["validate", str(surface)])
+        assert code == 1
+        assert out.startswith(f"ERROR 1: cannot read {surface}: 'utf-8' codec can't decode") and len(out.splitlines()) == 1
 
 
 class TestLengthsCommand:
@@ -100,6 +106,14 @@ class TestLengthsCommand:
         code, out = invoke(capsys, ["lengths", str(pants_file), "--factors", str(factors)])
         assert code == 1
         assert out == f"ERROR 1: {factors} line 3: expected 'boundary_index,value', got '2;0.1'\n"
+        # A first line with an integer index is data, not a header.
+        factors.write_text("1,0.1x\n2,0.5\n3,0.25\n")
+        code, out = invoke(capsys, ["lengths", str(pants_file), "--factors", str(factors)])
+        assert (code, out) == (1, f"ERROR 1: {factors} line 1: expected 'boundary_index,value', got '1,0.1x'\n")
+        factors.write_bytes(b"\xff\xfe1,0.1\n")
+        code, out = invoke(capsys, ["lengths", str(pants_file), "--factors", str(factors)])
+        assert code == 1
+        assert out.startswith(f"ERROR 1: cannot read factors file {factors}:") and len(out.splitlines()) == 1
 
     def test_out_of_domain_factors(self, capsys, tmp_path, pants_file):
         factors = tmp_path / "w.csv"
@@ -208,6 +222,16 @@ class TestFlowCommand:
         assert "stop_reason=cusp_tol" in out
         max_b = [l for l in out.splitlines() if l.startswith("max_B=")][0]
         assert float(max_b.split("=")[1]) < 1e-3
+
+    def test_b_lines_are_the_trace_end(self, capsys, tmp_path, pants_file):
+        # The printed B_i are the B columns of the CSV's last row, digit for digit.
+        out_file = tmp_path / "trace.csv"
+        flags = ["--t-end", "1e9", "--cusp-tol", "1e-6"]
+        code, out = invoke(capsys, ["flow", str(pants_file), *flags, "--out", str(out_file)])
+        assert code == 0
+        printed = [line.split("=")[1] for line in out.splitlines() if line.startswith("B_")]
+        assert len(printed) == 3
+        assert out_file.read_text().splitlines()[-1].split(",")[-3:] == printed
 
     def test_byte_identical_reruns(self, capsys, tmp_path, pants_file):
         out_a = tmp_path / "a.csv"
@@ -429,6 +453,12 @@ class TestPrescribeCommand:
     def test_unreadable_target_file_exits_one(self, capsys, tmp_path, pants_file):
         target = tmp_path / "absent.csv"
         out_file = tmp_path / "w.csv"
+        code, out = invoke(capsys, ["prescribe", str(pants_file), "--target", str(target), "--out", str(out_file)])
+        assert code == 1
+        assert out.startswith(f"ERROR 1: cannot read target file {target}:") and len(out.splitlines()) == 1
+        assert not out_file.exists()
+        # A file that is not UTF-8 is named the same way.
+        target.write_bytes(b"\xff\xfe1,1.0\n")
         code, out = invoke(capsys, ["prescribe", str(pants_file), "--target", str(target), "--out", str(out_file)])
         assert code == 1
         assert out.startswith(f"ERROR 1: cannot read target file {target}:") and len(out.splitlines()) == 1

@@ -164,6 +164,22 @@ class TestIntegrateFlow:
         assert 15.0 < trace.accepted.min_edge[-1] <= 15.0 * (1.0 + 1e-9)
         assert trace.sampled.times[-1] == trace.accepted.times[-1]
 
+    @pytest.mark.parametrize(
+        "surface, options",
+        [
+            ("tetra", dict(t_end=1e6, cusp_tol=1e-8, length_cap=15.0)),
+            ((4, 0), dict(t_end=3.0)),
+        ],
+        ids=["tetra-length_cap", "F4-t_end"],
+    )
+    def test_last_sampled_row_is_the_end(self, request, surface, options):
+        # The trace's last sample is the run's end, bit for bit, at a crossing
+        # and on landing at t_end.
+        tri, l0 = request.getfixturevalue(surface) if isinstance(surface, str) else generated(*surface)
+        trace = integrate_flow(tri, l0, FlowOptions(**options))
+        n = tri.n_boundaries
+        assert trace_csv(trace.sampled, n).splitlines()[-1] == trace_csv(trace.accepted, n).splitlines()[-1]
+
     def test_cusp_stop_lands_on_crossing(self, pants):
         tri, l0 = pants
         cusp_tol = 1e-6
@@ -173,6 +189,7 @@ class TestIntegrateFlow:
         assert (1.0 - 1e-9) * cusp_tol <= max_b < cusp_tol
         assert max_b == cusp_report(tri, l0, trace.accepted.factors[-1]).max_boundary
         assert trace.sampled.times[-1] == trace.accepted.times[-1]
+        assert trace_csv(trace.sampled, 3).splitlines()[-1] == trace_csv(trace.accepted, 3).splitlines()[-1]
         # max B stays above cusp_tol until the crossing and S keeps falling
         # into the crossing row.
         assert np.all(np.max(trace.accepted.lengths[:-1], axis=1) >= cusp_tol)
@@ -356,38 +373,38 @@ class TestIntegrateFlow:
             assert len(calls) == 1 and 1 <= calls[0] <= most
 
     def test_samples_take_one_kernel_call_per_block(self, monkeypatch, kernel_calls):
-        # Each of the three extra dense-output stages is one batched call over
-        # the steps that hold a sample but the last, whose stages the run
-        # computed for its stop, and the sampled geometry is one more; each
+        # The samples the last step holds are one batched geometry call, made
+        # when the step is checked.  The others take one batched call for
+        # each of the three extra dense-output stages, over the steps before
+        # the last that hold a sample, and one for their geometry.  Each
         # runs in blocks of block_rows(tri) rows.
         tri, l0 = generated(200, 3)
-        sample_calls = []
-        held = []
-        sample = flow_module._sample
+        batches = []
         geometry_rows = flow_module.geometry_rows
 
-        def counted(*args):
+        def recorded(tri, l0, w):
             before = len(kernel_calls)
-            table, evaluations = sample(*args)
-            sample_calls.extend(kernel_calls[before:])
-            return table, evaluations
+            result = geometry_rows(tri, l0, w)
+            batches.append((len(w), kernel_calls[before:]))
+            return result
 
-        def stage_rows(tri, l0, w):
-            held.append(len(w))
-            return geometry_rows(tri, l0, w)
-
-        monkeypatch.setattr(flow_module, "_sample", counted)
-        monkeypatch.setattr(flow_module, "geometry_rows", stage_rows)
+        monkeypatch.setattr(flow_module, "geometry_rows", recorded)
         trace = integrate_flow(tri, l0, FlowOptions(t_end=1e6, cusp_tol=1e-4))
         rows = block_rows(tri)
-        steps = held[0]
-        assert held == [steps] * 3 + [len(trace.sampled)]
+        for m, calls in batches:
+            assert calls == [min(rows, m - start) for start in range(0, m, rows)]
+        (last, _), (steps, _), *_, (earlier, _) = batches
+        times = trace.sampled.times
+        assert [m for m, _ in batches] == [last, steps, steps, steps, earlier]
+        assert last == np.count_nonzero(times >= trace.accepted.times[-2])
+        assert earlier == len(times) - last
+        held = np.unique(np.searchsorted(trace.accepted.times, times[:earlier], side="right") - 1)
+        assert steps == len(held) and held[-1] < len(trace.accepted) - 2
         assert 1 < steps < len(trace.accepted)
-        assert len(sample_calls) == 3 * math.ceil(steps / rows) + math.ceil(len(trace.sampled) / rows)
-        assert sum(sample_calls) == 3 * steps + len(trace.sampled)
         # Every other kernel call is one right-hand-side evaluation, and so
         # is each row of the extra stages; the sampled geometry is not.
-        assert len(kernel_calls) - len(sample_calls) + 3 * steps == trace.rhs_evaluations
+        batched = sum(len(calls) for _, calls in batches)
+        assert len(kernel_calls) - batched + 3 * steps == trace.rhs_evaluations
 
     def test_shortest_edge_is_the_edge_of_least_slack(self):
         # The recorded shortest edge is 2 arccosh(e^(min u)), read off the
