@@ -296,14 +296,14 @@ def integrate_flow(tri, l0, opts):
 
     Positivity of B keeps the exact flow admissible: w only grows from
     w = 0, and every w >= 0 is admissible.  A step with a point outside
-    the domain was therefore too long, however loose the tolerance, and
-    it is rejected, the next try _MIN_FACTOR times as long: a stage or
-    the trial point of any step, and for the last step (the one that
-    lands on t_end or passes a stop) also its extra dense-output stages,
-    an iterate of its crossing search, or a sample it holds (its dense
-    output there, the end itself at the last sample time, so that the
-    last sampled row is the last accepted one).  The last step is
-    accepted only once all of these lie inside.  The error per component
+    the domain was therefore too long, however loose the tolerance: its
+    error counts as infinite, so it fails the error test and the next try
+    is _MIN_FACTOR times as long.  The points are a stage or the trial
+    point of any step, and for the last step (the one that lands on t_end
+    or passes a stop) also its extra dense-output stages, an iterate of
+    its crossing search, or a sample it holds (its dense output there,
+    the end itself at the last sample time, so that the last sampled row
+    is the last accepted one).  The error per component
     is |e5|^2 / hypot(e5, e3 / 10) from the embedded 5th- and 3rd-order
     estimates (as in DOP853), in the max norm; the 8th-order solution is
     kept.  Where e^tau overflows (t_end near the largest float), e^tau / r
@@ -414,18 +414,25 @@ def integrate_flow(tri, l0, opts):
             stages(K, range(1, 12), tau, h_try, w)
             w_new = w + h_try * (_B @ K[:12])
             trial = geometry_at(w_new)
+            K[12] = _scaled_exp(tau + h_try, rate) * trial[0]
+            scale = opts.abs_tol + opts.rel_tol * np.maximum(np.abs(w), np.abs(w_new))
+            e5 = np.abs(_E5 @ K[:13])
+            e3 = _E3 @ K[:13]
+            denom = np.hypot(e5, 0.1 * e3)
+            err = h_try * float(np.max(e5 * (e5 / np.where(denom > 0.0, denom, 1.0)) / scale))
+            tau_new = tau_end if landing else tau + h_try
+            t_new = opts.t_end if landing else _time(tau_new, rate)
+            end = (t_new, w_new, trial)
+            # The last step lands on t_end (to 1e-12 relative in tau) or lies
+            # past a stop.
+            last = _stopped(trial, opts) or tau_end - tau_new <= 1e-12 * tau_end
+            if last and err <= 1.0:
+                end, samples = finish(tau, h_try, w, w_new, t_new, rows[-1], trial)
         except DomainError:
-            h, rejected = h_try * _MIN_FACTOR, True
-            continue
-        K[12] = _scaled_exp(tau + h_try, rate) * trial[0]
-        scale = opts.abs_tol + opts.rel_tol * np.maximum(np.abs(w), np.abs(w_new))
-        e5 = np.abs(_E5 @ K[:13])
-        e3 = _E3 @ K[:13]
-        denom = np.hypot(e5, 0.1 * e3)
-        err = h_try * float(np.max(e5 * (e5 / np.where(denom > 0.0, denom, 1.0)) / scale))
+            err = math.inf
         if err > 1.0:
             rejected = True
-            if steps:
+            if steps or err == math.inf:
                 h = h_try * max(_MIN_FACTOR, _SAFETY * err ** _EXPONENT)
             else:
                 # Before the first accepted step the scale grows with h, so
@@ -433,37 +440,21 @@ def integrate_flow(tri, l0, opts):
                 # takes exponent -1/5 and no lower bound.
                 h = h_try * _SAFETY * err ** -0.2
             continue
-        tau_new = tau_end if landing else tau + h_try
-        t_new = opts.t_end if landing else _time(tau_new, rate)
-        # The last step lands on t_end (to 1e-12 relative in tau) or lies
-        # past a stop.
-        last = _stopped(trial, opts) or tau_end - tau_new <= 1e-12 * tau_end
-        if last:
-            try:
-                end = finish(tau, h_try, w, w_new, t_new, rows[-1], trial)
-            except DomainError:
-                h, rejected = h_try * _MIN_FACTOR, True
-                continue
         steps.append((tau, h_try, w, w_new, K.copy()))
         total_err += err * float(np.max(scale))
-        if last:
-            break
-        tau, t, w = tau_new, t_new, w_new
-        K[0] = K[12]
+        tau, (t, w, row) = tau_new, end
         times.append(t)
         factors.append(w)
-        rows.append(trial)
+        rows.append(row)
+        if last:
+            break
+        K[0] = K[12]
         grow = min(_MAX_FACTOR, _SAFETY * err ** _EXPONENT) if err > 0.0 else _MAX_FACTOR
         h = h_try * (min(1.0, grow) if rejected else grow)
         rejected = False
 
-    (t, w, row), (sample_times, earlier, tail, tail_rows) = end
-    times.append(t)
-    factors.append(w)
-    rows.append(row)
-    stop_reason = "t_end"
-    if _stopped(row, opts):
-        stop_reason = "cusp_tol" if float(np.max(row[0])) < opts.cusp_tol else "length_cap"
+    stop_reason = _stopped(rows[-1], opts) or "t_end"
+    sample_times, earlier, tail, tail_rows = samples
     accepted = _table(times, factors, *zip(*rows))
     head, head_rows, dense_evaluations = _sample(tri, l0, steps, rate, earlier)
     geometry = map(np.concatenate, zip(head_rows, tail_rows))
@@ -507,9 +498,12 @@ def _log_times(rate, times):
 
 
 def _stopped(row, opts):
-    """Whether a geometry row (B, shortest edge, longest arc) lies past a
-    stop: max B below cusp_tol or the shortest edge above length_cap."""
-    return float(np.max(row[0])) < opts.cusp_tol or row[1] > opts.length_cap
+    """The stop a geometry row (B, shortest edge, longest arc) lies past:
+    "cusp_tol" where max B is below cusp_tol, else "length_cap" where the
+    shortest edge is above length_cap, else None."""
+    if float(np.max(row[0])) < opts.cusp_tol:
+        return "cusp_tol"
+    return "length_cap" if row[1] > opts.length_cap else None
 
 
 def _distances(row, opts):

@@ -1,11 +1,14 @@
+import argparse
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hexflow import serialize_surface
-from hexflow.cli import run
+from hexflow.cli import build_parser, run
 
 from conftest import PANTS_EDGE, generated, pants_text
 
@@ -117,17 +120,19 @@ class TestLengthsCommand:
 
     def test_out_of_domain_factors(self, capsys, tmp_path, pants_file):
         factors = tmp_path / "w.csv"
-        factors.write_text("1,-0.5\n2,-0.5\n3,-0.5\n")
+        factors.write_text("1,-3\n")
         code, out = invoke(capsys, ["lengths", str(pants_file), "--factors", str(factors)])
-        assert code == 1
-        assert out.startswith("ERROR 1:")
+        assert (code, out) == (1, (
+            "ERROR 1: factor outside the admissible domain: an edge slack"
+            " w_a + w_b + ln cosh(l0/2) is -2.3068528194400546 <= 0\n"
+        ))
 
     def test_non_finite_factor_is_one_error_line(self, capsys, tmp_path, pants_file):
         factors = tmp_path / "w.csv"
         factors.write_text("1,nan\n")
         code, out = invoke(capsys, ["lengths", str(pants_file), "--factors", str(factors)])
         assert code == 1
-        assert out == "ERROR 1: factors outside the admissible domain (margin nan)\n"
+        assert out == "ERROR 1: factor entries must be finite, got nan for component 1\n"
 
     def test_overflowing_factors_are_one_error_line(self, capsys, tmp_path, pants_file):
         # Every edge slack w_a + w_b + ln cosh(l0/2) overflows to +inf.
@@ -569,6 +574,26 @@ class TestCheckJacobianCommand:
         assert out.splitlines()[-1] == "ERROR 2: jacobian checks failed"
         assert "passed" not in out
 
+    def test_one_draw_per_sample(self, capsys, tmp_path, monkeypatch):
+        # On short pants edges some draws lie within 0.05 of the wall; each
+        # is lifted inwards rather than drawn again.
+        from hexflow import cli
+
+        checks = []
+        check = cli.in_domain
+
+        def counted(*args):
+            checks.append(check(*args))
+            return checks[-1]
+
+        monkeypatch.setattr(cli, "in_domain", counted)
+        surface = tmp_path / "short.surf"
+        surface.write_text(pants_text(0.1))
+        code, out = invoke(capsys, ["check-jacobian", str(surface), "--samples", "10"])
+        assert (code, out.splitlines()[-1]) == (0, "all jacobian checks passed")
+        assert len(checks) == 10
+        assert any(c.margin <= 0.05 for c in checks)
+
     def test_deterministic(self, capsys, pants_file):
         _, a = invoke(capsys, ["check-jacobian", str(pants_file), "--samples", "10"])
         _, b = invoke(capsys, ["check-jacobian", str(pants_file), "--samples", "10"])
@@ -623,3 +648,21 @@ class TestUsageErrors:
         prefix, rest = error_lines[0].split(":", 1)
         assert prefix == "ERROR 1"
         assert rest.strip()
+
+
+def test_readme_synopsis_lists_every_flag():
+    # Each `hexflow <command>` line of the README's block under "## Command
+    # line" (indented lines continue it) names exactly the parser's flags.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## Command line\n", 1)[1].split("```")[1]
+    synopsis = {}
+    for line in filter(str.strip, block.splitlines()):
+        if line.startswith("hexflow "):
+            command = line.split()[1]
+        synopsis[command] = synopsis.get(command, set()) | set(re.findall(r"--[a-z-]+", line))
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {
+        command: {o for a in parser._actions if not isinstance(a, argparse._HelpAction) for o in a.option_strings}
+        for command, parser in subparsers.choices.items()
+    }
+    assert synopsis == flags

@@ -269,6 +269,17 @@ class TestIntegrateFlow:
         reference = integrate_flow(tri, l0, FlowOptions(t_end=1e308))
         assert trace_csv(trace.accepted, 3) == trace_csv(reference.accepted, 3)
 
+    def test_crossing_past_the_largest_float_over_r(self, tetra):
+        # The crossing lies at t ~ 5e307, past max float / r (r ~ 5.67), so
+        # its time is e^tau / r, formed where expm1(tau) overflows.
+        tri, l0 = tetra
+        opts = FlowOptions(t_end=sys.float_info.max, cusp_tol=1e-308, length_cap=1e4)
+        trace = integrate_flow(tri, l0, opts)
+        assert trace.stop_reason == "cusp_tol"
+        assert trace.accepted.times[-1] > sys.float_info.max / trace.accepted.lengths[0].max()
+        assert -flow_module._CROSSING_TOL <= math.log(trace.accepted.lengths[-1].max() / opts.cusp_tol) < 0.0
+        assert np.all(np.diff(trace.accepted.times) > 0.0)
+
     def test_step_underflow_raises(self, pants):
         tri, l0 = pants
         with pytest.raises(ConvergenceError, match="underflow"):
@@ -487,6 +498,22 @@ class TestCrossing:
         assert found is not None and found[0] == xs[-1] >= crossing
         assert found[1] == np.array([xs[-1]])
         assert xs[-1] == 0.5 * (xs[-2] + 1.0)
+
+    @pytest.mark.parametrize("x0", [0.3, 0.5])
+    def test_jump_past_the_window_ends_on_the_jump(self, x0):
+        # Max B jumps from twice the stop to half of it at x0, so no iterate
+        # lands inside the window: the bracket closes onto x0 and its
+        # midpoint rounds to an end, which stops the search before its cap.
+        xs = []
+
+        def measured(x):
+            xs.append(x)
+            return np.array([x]), self.row(2.0 if x < x0 else 0.5)
+
+        found = flow_module._crossing(measured, self.row(2.0), self.row(0.5), self.OPTS)
+        assert found is not None and found[0] == x0
+        assert np.nextafter(x0, 0.0) in xs
+        assert len(xs) < flow_module._CROSSING_ITERATIONS
 
 
 class TestSampleGrid:
