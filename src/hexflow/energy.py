@@ -27,8 +27,8 @@ the reference the tests check B against.
 
 import numpy as np
 
-from .conformal import _factor, _finite, _slot_lengths, geometry_rows, in_domain
-from .errors import DomainError, QuadratureError
+from .conformal import _factor, _slot_lengths, boundary_lengths, geometry_rows, in_domain
+from .errors import QuadratureError
 from .hexagon import hexagon_arcs
 
 
@@ -104,10 +104,9 @@ def total_energy(tri, l0, w):
     Strictly concave in w; its gradient is the boundary-length map.
     Refuses w as the kernel does: ValueError on a non-finite entry or an
     overflowing slack, DomainError outside the domain."""
-    w = _finite(_factor(tri, w))
-    check = in_domain(tri, l0, w)
-    if not check.ok:
-        raise DomainError(f"factor outside the admissible domain (margin {check.margin!r})")
+    w = _factor(tri, w)
+    if not in_domain(tri, l0, w).ok:
+        boundary_lengths(tri, l0, w)  # refuses w with the kernel's error
     if not w.any():
         return 0.0
 

@@ -149,10 +149,19 @@ def validate(tri, l0):
                 eid,
             )
 
-    used = {c for f in tri.faces for c in f.corners}
-    for b in range(1, tri.n_boundaries + 1):
-        if b not in used:
-            flag("unused boundary", f"boundary component {b} never appears as a corner", b)
+    # Each component carries a corner, so n <= 3F; the bound also keeps the
+    # loop below from running over a huge declared count.
+    if tri.n_boundaries > 3 * len(tri.faces):
+        flag(
+            "counts",
+            f"boundary count {tri.n_boundaries} > 3 * face count {len(tri.faces)}: "
+            "some component carries no corner",
+        )
+    else:
+        used = {c for f in tri.faces for c in f.corners}
+        for b in range(1, tri.n_boundaries + 1):
+            if b not in used:
+                flag("unused boundary", f"boundary component {b} never appears as a corner", b)
 
     for eid in sorted(seen_edges):
         if eid not in l0.lengths:
@@ -209,17 +218,19 @@ def parse_surface(text, strict=True):
     arbitrary integers, zero and negative ones included, and are kept
     exactly as written.
 
-    With ``strict=True`` (default) the parsed surface must also pass
-    :func:`validate`; ``strict=False`` returns whatever was declared, so a
-    caller can inspect the validation report itself.
+    The parser refuses only faults of this grammar, naming the line: a
+    wrong token count, a token that is not an integer or a decimal, an
+    unknown directive, a second ``surface`` or ``boundaries`` line, and a
+    missing one.  Every rule about what the lines declare is
+    :func:`validate`'s.  With ``strict=True`` (default) the parsed surface
+    must also pass it; ``strict=False`` returns whatever was declared, so
+    a caller can inspect the validation report itself.
     """
     name = None
     n_boundaries = None
     edges = []
     faces = []
     lengths = {}
-    edge_lines = {}
-    face_lines = {}
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -239,49 +250,22 @@ def parse_surface(text, strict=True):
             if n_boundaries is not None:
                 raise ParseError("boundaries declared twice", line_no)
             n_boundaries = _parse_int(tokens[1], line_no, "boundary count")
-            if n_boundaries < 1:
-                raise ParseError(f"boundary count must be >= 1, got {n_boundaries}", line_no)
         elif keyword == "edge":
             if len(tokens) != 5:
                 raise ParseError("edge line needs: edge <id> <b_i> <b_j> <l0>", line_no)
-            if n_boundaries is None:
-                raise ParseError("edge declared before boundaries", line_no)
             eid = _parse_int(tokens[1], line_no, "edge id")
             b_i = _parse_int(tokens[2], line_no, "boundary index")
             b_j = _parse_int(tokens[3], line_no, "boundary index")
-            value = _parse_float(tokens[4], line_no, "length")
-            if eid in edge_lines:
-                raise ParseError(f"duplicate edge id {eid} (first on line {edge_lines[eid]})", line_no)
-            edge_lines[eid] = line_no
-            for b in (b_i, b_j):
-                if not 1 <= b <= n_boundaries:
-                    raise ParseError(
-                        f"edge {eid} references undeclared boundary {b} (declared 1..{n_boundaries})",
-                        line_no,
-                    )
-            if not (isfinite(value) and value > 0.0):
-                raise ParseError(f"edge {eid} has non-positive length {tokens[4]}", line_no)
+            lengths[eid] = _parse_float(tokens[4], line_no, "length")
             edges.append(Edge(eid, b_i, b_j))
-            lengths[eid] = value
         elif keyword == "face":
             if len(tokens) != 8:
                 raise ParseError(
                     "face line needs: face <id> <e0> <e1> <e2> <c0> <c1> <c2>", line_no
                 )
-            if n_boundaries is None:
-                raise ParseError("face declared before boundaries", line_no)
             fid = _parse_int(tokens[1], line_no, "face id")
-            if fid in face_lines:
-                raise ParseError(f"duplicate face id {fid} (first on line {face_lines[fid]})", line_no)
-            face_lines[fid] = line_no
             eids = tuple(_parse_int(t, line_no, "edge id") for t in tokens[2:5])
             corners = tuple(_parse_int(t, line_no, "boundary index") for t in tokens[5:8])
-            for c in corners:
-                if not 1 <= c <= n_boundaries:
-                    raise ParseError(
-                        f"face {fid} corner on undeclared boundary {c} (declared 1..{n_boundaries})",
-                        line_no,
-                    )
             faces.append(Face(fid, eids, corners))
         else:
             raise ParseError(f"unknown directive {keyword!r}", line_no)
@@ -290,12 +274,6 @@ def parse_surface(text, strict=True):
         raise ParseError("missing surface line")
     if n_boundaries is None:
         raise ParseError("missing boundaries line")
-    for f in faces:
-        for eid in f.opposite_edges:
-            if eid not in edge_lines:
-                raise ParseError(
-                    f"face {f.face_id} references undeclared edge {eid}", face_lines[f.face_id]
-                )
 
     tri = IdealTriangulation(n_boundaries=n_boundaries, edges=tuple(edges), faces=tuple(faces))
     metric = Metric(lengths)
@@ -309,7 +287,10 @@ def parse_surface(text, strict=True):
 
 def serialize_surface(tri, l0, name="surface"):
     """Canonical text form; floats print in shortest round-trip form, so
-    parse(serialize(...)) reproduces the input bit for bit."""
+    parse(serialize(...)) reproduces the input bit for bit.  ValueError
+    unless ``name`` is one token without '#', which the parser reads back."""
+    if name.split() != [name] or "#" in name:
+        raise ValueError(f"surface name must be one token without '#', got {name!r}")
     lines = [f"surface {name}", f"boundaries {tri.n_boundaries}"]
     for e in tri.edges:
         lines.append(f"edge {e.edge_id} {e.b_i} {e.b_j} {l0[e.edge_id]!r}")

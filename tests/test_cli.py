@@ -41,11 +41,32 @@ class TestValidateCommand:
 
     def test_parse_error_exit_one(self, capsys, tmp_path):
         bad = tmp_path / "bad.surf"
-        bad.write_text("surface s\nboundaries 2\nedge 1 1 2 0.0\n")
+        bad.write_text("surface s\nboundaries 2\nedge 1 1 2 0,5\n")
         code, out = invoke(capsys, ["validate", str(bad)])
         assert code == 1
-        assert out.startswith("ERROR 1:")
-        assert "line 3" in out
+        assert out == f"ERROR 1: {bad}: line 3: expected decimal length, got '0,5'\n"
+
+    def test_every_fault_is_listed(self, capsys, tmp_path):
+        multi = tmp_path / "multi.surf"
+        text = pants_text().replace(f"edge 1 2 3 {PANTS_EDGE!r}", "edge 1 2 3 -1.0")
+        multi.write_text(text.replace("boundaries 3", "boundaries 4"))
+        code, out = invoke(capsys, ["validate", str(multi)])
+        assert (code, out) == (1, (
+            "violation unused boundary: boundary component 4 never appears as a corner [4]\n"
+            "violation non-positive length: edge 1 has length -1.0, must be > 0 [1]\n"
+            "ERROR 1: validation failed with 2 violation(s)\n"
+        ))
+
+    def test_huge_boundary_count_is_one_violation(self, capsys, tmp_path):
+        # Checking each declared component would take memory and time
+        # linear in the count; a count above 3 * faces is refused at once.
+        huge = tmp_path / "huge.surf"
+        huge.write_text(pants_text().replace("boundaries 3", "boundaries 1000000000000"))
+        message = "boundary count 1000000000000 > 3 * face count 2: some component carries no corner"
+        assert invoke(capsys, ["validate", str(huge)]) == (
+            1, f"violation counts: {message}\nERROR 1: validation failed with 1 violation(s)\n"
+        )
+        assert invoke(capsys, ["lengths", str(huge)]) == (1, f"ERROR 1: {huge}: invalid surface: {message}\n")
 
     def test_missing_file(self, capsys, tmp_path):
         code, out = invoke(capsys, ["validate", str(tmp_path / "nope.surf")])

@@ -531,11 +531,17 @@ ENTRIES = {
 @pytest.mark.parametrize("entry", ENTRIES)
 def test_every_entry_refuses_alike(entry, value, error):
     # One check on the edge slacks guards every entry: a non-finite entry
-    # and an overflowing slack raise ValueError, a slack <= 0 DomainError.
+    # and an overflowing slack raise ValueError, a slack <= 0 DomainError,
+    # each with boundary_lengths' text (geometry_rows names the row).
     tri, l0 = generated(4, 3)
+    w = np.full(tri.n_boundaries, value)
     with np.errstate(over="ignore"), pytest.raises((ValueError, DomainError)) as caught:
-        ENTRIES[entry](tri, l0, np.full(tri.n_boundaries, value))
+        ENTRIES[entry](tri, l0, w)
     assert type(caught.value) is error
+    with np.errstate(over="ignore"), pytest.raises(error) as kernel:
+        boundary_lengths(tri, l0, w)
+    row = " in row 0" if entry == "geometry_rows" and not math.isfinite(value) else ""
+    assert str(caught.value) == f"{kernel.value}{row}"
 
 
 class TestCompiledCache:

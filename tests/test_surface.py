@@ -1,4 +1,9 @@
+import ast
+import inspect
 import math
+import re
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +20,8 @@ from hexflow import (
     serialize_surface,
     validate,
 )
+
+from hexflow.cli import run
 
 from conftest import PANTS_EDGE, TETRA_TEXT, TORUS_TEXT, TWIN_TEXT, pants_text
 
@@ -51,8 +58,14 @@ class TestParse:
 
     def test_nonpositive_length_rejected(self):
         text = "surface s\nboundaries 2\nedge 1 1 2 0.0\n"
-        with pytest.raises(ParseError, match="non-positive length"):
+        with pytest.raises(ParseError) as info:
             parse_surface(text)
+        assert str(info.value) == (
+            "invalid surface: need at least one face, have 0; edge count 1 != 3/2 * face count 0; "
+            "edge 1 appears in 0 face slots, expected exactly 2; "
+            "boundary count 2 > 3 * face count 0: some component carries no corner; "
+            "edge 1 has length 0.0, must be > 0"
+        )
 
     def test_syntax_error_reports_line(self):
         text = "surface s\nboundaries 3\nedge 1 2 3\n"
@@ -61,18 +74,29 @@ class TestParse:
 
     def test_duplicate_edge_id(self):
         text = "surface s\nboundaries 3\nedge 1 2 3 1.0\nedge 1 3 1 1.0\n"
-        with pytest.raises(ParseError, match="duplicate edge id 1"):
+        with pytest.raises(ParseError) as info:
             parse_surface(text)
+        assert str(info.value) == (
+            "invalid surface: need at least one face, have 0; edge count 2 != 3/2 * face count 0; "
+            "edge id 1 declared twice; edge 1 appears in 0 face slots, expected exactly 2; "
+            "boundary count 3 > 3 * face count 0: some component carries no corner"
+        )
 
     def test_duplicate_face_id(self):
         base = pants_text().replace("face 2", "face 1")
-        with pytest.raises(ParseError, match="duplicate face id 1"):
+        with pytest.raises(ParseError) as info:
             parse_surface(base)
+        assert str(info.value) == "invalid surface: face id 1 declared twice"
 
     def test_undeclared_boundary(self):
         text = "surface s\nboundaries 2\nedge 1 1 3 1.0\n"
-        with pytest.raises(ParseError, match="undeclared boundary 3"):
+        with pytest.raises(ParseError) as info:
             parse_surface(text)
+        assert str(info.value) == (
+            "invalid surface: need at least one face, have 0; edge count 1 != 3/2 * face count 0; "
+            "edge 1 references boundary 3 outside 1..2; edge 1 appears in 0 face slots, expected exactly 2; "
+            "boundary count 2 > 3 * face count 0: some component carries no corner"
+        )
 
     def test_undeclared_edge_in_face(self):
         text = (
@@ -80,8 +104,12 @@ class TestParse:
             "edge 1 2 3 1.0\nedge 2 3 1 1.0\nedge 3 1 2 1.0\n"
             "face 1 1 2 9 1 2 3\nface 2 1 2 3 1 2 3\n"
         )
-        with pytest.raises(ParseError, match="undeclared edge 9"):
+        with pytest.raises(ParseError) as info:
             parse_surface(text)
+        assert str(info.value) == (
+            "invalid surface: face 1 references undeclared edge 9; "
+            "edge 3 appears in 1 face slots, expected exactly 2"
+        )
 
     def test_non_integer_id(self):
         text = "surface s\nboundaries 2\nedge 1.5 1 2 1.0\n"
@@ -111,20 +139,22 @@ class TestParse:
             ("surface a\nsurface b\n", "surface declared twice", 2),
             ("surface s\nboundaries 1 2\n", "boundaries line takes exactly one integer", 2),
             ("surface s\nboundaries 1\nboundaries 2\n", "boundaries declared twice", 3),
-            ("surface s\nboundaries 0\n", "boundary count must be >= 1, got 0", 2),
-            ("surface s\nedge 1 1 1 1.0\n", "edge declared before boundaries", 2),
-            ("surface s\nface 1 1 1 1 1 1 1\n", "face declared before boundaries", 2),
             ("surface s\nboundaries 1\nface 1 1 1 1 1 1\n",
              "face line needs: face <id> <e0> <e1> <e2> <c0> <c1> <c2>", 3),
-            ("surface s\nboundaries 1\nface 1 1 1 1 1 1 2\n",
-             "face 1 corner on undeclared boundary 2 (declared 1..1)", 3),
             ("boundaries 1\n", "missing surface line", None),
             ("surface s\n", "missing boundaries line", None),
             ("surface s\nboundaries 1\nedge 1 1 1 1,5\n", "expected decimal length, got '1,5'", 3),
             # validate's violations, joined, with no line.
+            ("surface s\nboundaries 0\n",
+             "invalid surface: need at least one boundary component, have 0; "
+             "need at least one face, have 0", None),
             ("surface s\nboundaries 1\n",
              "invalid surface: need at least one face, have 0; "
-             "boundary component 1 never appears as a corner", None),
+             "boundary count 1 > 3 * face count 0: some component carries no corner", None),
+            ("surface s\nboundaries 1\nface 1 1 1 1 1 1 2\n",
+             "invalid surface: edge count 0 != 3/2 * face count 1; "
+             "face 1 corner on boundary 2 outside 1..1; "
+             + "; ".join(["face 1 references undeclared edge 1"] * 3), None),
         ],
     )
     def test_error_message_and_line(self, text, message, line):
@@ -141,10 +171,64 @@ class TestParse:
         assert tri.edges[0].edge_id == edge_id and tri.faces[1].face_id == face_id
         assert parse_surface(serialize_surface(tri, metric, "pants")) == (tri, metric)
 
+    def test_directives_in_any_order(self, pants):
+        # Nothing is checked against the boundary count while reading.
+        lines = pants_text().splitlines(keepends=True)
+        assert parse_surface("".join(lines[2:] + lines[1::-1])) == pants
+
     def test_all_fixture_texts_parse_strictly(self):
         for text in (pants_text(), TETRA_TEXT, TWIN_TEXT, TORUS_TEXT):
             tri, metric = parse_surface(text)
             assert validate(tri, metric).ok
+
+
+_PANTS = pants_text(1.0)
+
+# One file for each violation code a file can cause (the parser gives every
+# declared edge a length, so no file causes "metric mismatch").
+FILE_FOR_CODE = {
+    "counts": _PANTS.replace("boundaries 3", "boundaries 7"),
+    "duplicate id": _PANTS.replace("face 2 ", "face 1 "),
+    "boundary range": _PANTS.replace("edge 1 2 3", "edge 1 2 4"),
+    "unknown edge": _PANTS.replace("face 1 1 2 3", "face 1 1 2 9"),
+    "edge multiplicity": TORUS_TEXT.replace("face 1 1 2 3", "face 1 1 2 2"),
+    "corner/edge mismatch": _PANTS.replace("face 1 1 2 3 1 2 3", "face 1 1 2 3 2 1 3"),
+    "unused boundary": _PANTS.replace("boundaries 3", "boundaries 4"),
+    "non-positive length": _PANTS.replace("edge 2 3 1 1.0", "edge 2 3 1 -1.0"),
+}
+
+
+@pytest.mark.parametrize("code", FILE_FOR_CODE)
+def test_validate_holds_each_rule(code, tmp_path, capsys):
+    # The parser reads the file whatever it declares; validate reports the
+    # fault, the strict parse raises its report and the CLI lists it.
+    text = FILE_FOR_CODE[code]
+    report = validate(*parse_surface(text, strict=False))
+    assert code in {v.code for v in report.violations}
+    with pytest.raises(ParseError) as info:
+        parse_surface(text)
+    assert info.value.line is None
+    assert str(info.value) == "invalid surface: " + "; ".join(v.message for v in report.violations)
+    surface = tmp_path / "bad.surf"
+    surface.write_text(text)
+    assert run(["validate", str(surface)]) == 1
+    assert f"\nviolation {code}: " in "\n" + capsys.readouterr().out
+
+
+def test_violation_codes_are_the_flagged_ones():
+    # The codes validate's docstring and the README list are those its
+    # flag(...) calls raise.
+    tree = ast.parse(textwrap.dedent(inspect.getsource(validate)))
+    flagged = {
+        node.args[0].value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "flag"
+    }
+    docstring = " ".join(validate.__doc__.split("Codes:", 1)[1].split()).split(".", 1)[0]
+    assert {code.strip() for code in docstring.split(",")} == flagged
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    sentence = readme.split("under one of these codes:", 1)[1].split(".", 1)[0]
+    assert {" ".join(code.split()) for code in re.findall(r"`([^`]+)`", sentence)} == flagged
 
 
 class TestSerializeRoundTrip:
@@ -156,6 +240,17 @@ class TestSerializeRoundTrip:
         assert tri2 == tri
         assert dict(metric2.items()) == dict(metric.items())
         assert serialize_surface(tri2, metric2) == out
+
+    @pytest.mark.parametrize("name", ["a b", "", "#x", "a\nb"])
+    def test_unreadable_name_is_refused(self, pants, name):
+        with pytest.raises(ValueError) as info:
+            serialize_surface(*pants, name)
+        assert str(info.value) == f"surface name must be one token without '#', got {name!r}"
+
+    def test_name_round_trips(self, pants):
+        text = serialize_surface(*pants, "gen-F4-s0")
+        assert text.startswith("surface gen-F4-s0\n")
+        assert serialize_surface(*parse_surface(text), "gen-F4-s0") == text
 
     def test_awkward_floats_survive(self):
         length = math.nextafter(2.0, 3.0)
@@ -234,7 +329,6 @@ class TestValidate:
         tri, metric = pants
         report = validate(_corrupt(tri, edges=(), faces=()), Metric({}))
         assert Violation("counts", "need at least one face, have 0") in report.violations
-        # The parser refuses a repeated face id first, so only validate sees it.
         report = validate(_corrupt(tri, faces=(tri.faces[0], tri.faces[0])), metric)
         assert report.violations == (Violation("duplicate id", "face id 1 declared twice", (1,)),)
 
