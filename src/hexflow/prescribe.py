@@ -28,6 +28,10 @@ Once the step is accepted, the trial point's row is B at the next
 iterate, and its row of the slack table gives H there
 (:func:`._jacobian`, the assembly of :func:`.boundary_jacobian`, bit
 for bit); only the start point calls :func:`.boundary_jacobian` itself.
+
+The module imports only the ``scipy`` package: its ``scipy.linalg`` is
+loaded on the first Newton step, so a process that never solves (the
+flow, ``lengths``, ``validate``) never loads it.
 """
 
 import math
@@ -36,7 +40,7 @@ from dataclasses import dataclass, field
 from typing import List
 
 import numpy as np
-import scipy.linalg
+import scipy
 
 from .conformal import _factor, _jacobian, _trial_rows, boundary_jacobian, boundary_lengths
 from .energy import total_energy

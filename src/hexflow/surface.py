@@ -195,16 +195,25 @@ def corner_incidence(tri, i):
     return sorted(hits)
 
 
+def _plain(token):
+    """``token`` if it is ASCII without '_'; ValueError otherwise.  int and
+    float also read other scripts' digits and '_' digit separators, which
+    the file grammar does not hold."""
+    if not token.isascii() or "_" in token:
+        raise ValueError(token)
+    return token
+
+
 def _parse_int(token, line_no, what):
     try:
-        return int(token)
+        return int(_plain(token))
     except ValueError:
         raise ParseError(f"expected integer {what}, got {token!r}", line_no) from None
 
 
 def _parse_float(token, line_no, what):
     try:
-        return float(token)
+        return float(_plain(token))
     except ValueError:
         raise ParseError(f"expected decimal {what}, got {token!r}", line_no) from None
 
@@ -219,12 +228,13 @@ def parse_surface(text, strict=True):
     exactly as written.
 
     The parser refuses only faults of this grammar, naming the line: a
-    wrong token count, a token that is not an integer or a decimal, an
-    unknown directive, a second ``surface`` or ``boundaries`` line, and a
-    missing one.  Every rule about what the lines declare is
-    :func:`validate`'s.  With ``strict=True`` (default) the parsed surface
-    must also pass it; ``strict=False`` returns whatever was declared, so
-    a caller can inspect the validation report itself.
+    wrong token count, a token that is not an ASCII integer or decimal
+    without '_', an unknown directive, a second ``surface`` or
+    ``boundaries`` line, and a missing one.  Every rule about what the
+    lines declare is :func:`validate`'s.  With ``strict=True`` (default)
+    the parsed surface must also pass it; ``strict=False`` returns
+    whatever was declared, so a caller can inspect the validation report
+    itself.
     """
     name = None
     n_boundaries = None

@@ -2,11 +2,14 @@ import argparse
 import json
 import math
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hexflow
 from hexflow import serialize_surface
 from hexflow.cli import build_parser, run
 
@@ -649,6 +652,60 @@ class TestConsecutiveRuns:
             "# flow t_end=5 rel_tol=1e-08 abs_tol=1e-10 cusp_tol=9.9999999999999995e-07"
             " length_cap=600 sample_dt=auto"
         )
+
+
+class TestFootprint:
+    """One fresh interpreter per command, since this process has loaded
+    scipy.linalg already.  Only ``prescribe`` solves a linear system, so
+    only it may load scipy.linalg (~26 MiB of peak RSS); no command loads
+    scipy.integrate (~23 MiB), which the flow benchmark's peak_rss_mb
+    bound would reject."""
+
+    def loaded(self, tmp_path, argv):
+        """Exit code, stdout and the scipy.linalg and scipy.integrate
+        module lists (as printed) after ``run(argv)``."""
+        source = str(Path(hexflow.__file__).resolve().parents[1])
+        script = (
+            "import contextlib, io, sys\n"
+            f"sys.path.insert(0, {source!r})\n"
+            "from hexflow.cli import run\n"
+            "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+            f"    code = run({argv!r})\n"
+            "print(code)\n"
+            "print(sorted(name for name in sys.modules if name.startswith('scipy.linalg')))\n"
+            "print(sorted(name for name in sys.modules if name.startswith('scipy.integrate')))\n"
+            "print(out.getvalue(), end='')\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, check=True, cwd=tmp_path
+        )
+        code, linalg, integrate, out = result.stdout.split("\n", 3)
+        return int(code), out, linalg, integrate
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["validate"],
+            ["lengths"],
+            ["flow", "--t-end", "1e6", "--cusp-tol", "1e-4"],
+            ["check-jacobian", "--samples", "3"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_command_leaves_scipy_linalg_and_integrate_unloaded(self, tmp_path, pants_file, argv):
+        code, out, linalg, integrate = self.loaded(tmp_path, [argv[0], str(pants_file)] + argv[1:])
+        assert code == 0
+        assert linalg == "[]"
+        assert integrate == "[]"
+        if argv[0] == "flow":
+            assert "stop_reason=cusp_tol" in out.splitlines()
+
+    def test_prescribe_loads_scipy_linalg(self, tmp_path, pants_file):
+        target = tmp_path / "target.csv"
+        target.write_text("1,1.0\n2,0.9\n3,1.1\n")
+        code, _, linalg, _ = self.loaded(tmp_path, ["prescribe", str(pants_file), "--target", str(target)])
+        assert code == 0
+        assert "'scipy.linalg'" in linalg
 
 
 class TestUsageErrors:

@@ -1,7 +1,5 @@
 import math
-import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,10 +26,9 @@ from hexflow import (
 from hexflow import conformal
 from hexflow import flow as flow_module
 
-from conftest import PANTS_EDGE, block_rows, generated, pants_text
+from conftest import PANTS_EDGE, block_rows, generated
 
 PANTS_B0 = 2.0 * math.acosh(7.0 / 6.0)
-PANTS_TEXT = pants_text()
 FIXTURES = ("pants", "tetra", "torus", "twin_pants", "second_pants")
 
 
@@ -537,27 +534,6 @@ class TestSampleGrid:
         # lies within rounding of it.
         assert times[-2] + dt >= t_last * (1.0 - 1e-11)
         assert t_last - times[-2] > 1e-13 * t_last
-
-
-class TestNoScipyIntegrate:
-    def test_import_and_flow_leave_scipy_integrate_unloaded(self):
-        # Importing scipy.integrate adds ~23 MiB to peak RSS, which the
-        # flow benchmark's peak_rss_mb bound would reject.
-        source = str(Path(flow_module.__file__).resolve().parents[1])
-        script = (
-            "import sys\n"
-            f"sys.path.insert(0, {source!r})\n"
-            "import hexflow\n"
-            "from hexflow import FlowOptions, integrate_flow, parse_surface\n"
-            f"tri, l0 = parse_surface({PANTS_TEXT!r})\n"
-            "trace = integrate_flow(tri, l0, FlowOptions(t_end=1e6, cusp_tol=1e-4))\n"
-            "assert trace.stop_reason == 'cusp_tol'\n"
-            "print(sorted(name for name in sys.modules if name.startswith('scipy.integrate')))\n"
-        )
-        result = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True, check=True
-        )
-        assert result.stdout.strip() == "[]"
 
 
 class TestFlowLimit:

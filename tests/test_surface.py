@@ -144,6 +144,13 @@ class TestParse:
             ("boundaries 1\n", "missing surface line", None),
             ("surface s\n", "missing boundaries line", None),
             ("surface s\nboundaries 1\nedge 1 1 1 1,5\n", "expected decimal length, got '1,5'", 3),
+            # int and float read these as 3, 10.0 and 3; the grammar does not.
+            (pants_text().replace("boundaries 3", "boundaries 0_3"),
+             "expected integer boundary count, got '0_3'", 2),
+            (pants_text().replace("edge 1 2 3 ", "edge 1 2 3 1_0.0 #"),
+             "expected decimal length, got '1_0.0'", 3),
+            (pants_text().replace("boundaries 3", "boundaries \u0663"),
+             "expected integer boundary count, got '\u0663'", 2),
             # validate's violations, joined, with no line.
             ("surface s\nboundaries 0\n",
              "invalid surface: need at least one boundary component, have 0; "
