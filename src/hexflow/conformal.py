@@ -25,10 +25,10 @@ ln cosh(l0/2), cached on the triangulation for the last metric seen.
 Every evaluation works on whole arrays from the per-edge slack
 u = w_a + w_b + ln cosh(l0/2), with cosh(l/2) = e^u.  On a face whose
 slacks are all <= ln cosh(100) (sides <= 200) the arcs and H read the
-table S = sinh^2(l/2) = expm1(2u), x = e^u, s = sqrt(S) through sums and
-products of positive terms only; the other faces take their arcs and
-their block of H from the far form :func:`.hexagon._far_arcs` of their
-three slacks, which the scalar reference shares.  Edge lengths
+table S = sinh^2(l/2) = expm1(2u), x = e^u, s = sqrt(S) through the face
+formulas :func:`.hexagon._half_angle` and :func:`.hexagon._coefficient_row`;
+the other faces take their arcs and their block of H from the far form
+:func:`.hexagon._far_arcs` of their three slacks.  Edge lengths
 2 arccosh(e^u) are formed only where they are read.  B is one
 ``bincount`` over the corners, slot by slot and then face by face; H
 sums face by face.  Every evaluator (B, H, geometry, energy) refuses a
@@ -45,12 +45,12 @@ single-factor call (a single factor is a stack of one row).  The Newton
 trial call (:func:`_trial_rows`) checks the trial row's interior cushion
 on the stack's slacks before any arc is formed, and hands back the
 trial row's slack-table terms, from which :func:`_jacobian` assembles H
-at that point exactly as :func:`boundary_jacobian` does.  The scalar
-:func:`edge_length` and :func:`face_sides`, with :func:`.hexagon_arcs`
-and :func:`.arc_jacobian`, are the per-hexagon reference API the kernel
-is tested against: a face's realized hexagon has sides
-``face_sides(tri, l0, w, face)`` and arcs ``hexagon_arcs(*sides)``, the
-arc in slot t on the component of corner t.
+at that point exactly as :func:`boundary_jacobian` does.  The
+per-hexagon API (:func:`edge_length`, :func:`face_sides`,
+:func:`.hexagon_arcs`, :func:`.arc_jacobian`) runs the same formulas on
+floats: a face's realized hexagon has sides ``face_sides(tri, l0, w,
+face)`` and arcs ``hexagon_arcs(*sides)``, the arc in slot t on the
+component of corner t.
 """
 
 import math
@@ -61,9 +61,11 @@ import numpy as np
 
 from .errors import DomainError
 from .hexagon import (
+    _BLOCK_LAYOUT,
     _FAR_SIDE,
-    _acosh_exp,
+    _coefficient_row,
     _far_arcs,
+    _half_angle,
     _logcosh,
     arc_jacobian,  # noqa: F401 - a site the tracer in bench/tracing.py wraps
     hexagon_arcs,  # noqa: F401 - a site the tracer in bench/tracing.py wraps
@@ -73,8 +75,6 @@ from .hexagon import (
 # passes ln cosh(100), the slack of a side of 200; below it the direct
 # table is exact, and cheaper.
 _FAR_SLACK = _logcosh(0.5 * _FAR_SIDE)
-# Row-major 3x3 block from (M_11, M_22, M_33, M_12, M_23, M_13).
-_BLOCK_LAYOUT = [0, 3, 5, 3, 1, 4, 5, 4, 2]
 # A block of factor rows holds at most this many edge values (rows x E),
 # and always at least one row.  On a 2-vCPU VM, 101 rows at E = 300 took
 # 2.5-3.4 ms in blocks of 4096, 2.9-4.0 ms at 1024 and 3.2-4.6 ms at 8192.
@@ -199,26 +199,18 @@ def _lengths(u):
 
 
 def _arc_terms(compiled, u):
-    """S, N and Q of the arc opposite slot t of every face of the (..., E)
-    slacks, from its sides c = t, a = t+1, b = t+2, with
-    S = sinh^2(l/2) = expm1(2u), x = cosh(l/2) = e^u and s = sinh(l/2):
-    sinh^2(theta/2) = N / (4 Q), N = S_c + D^2, Q = x_a x_b s_a s_b and
-    D = cosh((l_a - l_b)/2) = (1 + S_a + S_b) / (x_a x_b + s_a s_b), all
-    positive terms; 4 Q = sinh l_a sinh l_b.  S (..., 5, F) holds S of
-    slots 0, 1, 2, 0, 1, so rows t, t+1, t+2 are S_c, S_a, S_b of the arc
-    opposite slot t; N and Q are (..., 3, F)."""
+    """S, N and Q (:func:`.hexagon._half_angle`) of the arc opposite slot t
+    of every face of the (..., E) slacks, from its sides c = t, a = t+1,
+    b = t+2, with S = sinh^2(l/2) = expm1(2u), x = e^u and s = sqrt(S).
+    S (..., 5, F) holds S of slots 0, 1, 2, 0, 1, so rows t, t+1, t+2 are
+    S_c, S_a, S_b of the arc opposite slot t; N and Q are (..., 3, F)."""
     S = np.expm1(2.0 * u)
     # (..., 13, F): rows t, t+1, t+2 of a window are slots t, t+1, t+2 of
     # each face, so every rotation is a contiguous (..., 3, F) slice.
     G = np.concatenate([S, np.exp(u), np.sqrt(S)], axis=-1).take(compiled.table, axis=-1)
-    xx, ss = G[..., 5:8, :] * G[..., 6:9, :], G[..., 9:12, :] * G[..., 10:13, :]
-    Q = xx * ss
-    xx += ss
-    N = 1.0 + G[..., 1:4, :]
-    N += G[..., 2:5, :]
-    N /= xx
-    N *= N
-    N += G[..., 0:3, :]
+    N, Q = _half_angle(
+        G[..., :3, :], G[..., 1:4, :], G[..., 2:5, :], G[..., 5:8, :], G[..., 6:9, :], G[..., 9:12, :], G[..., 10:13, :]
+    )
     return G[..., :5, :], N, Q
 
 
@@ -308,16 +300,19 @@ def edge_length(l0, w_a, w_b):
 
     Raises DomainError when the factor drops the argument to 1 or below
     (the strict inequality defining the admissible domain fails), and
-    ValueError on a base length :func:`_base_slack` refuses.
+    ValueError on a base length :func:`_base_slack` refuses and, as the
+    kernel does, on a non-finite factor or an overflowing slack.
     """
     slack = _base_slack(l0)
-    u = w_a + w_b + slack
+    u = float(w_a) + float(w_b) + slack
+    if not (math.isfinite(w_a) and math.isfinite(w_b) and u < math.inf):
+        raise ValueError(f"factor entries and their edge slack must be finite, got w_a={w_a!r}, w_b={w_b!r}")
     if u <= 0.0:
         raise DomainError(
             f"w_a + w_b = {w_a + w_b!r} at or below the admissibility "
             f"threshold {-slack!r} for base length {l0!r}"
         )
-    return 2.0 * _acosh_exp(u)
+    return float(_lengths(u))
 
 
 def _slot_lengths(l0_sides, w_corners):
@@ -425,19 +420,7 @@ def _jacobian(compiled, n, u, S, N, Q):
     """H of :func:`boundary_jacobian` at one factor, from its slacks u (E,)
     and the arc terms of :func:`_arc_terms` at u clipped to ln cosh(100):
     S (5, F), and N and Q of the arc opposite slot 2, each (F,)."""
-    Sx, Sy, Sz = S[0:3], S[1:4], S[2:5]
-    # Row t of the coefficient matrix by cosh l = 1 + 2S, S_t of slot t:
-    # M_tt = P/S_(t+1) + P/S_(t+2) + 4 S_t and M_(t, t+1) = P/S_(t+2) - 2
-    # (row 2 holds M_13 = M_31), where P = 1 + S_0 + S_1 + S_2.
-    P = 1.0 + Sx
-    P += Sy
-    P += Sz
-    M = np.empty((6, S.shape[-1]))
-    P_Sz = np.divide(P, Sz, out=M[3:])
-    diagonal = np.divide(P, Sy, out=M[:3])
-    diagonal += P_Sz
-    diagonal += 4.0 * Sx
-    P_Sz -= 2.0
+    M = np.concatenate(_coefficient_row(S[0:3], S[1:4], S[2:5]))
     # -2 / (sinh theta_k sinh l_ki sinh l_jk) = -1 / sqrt(N (N + 4Q)),
     # theta_k the arc opposite slot 2, whose neighbours are slots 0 and 1.
     M *= -1.0 / np.sqrt(N * (N + 4.0 * Q))
@@ -445,7 +428,7 @@ def _jacobian(compiled, n, u, S, N, Q):
     if u.max() > _FAR_SLACK:
         face_u = u[compiled.table[:3].T]
         far = np.flatnonzero(face_u.max(axis=1) > _FAR_SLACK)
-        blocks[far] = _far_arcs(face_u[far], jacobian=True)[1].reshape(-1, 9)
+        blocks[far] = _far_arcs(face_u[far], jacobian=True)[1]
     return np.bincount(compiled.pairs, weights=blocks.ravel(), minlength=n * n).reshape(n, n)
 
 

@@ -14,9 +14,10 @@ order-32 rule typically converges in a single panel.
 <B(s w), w> ds on the array kernel, to the per-face tolerance times F;
 each panel's nodes are one batched kernel call
 (:func:`.geometry_rows`, of which it reads B).
-:func:`segment_energy` and :func:`face_energy` are the scalar reference,
-one :func:`.hexagon_arcs` call per node on the slot lengths that
-:func:`.face_sides` also reads.
+:func:`segment_energy` and :func:`face_energy` are the per-hexagon form:
+per panel, the slot lengths of :func:`.face_sides` at every node by one
+call of the kernel's length formula, then one :func:`.hexagon_arcs` call
+per node, on the face formulas the kernel also runs.
 
 The Newton solver reads the energy once per solve, for the first entry
 of its objective trace.  At its default start w = 0 that is 0.0, returned
@@ -27,7 +28,7 @@ the reference the tests check B against.
 
 import numpy as np
 
-from .conformal import _factor, _slot_lengths, boundary_lengths, geometry_rows, in_domain
+from .conformal import _base_slack, _factor, _lengths, _slot_lengths, boundary_lengths, geometry_rows, in_domain
 from .errors import QuadratureError
 from .hexagon import hexagon_arcs
 
@@ -79,13 +80,15 @@ def segment_energy(l0_sides, w_from, w_to):
     delta = tuple(b - a for a, b in zip(w_from, w_to))
     if all(d == 0.0 for d in delta):
         return 0.0
+    slack = [_base_slack(l0) for l0 in l0_sides]
 
-    def integrand(s):
-        point = tuple(a + s * d for a, d in zip(w_from, delta))
-        arcs = hexagon_arcs(*_slot_lengths(l0_sides, point))
-        return arcs[0] * delta[0] + arcs[1] * delta[1] + arcs[2] * delta[2]
+    def integrand(nodes):
+        # _slot_lengths at every node (slot t joins corners t+1 and t+2).
+        point = [a + nodes * d for a, d in zip(w_from, delta)]
+        sides = _lengths(np.array([point[t - 2] + point[t - 1] + slack[t] for t in range(3)])).T.tolist()
+        return [t[0] * delta[0] + t[1] * delta[1] + t[2] * delta[2] for t in (hexagon_arcs(*s) for s in sides)]
 
-    return _adaptive(lambda nodes: [integrand(s) for s in nodes], 0.0, 1.0, _TOLERANCE, _MAX_DEPTH)
+    return _adaptive(integrand, 0.0, 1.0, _TOLERANCE, _MAX_DEPTH)
 
 
 def face_energy(l0_sides, w):

@@ -33,13 +33,13 @@ has been confirmed numerically to 1e-13 relative but is used only as a
 cross-check in the test suite.
 
 A side beyond 200 (cosh overflows near l ~ 710, while the flow drives
-edge lengths without bound) sends a hexagon, here and in the array kernel,
-to the far form :func:`_far_arcs` of its slacks u = ln cosh(l/2).  Below it,
-a cancellation-free form of cosh(theta) - 1 (:func:`_q`) gives the arcs
-and the sinh(theta) of their Jacobian, so tiny arcs keep full relative
-accuracy.  Arcs remain accurate down to the underflow threshold
-(theta ~ 1e-308, sides ~ 1400) and merely underflow to 0.0 beyond it
-instead of failing.
+edge lengths without bound) sends a hexagon to the far form
+:func:`_far_arcs` of its slacks u = ln cosh(l/2).  Below it the arcs, the
+sinh(theta) of their Jacobian and M come from :func:`_half_angle` and
+:func:`_coefficient_row`, positive terms that keep tiny arcs and short
+sides exact; both run on floats here and on the arrays of the kernel in
+:mod:`.conformal`.  Arcs remain accurate down to the underflow threshold
+(theta ~ 1e-308, sides ~ 1400) and underflow to 0.0 beyond it.
 """
 
 import math
@@ -75,13 +75,6 @@ def _acosh1p(q):
     return math.log1p(q + math.sqrt(q * (q + 2.0)))
 
 
-def _acosh_exp(u):
-    """arccosh(e^u) for u >= 0 without forming e^u when it would overflow."""
-    if u > 350.0:
-        return u + LN2
-    return _acosh1p(math.expm1(u))
-
-
 def _logcosh(x):
     """log(cosh(x)) for x >= 0 without overflow."""
     if x < 1.0:
@@ -95,24 +88,51 @@ def _check_sides(*values):
             raise ValueError(f"hexagon side and arc lengths must be positive finite reals, got {v!r}")
 
 
-def _q(lc, la, lb):
-    """cosh(theta) - 1 of the arc theta opposite side lc, adjacent to la
-    and lb; all sides <= 200.  Formed as
+def _half_angle(Sc, Sa, Sb, xa, xb, sa, sb):
+    """(N, Q) with sinh^2(theta/2) = N / (4 Q) for the arc opposite side c,
+    next to a and b, from S = sinh^2(l/2), x = cosh(l/2), s = sinh(l/2) of
+    sides <= _FAR_SIDE: N = S_c + ((1 + S_a + S_b) / (x_a x_b + s_a s_b))^2,
+    Q = x_a x_b s_a s_b, positive terms; on arrays, only its own are updated in place."""
+    xx, ss = xa * xb, sa * sb
+    Q = xx * ss
+    xx += ss
+    N = 1.0 + Sa
+    N += Sb
+    N /= xx
+    N *= N
+    N += Sc
+    return N, Q
 
-        (cosh lc + (cosh^2 la + cosh^2 lb - 1)/(cosh la cosh lb + sinh la sinh lb))
-        / (sinh la sinh lb),
 
-    a sum of positive terms, so tiny arcs keep full relative accuracy (the
-    naive cosine law rounds cosh theta to 1 and loses them).
-    """
-    cc, ca, cb = math.cosh(lc), math.cosh(la), math.cosh(lb)
-    sa, sb = math.sinh(la), math.sinh(lb)
-    return (cc + (ca * ca + cb * cb - 1.0) / (ca * cb + sa * sb)) / (sa * sb)
+# The symmetric 3x3 block from (M_11, M_22, M_33, M_12, M_23, M_13).
+_BLOCK_LAYOUT = np.array([[0, 3, 5], [3, 1, 4], [5, 4, 2]])
 
 
-def _arc_direct(lc, la, lb):
-    """Arc opposite side lc, adjacent to la and lb; all sides <= 200."""
-    return _acosh1p(_q(lc, la, lb))
+def _coefficient_row(St, Su, Sv):
+    """(M_tt, M_(t, t+1)) = (P/S_u + P/S_v + 4 S_t, P/S_v - 2), P = 1 + S_t + S_u
+    + S_v, from S = sinh^2(l/2) = (cosh l - 1)/2 of slots t, u = t+1, v = t+2
+    (row 2 gives M_13); floats or arrays, as :func:`_half_angle`."""
+    P = 1.0 + St
+    P += Su
+    P += Sv
+    off = P / Sv
+    diagonal = P / Su
+    diagonal += off
+    diagonal += 4.0 * St
+    off -= 2.0
+    return diagonal, off
+
+
+def _half_angles(l_jk, l_ki, l_ij):
+    """S = sinh^2(l/2) of three sides and the :func:`_half_angle` of each arc."""
+    s0, s1, s2 = math.sinh(0.5 * l_jk), math.sinh(0.5 * l_ki), math.sinh(0.5 * l_ij)
+    x0, x1, x2 = math.cosh(0.5 * l_jk), math.cosh(0.5 * l_ki), math.cosh(0.5 * l_ij)
+    S0, S1, S2 = S = (s0 * s0, s1 * s1, s2 * s2)
+    return S, (
+        _half_angle(S0, S1, S2, x1, x2, s1, s2),
+        _half_angle(S1, S2, S0, x2, x0, s2, s0),
+        _half_angle(S2, S0, S1, x0, x1, s0, s1),
+    )
 
 
 def _two_sum(a, b):
@@ -192,16 +212,20 @@ def hexagon_arcs(l_jk, l_ki, l_ij):
 
     Any positive triple is realizable and the hexagon is unique up to
     isometry.  Stable for sides up to 1e4 and beyond; arcs shorter than
-    the smallest positive float underflow to 0.0.
+    the smallest positive float underflow to 0.0.  ValueError on arcs past
+    ln(float max) ~ 709.78, where N / Q = 4 sinh^2(theta/2) overflows: two
+    sides with a product below about 4e-222.
     """
-    _check_sides(l_jk, l_ki, l_ij)
-    if max(l_jk, l_ki, l_ij) > _FAR_SIDE:
-        return tuple(_far_arcs(_slacks((l_jk, l_ki, l_ij))).tolist())
-    return (
-        _arc_direct(l_jk, l_ki, l_ij),
-        _arc_direct(l_ki, l_ij, l_jk),
-        _arc_direct(l_ij, l_jk, l_ki),
-    )
+    sides = (l_jk, l_ki, l_ij)
+    _check_sides(*sides)
+    if max(sides) > _FAR_SIDE:
+        return tuple(_far_arcs(_slacks(sides)).tolist())
+    arcs = []
+    for N, Q in _half_angles(*sides)[1]:
+        if not (Q > 0.0 and N / Q < math.inf):
+            raise ValueError(f"hexagon lengths too short for finite opposite lengths, got {sides!r}")
+        arcs.append(2.0 * math.asinh(0.5 * math.sqrt(N / Q)))
+    return tuple(arcs)
 
 
 def hexagon_sides(theta_i, theta_j, theta_k):
@@ -215,17 +239,10 @@ def hexagon_sides(theta_i, theta_j, theta_k):
     return hexagon_arcs(theta_i, theta_j, theta_k)
 
 
-def _coefficients(a, b, c, am1, bm1, cm1):
-    """M(a, b, c) from the cosh values and their excesses am1 = a - 1,
-    bm1, cm1; entries share subexpressions so the result is symmetric
-    bit-for-bit."""
-    m12 = (a + b - c + 1.0) / cm1
-    m13 = (a + c - b + 1.0) / bm1
-    m23 = (b + c - a + 1.0) / am1
-    m11 = (c + a * b) / bm1 + (b + a * c) / cm1
-    m22 = (c + a * b) / am1 + (a + b * c) / cm1
-    m33 = (b + a * c) / am1 + (a + b * c) / bm1
-    return np.array([[m11, m12, m13], [m12, m22, m23], [m13, m23, m33]])
+def _matrix(S0, S1, S2):
+    """M as a 3x3 array from S = sinh^2(l/2) of the three slots."""
+    rows = zip(_coefficient_row(S0, S1, S2), _coefficient_row(S1, S2, S0), _coefficient_row(S2, S0, S1))
+    return np.array([*rows]).ravel()[_BLOCK_LAYOUT]
 
 
 def coefficient_matrix(a, b, c):
@@ -234,33 +251,29 @@ def coefficient_matrix(a, b, c):
     for v in (a, b, c):
         if not (math.isfinite(v) and v > 1.0):
             raise ValueError(f"coefficient matrix requires cosh values > 1, got {v!r}")
-    return _coefficients(a, b, c, a - 1.0, b - 1.0, c - 1.0)
+    return _matrix(0.5 * (a - 1.0), 0.5 * (b - 1.0), 0.5 * (c - 1.0))
 
 
 def arc_jacobian(l_jk, l_ki, l_ij):
     """Jacobian of (theta_i, theta_j, theta_k) with respect to the conformal
     factors (w_i, w_j, w_k), at current side lengths (l_jk, l_ki, l_ij).
 
-    Closed form -2 M(a,b,c) / (sinh theta_k sinh l_ki sinh l_jk), with
-    sinh theta_k = sqrt(q (q + 2)) from the q-form q = cosh theta_k - 1 of
-    the arcs (:func:`_q`); the conformal rule enters only through
+    Closed form -2 M(a,b,c) / (sinh theta_k sinh l_ki sinh l_jk), whose
+    prefactor is -1 / sqrt(N (N + 4Q)) by the half-angle terms of theta_k
+    (:func:`_half_angle`); the conformal rule enters only through
     d l = 2 coth(l/2) (dw_a + dw_b), which depends on the current lengths
     alone.  Symmetric bit-for-bit and negative definite.  ValueError where
     the block overflows, on sides below about 1e-154.
     """
-    _check_sides(l_jk, l_ki, l_ij)
     sides = (l_jk, l_ki, l_ij)
+    _check_sides(*sides)
     if max(sides) > _FAR_SIDE:
         return _far_arcs(_slacks(sides), jacobian=True)[1]
-    # cosh l - 1 = 2 sinh^2(l/2): no cancellation on short sides, whose
-    # cosh rounds toward 1.
-    excess = [2.0 * math.sinh(0.5 * side) ** 2 for side in sides]
-    if min(excess) > 0.0:
-        q = _q(l_ij, l_jk, l_ki)
-        scale = -2.0 / (math.sqrt(q) * math.sqrt(q + 2.0) * math.sinh(l_ki) * math.sinh(l_jk))
-        # Sides near 1e-154 overflow M (or q), leaving inf or 0 * inf.
-        with np.errstate(over="ignore", invalid="ignore"):
-            block = scale * _coefficients(*(math.cosh(side) for side in sides), *excess)
+    S, terms = _half_angles(*sides)
+    if min(S) > 0.0:
+        N, Q = terms[2]
+        with np.errstate(over="ignore"):
+            block = -1.0 / math.sqrt(N * (N + 4.0 * Q)) * _matrix(*S)
         if np.isfinite(block).all():
             return block
     raise ValueError(f"hexagon sides too short for the arc Jacobian, got {sides!r}")

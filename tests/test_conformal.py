@@ -60,6 +60,17 @@ class TestEdgeLength:
         with pytest.raises(ValueError):
             edge_length(-1.0, 0.0, 0.0)
 
+    def test_rejects_non_finite_factors_as_the_kernel_does(self, pants):
+        tri, l0 = pants
+        for w_a in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="must be finite"):
+                edge_length(PANTS_EDGE, w_a, 0.0)
+            with pytest.raises(ValueError):
+                surface_geometry(tri, l0, np.array([w_a, 0.0, 0.0]))
+        # A finite factor whose slack overflows.
+        with pytest.raises(ValueError, match="must be finite"):
+            edge_length(PANTS_EDGE, 1e308, 1e308)
+
     def test_rejects_base_length_with_subnormal_slack(self):
         # ln cosh(l0/2) ~ l0^2 / 8 drops below the least normal float at
         # l0 ~ 4.2e-154.
@@ -252,9 +263,15 @@ def _scalar_reference(tri, l0, w, jacobian=True):
     return lengths, arcs, B, H
 
 
+def _float_slacks(tri, l0, w):
+    """Edge id -> the float slack w_a + w_b + ln cosh(l0/2), formed as the
+    kernel and edge_length form it."""
+    return {e.edge_id: w[e.b_i - 1] + w[e.b_j - 1] + _logcosh(0.5 * l0[e.edge_id]) for e in tri.edges}
+
+
 def _scalar_margin(tri, l0, w):
     """The domain margin as the scalar edge_length forms each edge slack."""
-    return min(w[e.b_i - 1] + w[e.b_j - 1] + _logcosh(0.5 * l0[e.edge_id]) for e in tri.edges)
+    return min(_float_slacks(tri, l0, w).values())
 
 
 FIXTURES = ("pants", "tetra", "twin_pants", "second_pants", "torus")
@@ -280,7 +297,7 @@ def _mp_jacobian(tri, l0, w, dps=80):
     """H at ``dps`` digits from the float edge slacks of w: per face the
     block -2 M(a, b, c) / (sinh theta_k sinh l_ki sinh l_jk)."""
     n = tri.n_boundaries
-    slack = {e.edge_id: w[e.b_i - 1] + w[e.b_j - 1] + _logcosh(0.5 * l0[e.edge_id]) for e in tri.edges}
+    slack = _float_slacks(tri, l0, w)
     with mp.workdps(dps):
         H = mp.zeros(n, n)
         for face in tri.faces:
@@ -301,7 +318,14 @@ def _mp_jacobian(tri, l0, w, dps=80):
 
 
 class TestArrayKernelOracle:
-    """The compiled array kernel against the scalar per-hexagon reference."""
+    """The compiled array kernel against the per-hexagon API and mpmath.
+
+    The per-hexagon API runs the kernel's own face formulas on floats, so
+    comparing the two checks the kernel's assembly: the slot tables, the
+    corner sums into B and H, the branch each face takes and the block
+    layout.  The formulas themselves are checked against the cosine law in
+    mpmath (:func:`_mp_arcs`, :func:`_mp_jacobian`), which reads the float
+    slacks the kernel sees."""
 
     @staticmethod
     def _assert_matches(tri, l0, w):
@@ -309,6 +333,13 @@ class TestArrayKernelOracle:
         geometry = surface_geometry(tri, l0, w)
         np.testing.assert_allclose(geometry.edge_lengths, lengths, rtol=1e-13, atol=0.0)
         np.testing.assert_allclose(geometry.arcs, arcs, rtol=1e-13, atol=0.0)
+        # The cosine law cancels e^(4u)-sized terms, so the reference carries
+        # digits in proportion to the largest slack.
+        slack = _float_slacks(tri, l0, w)
+        for face, face_arcs in zip(tri.faces, geometry.arcs):
+            u = [slack[eid] for eid in face.opposite_edges]
+            ref = [float(arc) for arc in _mp_arcs(u, int(60 + 2 * max(u)))]
+            np.testing.assert_allclose(face_arcs, ref, rtol=1e-13, atol=0.0)
         np.testing.assert_allclose(boundary_lengths(tri, l0, w), B, rtol=1e-13, atol=0.0)
         np.testing.assert_array_equal(geometry.boundary, boundary_lengths(tri, l0, w))
         H_array = boundary_jacobian(tri, l0, w)

@@ -22,9 +22,9 @@ ACOSH2 = math.acosh(2.0)
 
 
 def mp_arcs(sides, dps=60):
-    """The arcs at ``dps`` digits by the q-form of the kernel: q = cosh(theta)
-    - 1 as a sum of positive terms, then theta = 2 asinh(sqrt(q / 2)), which
-    stays exact for q far below 10^-dps."""
+    """The arcs at ``dps`` digits by the q-form, independent of the float
+    half-angle form: q = cosh(theta) - 1 as a sum of positive terms, then
+    theta = 2 asinh(sqrt(q / 2)), which stays exact for q far below 10^-dps."""
     with mp.workdps(dps):
         s1, s2, s3 = (mp.mpf(float(s)) for s in sides)
 
@@ -96,10 +96,24 @@ class TestHexagonArcs:
         with pytest.raises(ValueError):
             hexagon_sides(1.0, math.inf, 1.0)
 
+    @pytest.mark.parametrize("sides", [(1e-200, 1e-200, 1.0), (1e-160, 1e-160, 1.0), (5e-324, 1.0, 1.0)])
+    def test_refuses_arcs_past_the_float_range(self, sides):
+        # Each triple has an arc past ln(float max) ~ 709.78 (738.45... at
+        # 1e-160), where N / Q = 4 sinh^2(theta/2) overflows or Q underflows
+        # to 0.
+        for law in (hexagon_arcs, hexagon_sides):
+            with pytest.raises(ValueError, match="too short"):
+                law(*sides)
+
+    def test_arcs_just_inside_the_float_range(self):
+        arcs = hexagon_arcs(1e-150, 1e-150, 1.0)
+        assert arcs == pytest.approx(mp_arcs((1e-150, 1e-150, 1.0)), rel=1e-15)
+        assert 690.0 < arcs[2] < 709.78
+
 
 class TestArcsAgainstQFormReference:
     """hexagon_arcs against a 400-digit mp_arcs on both sides of the
-    threshold (200) between the direct q-form and the far form of the slacks."""
+    threshold (200) between the half-angle form and the far form of the slacks."""
 
     @staticmethod
     def _ulps(sides):
