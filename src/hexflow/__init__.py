@@ -39,7 +39,6 @@ from .flow import (
     trace_csv,
 )
 from .hexagon import (
-    acosh_stable,
     arc_jacobian,
     coefficient_matrix,
     hexagon_arcs,
@@ -53,7 +52,6 @@ from .surface import (
     Metric,
     ValidationReport,
     Violation,
-    corner_incidence,
     euler_characteristic,
     parse_surface,
     serialize_surface,
@@ -83,12 +81,10 @@ __all__ = [
     "TraceTable",
     "ValidationReport",
     "Violation",
-    "acosh_stable",
     "arc_jacobian",
     "boundary_jacobian",
     "boundary_lengths",
     "coefficient_matrix",
-    "corner_incidence",
     "cusp_report",
     "edge_length",
     "euler_characteristic",

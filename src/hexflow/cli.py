@@ -26,7 +26,7 @@ from .conformal import boundary_jacobian, geometry_rows, in_domain, surface_geom
 from .errors import ConvergenceError, DomainError, HexflowError, ParseError
 from .flow import FlowOptions, cusp_report, integrate_flow, trace_csv
 from .prescribe import SolveOptions, solve_prescribed
-from .surface import euler_characteristic, parse_surface, validate
+from .surface import _plain, euler_characteristic, parse_surface, validate
 
 _CHECK_SEED = 1787
 
@@ -74,9 +74,10 @@ def _load_surface(path, strict=True):
 
 def _read_vector(path, n, what, default=None):
     """The length-n vector in the ``what`` file at ``path``, CSV lines
-    'boundary_index,value': '#' starts a comment, blank lines are ignored,
-    and a first line of content whose index is not an integer is a header
-    and skipped.  Every line is parsed before the indices are checked
+    'boundary_index,value' of ASCII numbers without '_', as in a surface
+    file: '#' starts a comment, blank lines are ignored, and a first line
+    of content whose index int cannot read, in any script, is a header and
+    skipped.  Every line is parsed before the indices are checked
     against 1..n; components the file leaves out take ``default``, and
     without one every component must be given."""
     values = {}
@@ -92,7 +93,7 @@ def _read_vector(path, n, what, default=None):
         try:
             index = int(parts[0])
             first = False  # an integer index makes it a data line
-            value = float(parts[1])
+            index, value = int(_plain(parts[0])), float(_plain(parts[1]))
         except ValueError:
             if first:
                 continue

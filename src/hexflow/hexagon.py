@@ -59,22 +59,6 @@ _ROTATIONS = np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
 _OFFSETS = (np.arange(3) - np.arange(3)[:, None]) % 3
 
 
-def acosh_stable(x):
-    """arccosh(x) for x >= 1: :func:`_acosh1p` of x - 1, exact near 1 (arcs
-    approaching 0) and finite up to the largest float."""
-    if not x >= 1.0:
-        raise ValueError(f"acosh requires x >= 1, got {x!r}")
-    return _acosh1p(x - 1.0)
-
-
-def _acosh1p(q):
-    """arccosh(1 + q) for q >= 0, accurate from the subnormals up to inf."""
-    if q > 1e8:
-        # 1 + q + sqrt(q(q+2)) = 2(1 + q) - 1/(2q) + O(1/q^2)
-        return LN2 + math.log1p(q)
-    return math.log1p(q + math.sqrt(q * (q + 2.0)))
-
-
 def _logcosh(x):
     """log(cosh(x)) for x >= 0 without overflow."""
     if x < 1.0:

@@ -181,20 +181,6 @@ def euler_characteristic(tri):
     return len(tri.faces) - len(tri.edges)
 
 
-def corner_incidence(tri, i):
-    """All (face_id, slot) pairs whose corner lies on boundary component i,
-    ordered by face id then slot."""
-    if not 1 <= i <= tri.n_boundaries:
-        raise ValueError(f"boundary index {i} outside 1..{tri.n_boundaries}")
-    hits = [
-        (f.face_id, t)
-        for f in tri.faces
-        for t in range(3)
-        if f.corners[t] == i
-    ]
-    return sorted(hits)
-
-
 def _plain(token):
     """``token`` if it is ASCII without '_'; ValueError otherwise.  int and
     float also read other scripts' digits and '_' digit separators, which

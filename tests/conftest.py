@@ -74,6 +74,18 @@ TORUS_TEXT = (
     "face 2 1 2 3 1 1 1\n"
 )
 
+# Components 1 and 2 carry one corner each, and face 1 uses edge 2 in two
+# of its slots.
+LOPSIDED_TEXT = (
+    "surface lopsided\n"
+    "boundaries 3\n"
+    "edge 1 3 3 1.0\n"
+    "edge 2 1 3 1.2\n"
+    "edge 3 2 3 1.4\n"
+    "face 1 1 2 2 1 3 3\n"
+    "face 2 1 3 3 2 3 3\n"
+)
+
 
 @pytest.fixture(scope="session")
 def pants():
@@ -98,6 +110,11 @@ def second_pants():
 @pytest.fixture(scope="session")
 def torus():
     return parse_surface(TORUS_TEXT)
+
+
+@pytest.fixture(scope="session")
+def lopsided():
+    return parse_surface(LOPSIDED_TEXT)
 
 
 @pytest.fixture()

@@ -1,20 +1,119 @@
-"""A surface-level reference at 60 digits: B, H and the Newton solve in mpmath.
+"""The mpmath reference of every accuracy test: one hexagon, many inputs.
 
-``mp_B`` applies the hexagon cosine law face by face, with the slot rule of
-``conformal._slot_lengths``: slot t of a face joins its corners t+1 and
-t+2, and cosh(l_t / 2) = e^(w_(t+1) + w_(t+2)) cosh(l0_t / 2).  Each side
-enters through its slack u = w_a + w_b + ln cosh(l0/2) as S = sinh^2(l/2)
-= expm1(2u), and the arc at corner t through the positive q-form of
-``tests/test_hexagon.py::mp_arcs``, so short sides and short arcs keep
-their digits.  ``mp_H`` takes central differences of ``mp_B`` at a step
-far below the float64 resolution, and ``mp_solve`` runs Newton on them
-from a float iterate.  Factors and targets are read as the exact binary
-values of their floats.
+The core reads a face by S_t = sinh^2(l_t / 2) of its three slots, arc t
+opposite slot t.  :func:`mp_face_arcs` takes each arc through the q-form
+of the cosine law,
+
+    cosh theta - 1 = q = (cosh l_c + cosh(l_a - l_b)) / (sinh l_a sinh l_b),
+
+with cosh l = 1 + 2S, sinh l = 2 sqrt(S (1 + S)) and cosh(l_a - l_b) =
+(cosh^2 l_a + sinh^2 l_b) / (cosh l_a cosh l_b + sinh l_a sinh l_b), and
+theta = 2 asinh(sqrt(q / 2)): sums and products of positive terms only,
+so short sides, long sides and short arcs keep their digits at a fixed
+precision.  :func:`mp_face_block` gives the face's block of H,
+-2 M / (sinh theta_2 sinh l_0 sinh l_1) with M from the same S.
+
+The front-ends read three kinds of input, each float as its exact binary
+value:
+
+- float sides: :func:`mp_arcs`;
+- the float edge slacks u = w_a + w_b + ln cosh(l0/2) the kernel forms
+  (:func:`float_slacks`): :func:`mp_slack_arcs` and :func:`mp_slack_H`;
+- exact slacks, formed from the factor at the working precision with the
+  slot rule of ``conformal._slot_lengths`` (slot t of a face joins its
+  corners t+1 and t+2): :func:`mp_B`, :func:`mp_H`, :func:`mp_solve` and
+  :func:`mp_face_energy`.
+
+``mp_H`` takes central differences of ``mp_B`` at a step far below the
+float64 resolution, and ``mp_solve`` runs Newton on them from a float
+iterate.  ``tests/test_reference.py`` checks the core against the
+textbook cosine law and its own finite differences.
 """
 
+import numpy as np
 from mpmath import mp
 
+from hexflow.hexagon import _logcosh
+
 DPS = 60
+
+
+def _q(S, t):
+    """cosh(theta_t) - 1 of the arc opposite slot t, and sinh l of the
+    two slots next to it."""
+    a, b = (t + 1) % 3, (t + 2) % 3
+    cosh = [1 + 2 * s for s in S]
+    sa, sb = (2 * mp.sqrt(S[k] * (1 + S[k])) for k in (a, b))
+    near = (cosh[a] ** 2 + sb**2) / (cosh[a] * cosh[b] + sa * sb)
+    return (cosh[t] + near) / (sa * sb), sa, sb
+
+
+def mp_face_arcs(S):
+    """The three arcs of the face with slots S = sinh^2(l/2), as mpf at
+    the working precision."""
+    return [2 * mp.asinh(mp.sqrt(_q(S, t)[0] / 2)) for t in range(3)]
+
+
+def mp_face_block(S):
+    """d theta_t / d w_s of the face with slots S = sinh^2(l/2), rows t and
+    columns s: -2 M / (sinh theta_2 sinh l_0 sinh l_1), with P = 1 + S_0
+    + S_1 + S_2, M_tt = P/S_(t+1) + P/S_(t+2) + 4 S_t and M_(t,t+1) =
+    (1 + S_t + S_(t+1) - S_(t+2)) / S_(t+2); a 3x3 list of mpf."""
+    q, s0, s1 = _q(S, 2)
+    scale = -2 / (mp.sqrt(q * (q + 2)) * s0 * s1)
+    P = 1 + sum(S)
+    M = [[None] * 3 for _ in range(3)]
+    for t in range(3):
+        u, v = (t + 1) % 3, (t + 2) % 3
+        M[t][t] = P / S[u] + P / S[v] + 4 * S[t]
+        M[t][u] = M[u][t] = (1 + S[t] + S[u] - S[v]) / S[v]
+    return [[scale * m for m in row] for row in M]
+
+
+def mp_arcs(sides, dps=DPS):
+    """The arcs of the hexagon with the three float ``sides``, at ``dps``
+    digits, rounded to floats."""
+    with mp.workdps(dps):
+        return [float(arc) for arc in mp_face_arcs([mp.sinh(mp.mpf(float(l)) / 2) ** 2 for l in sides])]
+
+
+def float_slacks(tri, l0, w):
+    """Edge id -> the float slack w_a + w_b + ln cosh(l0/2), formed as the
+    kernel and edge_length form it."""
+    return {e.edge_id: w[e.b_i - 1] + w[e.b_j - 1] + _logcosh(0.5 * l0[e.edge_id]) for e in tri.edges}
+
+
+def _slack_S(u):
+    """S = sinh^2(l/2) = expm1(2u) of each slack."""
+    return [mp.expm1(2 * mp.mpf(float(v))) for v in u]
+
+
+def mp_slack_arcs(u, dps=DPS):
+    """The arcs of the face with float slot slacks u, as mpf at ``dps``
+    digits."""
+    with mp.workdps(dps):
+        return mp_face_arcs(_slack_S(u))
+
+
+def mp_slack_H(tri, l0, w, dps=DPS):
+    """H at ``dps`` digits from the float edge slacks of w, face block by
+    face block, rounded to a float array."""
+    n = tri.n_boundaries
+    slack = float_slacks(tri, l0, w)
+    with mp.workdps(dps):
+        H = mp.zeros(n, n)
+        for face in tri.faces:
+            block = mp_face_block(_slack_S([slack[eid] for eid in face.opposite_edges]))
+            for r in range(3):
+                for s in range(3):
+                    H[face.corners[r] - 1, face.corners[s] - 1] += block[r][s]
+        return np.array(H.tolist(), dtype=float)
+
+
+def _slot_S(corner_w, log_cosh0):
+    """S = expm1(2u) of each slot t of a face, whose slack u = w_(t+1) +
+    w_(t+2) + ln cosh(l0_t / 2) sums the factors of its corners t+1 and t+2."""
+    return [mp.expm1(2 * (corner_w[(t + 1) % 3] + corner_w[(t + 2) % 3] + log_cosh0[t])) for t in range(3)]
 
 
 def _mp_B(tri, l0, w):
@@ -22,21 +121,9 @@ def _mp_B(tri, l0, w):
     log_cosh0 = {eid: mp.log(mp.cosh(mp.mpf(length) / 2)) for eid, length in l0.items()}
     B = [mp.zero] * tri.n_boundaries
     for face in tri.faces:
-        corner_w = [w[c - 1] for c in face.corners]
-        S = [
-            mp.expm1(2 * (corner_w[(t + 1) % 3] + corner_w[(t + 2) % 3] + log_cosh0[eid]))
-            for t, eid in enumerate(face.opposite_edges)
-        ]
-        # cosh l = 1 + 2 S and sinh l = 2 sqrt(S (1 + S)) of each slot.
-        cosh = [1 + 2 * s for s in S]
-        sinh = [2 * mp.sqrt(s * (1 + s)) for s in S]
-        for t, c in enumerate(face.corners):
-            a, b = (t + 1) % 3, (t + 2) % 3
-            # cosh theta - 1 = (cosh l_t + cosh(l_a - l_b)) / (sinh l_a sinh l_b).
-            q = (cosh[t] + (cosh[a] ** 2 + cosh[b] ** 2 - 1) / (cosh[a] * cosh[b] + sinh[a] * sinh[b])) / (
-                sinh[a] * sinh[b]
-            )
-            B[c - 1] += 2 * mp.asinh(mp.sqrt(q / 2))
+        S = _slot_S([w[c - 1] for c in face.corners], [log_cosh0[eid] for eid in face.opposite_edges])
+        for c, arc in zip(face.corners, mp_face_arcs(S)):
+            B[c - 1] += arc
     return B
 
 
@@ -85,3 +172,18 @@ def mp_solve(tri, l0, target, start, dps=DPS, max_iter=20):
             if mp.norm(step, mp.inf) <= mp.mpf(10) ** (10 - dps) * max(1, max(abs(x) for x in w)):
                 return w
     raise AssertionError(f"mp_solve did not converge in {max_iter} iterations")
+
+
+def mp_face_energy(l0_sides, w, dps=30):
+    """The face energy at the float factor w, the integral of the arc
+    1-form sum_t theta_t dw_t along the segment from 0 to w, at ``dps``
+    digits, rounded to a float; slot t of the face has base side
+    l0_sides[t]."""
+    with mp.workdps(dps):
+        log_cosh0 = [mp.log(mp.cosh(mp.mpf(float(l)) / 2)) for l in l0_sides]
+        w = [mp.mpf(float(v)) for v in w]
+
+        def integrand(s):
+            return sum(arc * v for arc, v in zip(mp_face_arcs(_slot_S([s * v for v in w], log_cosh0)), w))
+
+        return float(mp.quad(integrand, [0, 1]))

@@ -142,6 +142,17 @@ class TestLengthsCommand:
         assert code == 1
         assert out.startswith(f"ERROR 1: cannot read factors file {factors}:") and len(out.splitlines()) == 1
 
+    @pytest.mark.parametrize("line", ["1,1_0e-1", "\u0661,0.1", "1,\u0660.\u0662"], ids=["separator", "index", "value"])
+    def test_factor_numbers_follow_the_surface_grammar(self, capsys, tmp_path, pants_file, line):
+        # int and float read '_' separators and other scripts' digits (here
+        # 1 and 0.2 in Arabic-Indic digits); factor files hold ASCII numbers
+        # without '_', as surface files do.  A first line int can read is
+        # data, never a header, so it is refused too.
+        factors = tmp_path / "w.csv"
+        factors.write_text(f"{line}\n2,0.1\n3,0.1\n", encoding="utf-8")
+        code, out = invoke(capsys, ["lengths", str(pants_file), "--factors", str(factors)])
+        assert (code, out) == (1, f"ERROR 1: {factors} line 1: expected 'boundary_index,value', got {line!r}\n")
+
     def test_out_of_domain_factors(self, capsys, tmp_path, pants_file):
         factors = tmp_path / "w.csv"
         factors.write_text("1,-3\n")

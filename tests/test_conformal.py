@@ -23,6 +23,7 @@ from hexflow import (
 from hexflow.hexagon import _logcosh
 
 from conftest import PANTS_EDGE, block_rows, fd_jacobian, generated, pants_text, random_in_domain
+from mp_reference import float_slacks, mp_slack_arcs, mp_slack_H
 
 ACOSH2 = math.acosh(2.0)
 # closed form for the equilateral pants at w = 0: each face is the
@@ -263,58 +264,12 @@ def _scalar_reference(tri, l0, w, jacobian=True):
     return lengths, arcs, B, H
 
 
-def _float_slacks(tri, l0, w):
-    """Edge id -> the float slack w_a + w_b + ln cosh(l0/2), formed as the
-    kernel and edge_length form it."""
-    return {e.edge_id: w[e.b_i - 1] + w[e.b_j - 1] + _logcosh(0.5 * l0[e.edge_id]) for e in tri.edges}
-
-
 def _scalar_margin(tri, l0, w):
     """The domain margin as the scalar edge_length forms each edge slack."""
-    return min(_float_slacks(tri, l0, w).values())
+    return min(float_slacks(tri, l0, w).values())
 
 
 FIXTURES = ("pants", "tetra", "twin_pants", "second_pants", "torus")
-
-
-def _mp_sides(u):
-    """Sides 2 arccosh(e^u) of the float slacks u, at the working precision."""
-    return [2 * mp.acosh(mp.exp(mp.mpf(float(v)))) for v in u]
-
-
-def _mp_arcs(u, dps=120):
-    """Arcs of the face with slot slacks u by the cosine law at ``dps``
-    digits; arc t lies opposite slot t."""
-    with mp.workdps(dps):
-        l = _mp_sides(u)
-        return [
-            mp.acosh((mp.cosh(l[t]) + mp.cosh(l[t - 2]) * mp.cosh(l[t - 1])) / (mp.sinh(l[t - 2]) * mp.sinh(l[t - 1])))
-            for t in range(3)
-        ]
-
-
-def _mp_jacobian(tri, l0, w, dps=80):
-    """H at ``dps`` digits from the float edge slacks of w: per face the
-    block -2 M(a, b, c) / (sinh theta_k sinh l_ki sinh l_jk)."""
-    n = tri.n_boundaries
-    slack = _float_slacks(tri, l0, w)
-    with mp.workdps(dps):
-        H = mp.zeros(n, n)
-        for face in tri.faces:
-            l = _mp_sides([slack[eid] for eid in face.opposite_edges])
-            a, b, c = (mp.cosh(side) for side in l)
-            m12, m13, m23 = (a + b - c + 1) / (c - 1), (a + c - b + 1) / (b - 1), (b + c - a + 1) / (a - 1)
-            M = [
-                [(c + a * b) / (b - 1) + (b + a * c) / (c - 1), m12, m13],
-                [m12, (c + a * b) / (a - 1) + (a + b * c) / (c - 1), m23],
-                [m13, m23, (b + a * c) / (a - 1) + (a + b * c) / (b - 1)],
-            ]
-            theta_k = mp.acosh((c + a * b) / (mp.sinh(l[0]) * mp.sinh(l[1])))
-            scale = -2 / (mp.sinh(theta_k) * mp.sinh(l[0]) * mp.sinh(l[1]))
-            for r in range(3):
-                for s in range(3):
-                    H[face.corners[r] - 1, face.corners[s] - 1] += scale * M[r][s]
-        return np.array(H.tolist(), dtype=float)
 
 
 class TestArrayKernelOracle:
@@ -324,8 +279,8 @@ class TestArrayKernelOracle:
     comparing the two checks the kernel's assembly: the slot tables, the
     corner sums into B and H, the branch each face takes and the block
     layout.  The formulas themselves are checked against the cosine law in
-    mpmath (:func:`_mp_arcs`, :func:`_mp_jacobian`), which reads the float
-    slacks the kernel sees."""
+    mpmath (``mp_reference.mp_slack_arcs`` and ``mp_slack_H``), which reads
+    the float slacks the kernel sees."""
 
     @staticmethod
     def _assert_matches(tri, l0, w):
@@ -333,12 +288,9 @@ class TestArrayKernelOracle:
         geometry = surface_geometry(tri, l0, w)
         np.testing.assert_allclose(geometry.edge_lengths, lengths, rtol=1e-13, atol=0.0)
         np.testing.assert_allclose(geometry.arcs, arcs, rtol=1e-13, atol=0.0)
-        # The cosine law cancels e^(4u)-sized terms, so the reference carries
-        # digits in proportion to the largest slack.
-        slack = _float_slacks(tri, l0, w)
+        slack = float_slacks(tri, l0, w)
         for face, face_arcs in zip(tri.faces, geometry.arcs):
-            u = [slack[eid] for eid in face.opposite_edges]
-            ref = [float(arc) for arc in _mp_arcs(u, int(60 + 2 * max(u)))]
+            ref = [float(arc) for arc in mp_slack_arcs([slack[eid] for eid in face.opposite_edges])]
             np.testing.assert_allclose(face_arcs, ref, rtol=1e-13, atol=0.0)
         np.testing.assert_allclose(boundary_lengths(tri, l0, w), B, rtol=1e-13, atol=0.0)
         np.testing.assert_array_equal(geometry.boundary, boundary_lengths(tri, l0, w))
@@ -404,7 +356,7 @@ class TestArrayKernelOracle:
             w = w - 0.5 * (in_domain(tri, l0, w).margin - 10.0 ** rng.uniform(-15.0, -8.0))
             assert 0.0 < in_domain(tri, l0, w).margin <= 2e-8
             H = boundary_jacobian(tri, l0, w)
-            H_ref = _mp_jacobian(tri, l0, w)
+            H_ref = mp_slack_H(tri, l0, w)
             assert np.max(np.abs(H - H_ref)) <= 1e-13 * np.max(np.abs(H_ref))
             assert np.array_equal(H, H.T)
             np.linalg.cholesky(-H)
@@ -434,12 +386,12 @@ class TestArrayKernelOracle:
             target[b] = max(target[far] - target[a] + rng.uniform(-3.0, 3.0), 1e-12)
         return target
 
-    def _worst_arc_ulps(self, tri, l0, targets, dps=lambda u: 120):
+    def _worst_arc_ulps(self, tri, l0, targets):
         worst = 0.0
         for target in targets:
             w, u = self._pants_at_slacks(tri, target)
             arcs = surface_geometry(tri, l0, w).arcs[0]
-            for arc, ref in zip(arcs, _mp_arcs(u, dps(u))):
+            for arc, ref in zip(arcs, mp_slack_arcs(u)):
                 worst = max(worst, float(abs(mp.mpf(float(arc)) - ref)) / np.spacing(float(ref)))
         return worst
 
@@ -454,20 +406,18 @@ class TestArrayKernelOracle:
         assert self._worst_arc_ulps(tri, l0, targets) <= 8.0
 
     def test_far_arcs_within_8_ulp_of_the_slack_reference(self, pants):
-        # The cosine law cancels e^(4u)-sized terms, so the reference
-        # carries digits in proportion to the largest slack.
         tri, l0 = pants
         rng = np.random.default_rng(33)
         targets = [self._far_slacks(rng) for _ in range(40)]
-        assert self._worst_arc_ulps(tri, l0, targets, dps=lambda u: int(60 + 2 * max(u))) <= 8.0
+        assert self._worst_arc_ulps(tri, l0, targets) <= 8.0
 
     def test_far_jacobian_against_the_slack_reference(self, pants):
         tri, l0 = pants
         rng = np.random.default_rng(34)
         for _ in range(15):
-            w, u = self._pants_at_slacks(tri, self._far_slacks(rng))
+            w, _ = self._pants_at_slacks(tri, self._far_slacks(rng))
             H = boundary_jacobian(tri, l0, w)
-            H_ref = _mp_jacobian(tri, l0, w, int(60 + 2 * max(u)))
+            H_ref = mp_slack_H(tri, l0, w)
             assert np.max(np.abs(H - H_ref)) <= 1e-13 * np.max(np.abs(H_ref))
             assert np.array_equal(H, H.T)
 

@@ -1,6 +1,4 @@
-import math
 
-import mpmath as mp
 import numpy as np
 import pytest
 
@@ -19,6 +17,7 @@ from hexflow import (
 )
 
 from conftest import PANTS_EDGE, fd_jacobian, generated, random_in_domain
+from mp_reference import mp_face_energy
 
 L0_SIDES = (PANTS_EDGE, PANTS_EDGE, PANTS_EDGE)
 
@@ -48,30 +47,6 @@ def face_arcs(l0_sides, w):
         edge_length(l0_sides[2], w[0], w[1]),
     )
     return np.array(hexagon_arcs(*sides))
-
-
-def mp_face_energy(l0_sides, w, dps=30):
-    """Integral of the arc 1-form from 0 to w in mpmath.  Each arc is
-    2 asinh(sqrt(q/2)) with cosh(theta) - 1 = q = (cosh l_c + cosh(l_a - l_b))
-    / (sinh l_a sinh l_b), which does not cancel when the sides are long."""
-    with mp.workdps(dps):
-        l0 = [mp.mpf(float(v)) for v in l0_sides]
-        w = [mp.mpf(float(v)) for v in w]
-
-        def integrand(s):
-            p = [s * v for v in w]
-            sides = [
-                2 * mp.acosh(mp.exp(p[a] + p[b]) * mp.cosh(l / 2))
-                for l, (a, b) in zip(l0, ((1, 2), (2, 0), (0, 1)))
-            ]
-            total = mp.mpf(0)
-            for i in range(3):
-                lc, la, lb = sides[i], sides[(i + 1) % 3], sides[(i + 2) % 3]
-                q = (mp.cosh(lc) + mp.cosh(la - lb)) / (mp.sinh(la) * mp.sinh(lb))
-                total += 2 * mp.asinh(mp.sqrt(q / 2)) * w[i]
-            return total
-
-        return float(mp.quad(integrand, [0, 1]))
 
 
 class TestFaceEnergy:

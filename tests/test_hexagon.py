@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hexflow import (
-    acosh_stable,
     arc_jacobian,
     coefficient_matrix,
     edge_length,
@@ -17,23 +16,9 @@ from hexflow import (
 from hexflow.hexagon import _far_arcs, _slacks
 
 from conftest import fd_jacobian
+from mp_reference import mp_arcs, mp_face_block
 
 ACOSH2 = math.acosh(2.0)
-
-
-def mp_arcs(sides, dps=60):
-    """The arcs at ``dps`` digits by the q-form, independent of the float
-    half-angle form: q = cosh(theta) - 1 as a sum of positive terms, then
-    theta = 2 asinh(sqrt(q / 2)), which stays exact for q far below 10^-dps."""
-    with mp.workdps(dps):
-        s1, s2, s3 = (mp.mpf(float(s)) for s in sides)
-
-        def one(lc, la, lb):
-            ca, cb, sa, sb = mp.cosh(la), mp.cosh(lb), mp.sinh(la), mp.sinh(lb)
-            q = (mp.cosh(lc) + (ca * ca + cb * cb - 1) / (ca * cb + sa * sb)) / (sa * sb)
-            return 2 * mp.asinh(mp.sqrt(q / 2))
-
-        return [float(one(s1, s2, s3)), float(one(s2, s3, s1)), float(one(s3, s1, s2))]
 
 
 class TestHexagonArcs:
@@ -315,25 +300,13 @@ class TestArcJacobian:
         assert np.max(np.linalg.eigvalsh(j)) < 0.0
 
     def test_matches_high_precision_block(self):
-        # -2 M / (sinh theta_k sinh l_ki sinh l_jk) at 400 digits on
+        # mp_face_block, -2 M / (sinh theta_k sinh l_ki sinh l_jk), at 400 digits on
         # log-uniform sides in [1e-8, 200], the range of the direct form.
         rng = np.random.default_rng(14)
         worst = 0.0
         for sides in np.exp(rng.uniform(math.log(1e-8), math.log(200.0), (300, 3))):
             with mp.workdps(400):
-                l_jk, l_ki, l_ij = (mp.mpf(float(s)) for s in sides)
-                a, b, c = mp.cosh(l_jk), mp.cosh(l_ki), mp.cosh(l_ij)
-                q = (c + (a * a + b * b - 1) / (a * b + mp.sinh(l_jk) * mp.sinh(l_ki))) / (
-                    mp.sinh(l_jk) * mp.sinh(l_ki)
-                )
-                scale = -2 / (mp.sqrt(q * (q + 2)) * mp.sinh(l_ki) * mp.sinh(l_jk))
-                m11 = (c + a * b) / (b - 1) + (b + a * c) / (c - 1)
-                m22 = (c + a * b) / (a - 1) + (a + b * c) / (c - 1)
-                m33 = (b + a * c) / (a - 1) + (a + b * c) / (b - 1)
-                m12, m13, m23 = (a + b - c + 1) / (c - 1), (a + c - b + 1) / (b - 1), (b + c - a + 1) / (a - 1)
-                ref = np.array(
-                    [[float(scale * m) for m in row] for row in ((m11, m12, m13), (m12, m22, m23), (m13, m23, m33))]
-                )
+                ref = np.array(mp_face_block([mp.sinh(mp.mpf(float(s)) / 2) ** 2 for s in sides]), dtype=float)
             worst = max(worst, np.max(np.abs(arc_jacobian(*sides) - ref)) / np.max(np.abs(ref)))
         assert worst <= 4e-15
 
@@ -347,24 +320,3 @@ class TestArcJacobian:
             arc_jacobian(1e-155, 1e-155, 1.0)
         assert np.all(np.isfinite(arc_jacobian(1e-150, 1e-150, 1.0)))
 
-
-class TestAcoshStable:
-    def test_matches_reference_near_one(self):
-        with mp.workdps(60):
-            for exponent in range(-15, -3):
-                x = 1.0 + 10.0 ** exponent
-                assert acosh_stable(x) == pytest.approx(float(mp.acosh(mp.mpf(x))), rel=1e-13)
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.floats(1.0 + 1e-12, 1e8))
-    def test_matches_math_acosh_away_from_one(self, x):
-        assert acosh_stable(x) == pytest.approx(math.acosh(x), rel=1e-12)
-
-    @pytest.mark.parametrize("x", [1e155, 1e200, 1.7e308])
-    def test_matches_reference_for_huge_arguments(self, x):
-        with mp.workdps(60):
-            assert acosh_stable(x) == pytest.approx(float(mp.acosh(mp.mpf(x))), rel=1e-15)
-
-    def test_rejects_below_one(self):
-        with pytest.raises(ValueError):
-            acosh_stable(0.999)

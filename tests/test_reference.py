@@ -1,9 +1,16 @@
-"""The kernel and the Newton solve against the 60-digit reference of
-``mp_reference``: B to 1e-15 relative per component, H to 2e-15 of its
-largest entry, and Newton's answer within 4 ulp of the reference
-solution w*.  A factor's ulp here is eps * max(1, max|w*|): the kernel
-reads w only through the edge slacks w_a + w_b + ln cosh(l0/2), whose
-base terms are of order one, so a smaller |w*| carries no more digits."""
+"""The reference of ``mp_reference`` against two other forms of the
+hexagon, and the kernel and the Newton solve against the reference.
+
+The core's arcs agree with the textbook cosine law, and its block with
+central differences of its arcs through the conformal rule.  At 60
+digits, the kernel's B agrees to 1e-15 relative per component, its H to
+2e-15 of the largest entry, and Newton's answer lies within 4 ulp of the
+reference solution w*.  A factor's ulp here is eps * max(1, max|w*|):
+the kernel reads w only through the edge slacks w_a + w_b + ln
+cosh(l0/2), whose base terms are of order one, so a smaller |w*| carries
+no more digits."""
+
+import math
 
 import numpy as np
 import pytest
@@ -18,11 +25,58 @@ from hexflow import (
 )
 
 from conftest import generated
-from mp_reference import mp_B, mp_H, mp_solve
+from mp_reference import mp_B, mp_face_arcs, mp_face_block, mp_H, mp_solve
 
-FIXTURES = ["pants", "tetra", "twin_pants", "second_pants", "torus"]
+FIXTURES = ["pants", "tetra", "twin_pants", "second_pants", "torus", "lopsided"]
 GENERATED = [(2, 0), (4, 1), (8, 2), (12, 3)]
 CASES = FIXTURES + [f"F{faces}-seed{seed}" for faces, seed in GENERATED]
+
+
+# Faces with sides log-uniform in [1e-8, 1000]: huge and tiny arcs, on
+# both sides of the kernel's far-form threshold (sides of 200).
+FACES = np.exp(np.random.default_rng(40).uniform(math.log(1e-8), math.log(1000.0), (100, 3)))
+
+
+def test_face_arcs_match_the_textbook_cosine_law():
+    # cosh theta_t = (cosh l_t + cosh l_a cosh l_b) / (sinh l_a sinh l_b)
+    # cancels to cosh theta_t - 1 ~ e^(l_t - l_a - l_b) on short arcs, at
+    # most (l_a + l_b) / ln 10 < max(l) digits, so it is evaluated at
+    # 60 + max(l) digits.
+    worst = 0
+    for sides in FACES:
+        l = [mp.mpf(float(side)) for side in sides]
+        with mp.workdps(60):
+            arcs = mp_face_arcs([mp.sinh(side / 2) ** 2 for side in l])
+        with mp.workdps(60 + int(max(sides))):
+            for t, arc in enumerate(arcs):
+                a, b = (t + 1) % 3, (t + 2) % 3
+                law = mp.acosh((mp.cosh(l[t]) + mp.cosh(l[a]) * mp.cosh(l[b])) / (mp.sinh(l[a]) * mp.sinh(l[b])))
+                worst = max(worst, abs(arc - law) / law)
+    assert worst <= 1e-58
+
+
+def test_face_block_matches_differences_of_the_arcs():
+    # Slot t's slack u_t = w_(t+1) + w_(t+2) + ln cosh(l_t / 2) moves with
+    # the two corners other than t, and S_t = expm1(2 u_t).  Central
+    # differences with step h = 1e-40 at 120 digits err by about
+    # (h / u)^2 <= 1e-46 relative, u >= 1.25e-17 on these faces.
+    worst = 0
+    with mp.workdps(120):
+        h = mp.mpf(10) ** -40
+        for sides in FACES:
+            u = [mp.log(mp.cosh(mp.mpf(float(side)) / 2)) for side in sides]
+
+            def arcs(dw):
+                return mp_face_arcs([mp.expm1(2 * (u[t] + dw[(t + 1) % 3] + dw[(t + 2) % 3])) for t in range(3)])
+
+            block = mp_face_block([mp.expm1(2 * x) for x in u])
+            scale = max(abs(x) for row in block for x in row)
+            for s in range(3):
+                step = [h if k == s else 0 for k in range(3)]
+                plus, minus = arcs(step), arcs([-x for x in step])
+                for t in range(3):
+                    worst = max(worst, abs((plus[t] - minus[t]) / (2 * h) - block[t][s]) / scale)
+    assert worst <= 1e-45
 
 
 @pytest.fixture(params=CASES)

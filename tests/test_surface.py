@@ -14,7 +14,6 @@ from hexflow import (
     Metric,
     ParseError,
     Violation,
-    corner_incidence,
     euler_characteristic,
     parse_surface,
     serialize_surface,
@@ -279,8 +278,9 @@ def _corrupt(tri, **kwargs):
 
 
 class TestValidate:
-    def test_ok_fixtures(self, pants, tetra, twin_pants, torus):
-        for tri, metric in (pants, tetra, twin_pants, torus):
+    def test_ok_fixtures(self, pants, tetra, twin_pants, torus, lopsided):
+        # lopsided's face 1 uses one edge in two slots.
+        for tri, metric in (pants, tetra, twin_pants, torus, lopsided):
             report = validate(tri, metric)
             assert report.ok
             assert report.violations == ()
@@ -355,49 +355,3 @@ class TestEulerCharacteristic:
     def test_negative_for_all_fixtures(self, pants, tetra, twin_pants, torus):
         for tri, _ in (pants, tetra, twin_pants, torus):
             assert euler_characteristic(tri) < 0
-
-
-class TestCornerIncidence:
-    def test_pants_component(self, pants):
-        tri, _ = pants
-        assert corner_incidence(tri, 1) == [(1, 0), (2, 0)]
-
-    def test_deterministic_order(self, tetra):
-        tri, _ = tetra
-        hits = corner_incidence(tri, 4)
-        assert hits == sorted(hits)
-        assert len(hits) == 3
-
-    def test_singleton_component(self):
-        # components 1 and 2 carry exactly one corner each; face 1 uses
-        # edge 2 in two of its slots (counted as two slots)
-        text = (
-            "surface lopsided\n"
-            "boundaries 3\n"
-            "edge 1 3 3 1.0\n"
-            "edge 2 1 3 1.2\n"
-            "edge 3 2 3 1.4\n"
-            "face 1 1 2 2 1 3 3\n"
-            "face 2 1 3 3 2 3 3\n"
-        )
-        tri, metric = parse_surface(text)
-        from hexflow import validate
-
-        assert validate(tri, metric).ok
-        assert corner_incidence(tri, 1) == [(1, 0)]
-        assert corner_incidence(tri, 2) == [(2, 0)]
-        assert len(corner_incidence(tri, 3)) == 4
-
-    def test_out_of_range(self, pants):
-        tri, _ = pants
-        with pytest.raises(ValueError):
-            corner_incidence(tri, 0)
-        with pytest.raises(ValueError):
-            corner_incidence(tri, 4)
-
-    def test_total_incidence_is_three_faces(self, pants, tetra, twin_pants, torus):
-        for tri, _ in (pants, tetra, twin_pants, torus):
-            total = sum(
-                len(corner_incidence(tri, i)) for i in range(1, tri.n_boundaries + 1)
-            )
-            assert total == 3 * len(tri.faces)
