@@ -72,14 +72,23 @@ def _load_surface(path, strict=True):
         raise ParseError(f"{path}: {exc}") from exc
 
 
+def _reads(number, text):
+    """Whether ``number`` (int or float) reads ``text``."""
+    try:
+        number(text)
+    except ValueError:
+        return False
+    return True
+
+
 def _read_vector(path, n, what, default=None):
     """The length-n vector in the ``what`` file at ``path``, CSV lines
     'boundary_index,value' of ASCII numbers without '_', as in a surface
     file: '#' starts a comment, blank lines are ignored, and a first line
-    of content whose index int cannot read, in any script, is a header and
-    skipped.  Every line is parsed before the indices are checked
-    against 1..n; components the file leaves out take ``default``, and
-    without one every component must be given."""
+    of content neither of whose fields int or float reads, in any script,
+    is a header and skipped.  Every line is parsed before the indices are
+    checked against 1..n; components the file leaves out take
+    ``default``, and without one every component must be given."""
     values = {}
     header = True  # the first line of content may be a header
     for line_no, raw in enumerate(_read_text(path, f"{what} file {path}").splitlines(), start=1):
@@ -91,11 +100,9 @@ def _read_vector(path, n, what, default=None):
         if len(parts) != 2:
             raise ParseError(f"{path} line {line_no}: expected 'boundary_index,value', got {raw!r}")
         try:
-            index = int(parts[0])
-            first = False  # an integer index makes it a data line
             index, value = int(_plain(parts[0])), float(_plain(parts[1]))
         except ValueError:
-            if first:
+            if first and not any(map(_reads, (int, float), parts)):
                 continue
             raise ParseError(f"{path} line {line_no}: expected 'boundary_index,value', got {raw!r}") from None
         if index in values:

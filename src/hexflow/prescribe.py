@@ -8,10 +8,11 @@ gradient of the strictly concave objective
 
 so solving B(w) = target means maximizing G.  The iteration solves
 H(w) d = target - B(w) with the (negative-definite) boundary Jacobian H
-through LAPACK's Cholesky factor of -H (``potrf``, then ``potrs``; where
--H is numerically not positive definite it takes the gradient-ascent
-step (B - target) / max|H| instead), then backtracks until the trial
-point is safely admissible and the merit satisfies an Armijo increase.
+through numpy's LAPACK: ``cholesky`` of -H tests that it is positive
+definite and ``solve`` gives the step (where -H is numerically not
+positive definite it takes the gradient-ascent step (B - target) / max|H|
+instead).  It then backtracks until the trial point is safely
+admissible and the merit satisfies an Armijo increase.
 Since the gradient of G is B - target, the merit change along a step is
 the line integral
 
@@ -28,10 +29,6 @@ Once the step is accepted, the trial point's row is B at the next
 iterate, and its row of the slack table gives H there
 (:func:`._jacobian`, the assembly of :func:`.boundary_jacobian`, bit
 for bit); only the start point calls :func:`.boundary_jacobian` itself.
-
-The module imports only the ``scipy`` package: its ``scipy.linalg`` is
-loaded on the first Newton step, so a process that never solves (the
-flow, ``lengths``, ``validate``) never loads it.
 """
 
 import math
@@ -40,7 +37,7 @@ from dataclasses import dataclass, field
 from typing import List
 
 import numpy as np
-import scipy
+import scipy  # noqa: F401 - on the path of sites the tracer in bench/tracing.py wraps
 
 from .conformal import _factor, _jacobian, _trial_rows, boundary_jacobian, boundary_lengths
 from .energy import total_energy
@@ -111,22 +108,19 @@ def _merit_gain(tri, l0, target, w, step, alpha):
 
 
 def _newton_step(H, grad):
-    """The step d with -H d = grad, from LAPACK's Cholesky factor of -H
-    (``potrf``/``potrs``, the calls and arguments of scipy's
-    ``cho_factor``/``cho_solve``, bit for bit).  Where -H is numerically
-    not positive definite (near the domain boundary H can degenerate), the
-    plain gradient-ascent step grad / max|H| instead.  Raises ValueError
-    if H is not finite."""
+    """The step d with -H d = grad: numpy's ``cholesky`` of -H tests that
+    -H is positive definite, and ``solve`` gives d.  Where it is
+    numerically not (near the domain boundary H can degenerate), the plain
+    gradient-ascent step grad / max|H| instead.  Leaves H and grad as they
+    are; raises ValueError if H is not finite."""
     if not np.isfinite(H).all():
         raise ValueError("boundary Jacobian must not contain infs or NaNs")
-    factor, info = scipy.linalg.lapack.dpotrf(-H, lower=False, clean=False, overwrite_a=True)
-    if info > 0:
+    A = -H
+    try:
+        np.linalg.cholesky(A)
+    except np.linalg.LinAlgError:
         return grad / float(np.max(np.abs(H)))
-    if info == 0:
-        step, info = scipy.linalg.lapack.dpotrs(factor, grad, lower=False)
-    if info < 0:
-        raise ValueError(f"LAPACK reported an illegal value in argument {-info}")
-    return step
+    return np.linalg.solve(A, grad)
 
 
 def solve_prescribed(tri, l0, target, opts=None, start=None):

@@ -1,8 +1,9 @@
 """Every name imported in src/hexflow/*.py is used: read in its module,
 re-exported in its ``__all__``, or marked ``# noqa: F401`` on its line,
 and a marked name is a site the benchmark tracer in bench/tracing.py
-wraps.  The kernel's internals, which run only behind its admissibility
-check, are imported by no module but conformal.py."""
+wraps or lies on the path to one.  The kernel's internals, which run
+only behind its admissibility check, are imported by no module but
+conformal.py."""
 
 import ast
 import sys
@@ -40,6 +41,12 @@ def marked_imports(source):
     return sorted(name for name, _, marked in _imports(source) if marked)
 
 
+def tracer_site(module, name, sites=SITES):
+    """Whether ``module.name`` is a site in ``sites`` or a step of a
+    site's path."""
+    return (module, name) in sites or any(path.startswith(f"{module}.{name}.") for path, _ in sites)
+
+
 def internal_imports(source):
     """Kernel internals an import in ``source`` names, under any alias."""
     return sorted(
@@ -72,7 +79,7 @@ def test_every_import_is_used(path):
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_marked_imports_are_tracer_sites(path):
     module = "hexflow" if path.stem == "__init__" else f"hexflow.{path.stem}"
-    assert [name for name in marked_imports(path.read_text()) if (module, name) not in SITES] == []
+    assert [name for name in marked_imports(path.read_text()) if not tracer_site(module, name)] == []
 
 
 @pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "conformal.py"], ids=lambda path: path.name)
@@ -101,6 +108,15 @@ def test_marked_imports_are_found():
         "from .hexagon import hexagon_arcs, arc_jacobian  # noqa: F401\n"
     )
     assert marked_imports(source) == ["arc_jacobian", "face_sides", "hexagon_arcs", "os"]
+
+
+def test_a_step_of_a_site_path_is_a_tracer_site():
+    sites = {("hexflow.flow", "face_sides"), ("hexflow.prescribe.scipy.linalg", "cho_factor")}
+    assert tracer_site("hexflow.flow", "face_sides", sites)
+    assert tracer_site("hexflow.prescribe", "scipy", sites)
+    assert not tracer_site("hexflow.prescribe", "sci", sites)
+    assert not tracer_site("hexflow.flow", "scipy", sites)
+    assert not tracer_site("hexflow.prescribe", "cho_factor", sites)
 
 
 def test_an_unused_import_is_found():

@@ -230,7 +230,10 @@ def test_trial_inside_the_cushion_forms_no_arc(monkeypatch, kernel_calls, pants)
 
 class TestNewtonStep:
     @pytest.mark.parametrize("faces", [4, 8, 12, 16, 20])
-    def test_step_is_scipys_cholesky_bit_for_bit(self, monkeypatch, faces):
+    def test_step_solves_the_newton_system(self, monkeypatch, faces):
+        # numpy's and scipy's LAPACK builds round differently, so the step
+        # is held to a backward-error bound and to scipy's Cholesky solve
+        # up to rounding, not bit for bit.
         tri, l0 = generated(faces, 5)
         w_star = np.random.default_rng(faces).uniform(0.0, 0.5, tri.n_boundaries)
         seen = []
@@ -238,11 +241,15 @@ class TestNewtonStep:
         monkeypatch.setattr(prescribe, "_newton_step", lambda H, grad: seen.append((H, grad)) or newton_step(H, grad))
         result = solve_prescribed(tri, l0, boundary_lengths(tri, l0, w_star))
         assert len(seen) == result.iterations >= 3
+        eps = np.finfo(float).eps
         for H, grad in seen:
             H_before, grad_before = H.copy(), grad.copy()
-            reference = scipy.linalg.cho_solve(scipy.linalg.cho_factor(-H), grad)
-            assert np.array_equal(newton_step(H, grad), reference)
+            step = newton_step(H, grad)
             assert np.array_equal(H, H_before) and np.array_equal(grad, grad_before)
+            backward = np.max(np.abs(-H @ step - grad))
+            assert backward <= 16 * len(grad) * eps * np.linalg.norm(H, np.inf) * np.max(np.abs(step))
+            reference = scipy.linalg.cho_solve(scipy.linalg.cho_factor(-H), grad)
+            assert np.max(np.abs(step - reference)) <= 1e-13 * np.max(np.abs(reference))
 
     def test_indefinite_jacobian_takes_the_gradient_step(self, monkeypatch):
         tri, l0 = generated(8, 2)
