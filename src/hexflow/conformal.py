@@ -398,6 +398,16 @@ def boundary_lengths(tri, l0, w):
     return _geometry(_compiled(tri, l0), _factor(tri, w))[2]
 
 
+def _tail_coefficients(tri, l0):
+    """K of the tail B_k ~ K_k e^(-2 w_k) for long edges (:func:`.flow_limit`):
+    K_k sums lambda_opp / (lambda_adj lambda_adj') over the corners at k,
+    with lambda_e = cosh(l0_e / 2)."""
+    compiled = _compiled(tri, l0)
+    log_lam = compiled.log_cosh0[compiled.table[:3]]
+    ratios = np.exp(2.0 * log_lam - log_lam.sum(axis=0))
+    return np.bincount(compiled.corners, weights=ratios.ravel(), minlength=tri.n_boundaries)
+
+
 def _trial_rows(tri, l0, w, margin):
     """B of every row of the (m, n) stack w, whose last row is a trial
     point, with the arguments of :func:`_jacobian` for H there; None when
@@ -407,7 +417,9 @@ def _trial_rows(tri, l0, w, margin):
     compiled = _compiled(tri, l0)
     _finite(w[-1])
     u = _edge_slack(compiled, w)
-    if not math.expm1(float(u[-1].min())) > margin:
+    # expm1 overflows past a slack of 709; a slack of 1 clears any cushion
+    # below e - 1.
+    if not math.expm1(min(float(u[-1].min()), 1.0)) > margin:
         return None
     B = np.empty(w.shape)
     for part, _, _, rows, terms in _blocks(tri, l0, w, u, jacobian=True):

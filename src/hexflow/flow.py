@@ -55,8 +55,8 @@ from typing import Optional
 import numpy as np
 
 from .conformal import (
-    _compiled,
     _geometry_row,
+    _tail_coefficients,
     boundary_lengths,
     geometry_rows,
     in_domain,
@@ -271,10 +271,7 @@ def flow_limit(tri, l0):
     flow w_k(t) = (1/2) ln(2 K_k t) + o(1) = c_k + (1/2) ln t + o(1), and
     t B_k(t) -> 1/2.
     """
-    compiled = _compiled(tri, l0)
-    log_lam = compiled.log_cosh0[compiled.table[:3]]
-    ratios = np.exp(2.0 * log_lam - log_lam.sum(axis=0))
-    K = np.bincount(compiled.corners, weights=ratios.ravel(), minlength=tri.n_boundaries)
+    K = _tail_coefficients(tri, l0)
     return K, 0.5 * np.log(2.0 * K)
 
 

@@ -28,7 +28,19 @@ them to the kernel blocks, which check them as every evaluator does.
 Once the step is accepted, the trial point's row is B at the next
 iterate, and its row of the slack table gives H there
 (:func:`._jacobian`, the assembly of :func:`.boundary_jacobian`, bit
-for bit); only the start point calls :func:`.boundary_jacobian` itself.
+for bit); only a Newton step from the start calls
+:func:`.boundary_jacobian` itself.
+
+From the default start w = 0, iteration 1 first tries a jump rather than
+a Newton step.  For long edges B_k ~ K_k e^(-2 w_k), the tail the flow
+follows to its cusp limit (:func:`.flow_limit`), so each component's
+factor is near 1/2 ln(K_k / target_k) once that is large; the jump is
+d = max(0, 1/2 ln(K / target)).  It is tried when its slope
+<B(0) - target, d> is positive, as one trial at alpha = 1 under the same
+Armijo test, and taken if it passes: then B and H at w = d come from its
+kernel pass, and no H is assembled or solved at w = 0.  Otherwise
+iteration 1 is the Newton step from w = 0.  A caller's ``start`` is used
+as given, and every iteration from it is a Newton step.
 """
 
 import math
@@ -39,7 +51,14 @@ from typing import List
 import numpy as np
 import scipy  # noqa: F401 - on the path of sites the tracer in bench/tracing.py wraps
 
-from .conformal import _factor, _jacobian, _trial_rows, boundary_jacobian, boundary_lengths
+from .conformal import (
+    _factor,
+    _jacobian,
+    _tail_coefficients,
+    _trial_rows,
+    boundary_jacobian,
+    boundary_lengths,
+)
 from .energy import total_energy
 from .errors import ConvergenceError
 
@@ -71,11 +90,13 @@ class SolveOptions:
 
 @dataclass
 class SolveResult:
-    """Outcome of :func:`solve_prescribed`.  ``objective_trace[k]`` is the
-    merit G(w_k) = total_energy(w_k) - <target, w_k> at iterate k and
-    ``residual_trace[k]`` is the absolute residual |B(w_k) - target|_inf,
-    of which ``residual`` is the last; ``converged`` is the componentwise
-    test of :class:`SolveOptions`."""
+    """Outcome of :func:`solve_prescribed`.  ``iterations`` counts the
+    accepted steps, the jump of iteration 1 included; iterate 0 is the
+    start.  ``objective_trace[k]`` is the merit G(w_k) = total_energy(w_k)
+    - <target, w_k> at iterate k (0.0 at the default start, without
+    quadrature) and ``residual_trace[k]`` is the absolute residual
+    |B(w_k) - target|_inf, of which ``residual`` is the last;
+    ``converged`` is the componentwise test of :class:`SolveOptions`."""
 
     factors: np.ndarray
     iterations: int
@@ -123,14 +144,25 @@ def _newton_step(H, grad):
     return np.linalg.solve(A, grad)
 
 
+def _armijo_trial(tri, l0, target, w, step, slope, alpha):
+    """:func:`_merit_gain`'s trial at w + alpha step when it gains at least
+    _ARMIJO alpha slope, else None."""
+    trial = _merit_gain(tri, l0, target, w, step, alpha)
+    return trial if trial is not None and trial[0] >= _ARMIJO * alpha * slope else None
+
+
 def solve_prescribed(tri, l0, target, opts=None, start=None):
     """Find the unique admissible factor w with boundary lengths equal to
     ``target`` (componentwise positive).
 
-    Starts from w = 0 (always admissible) unless ``start`` overrides it.
-    Raises ConvergenceError with ``partial`` set when the iteration cap is
-    reached; extreme targets (for example near zero, which push w towards
-    infinity) exist in principle but may exhaust the cap.
+    Starts from w = 0 (always admissible), where iteration 1 first tries
+    the jump to the flow's asymptote max(0, 1/2 ln(K / target)) and takes
+    the Newton step only if the jump fails the line-search test.  A
+    caller's ``start`` is used as given, and every iteration from it is a
+    Newton step.  Raises ConvergenceError with ``partial`` set when the
+    iteration cap is reached; extreme targets (for example near zero,
+    which push w towards infinity) exist in principle but may exhaust the
+    cap.
     """
     opts = opts or SolveOptions()
     target = _factor(tri, target, "target")
@@ -147,43 +179,42 @@ def solve_prescribed(tri, l0, target, opts=None, start=None):
     grad = boundary_lengths(tri, l0, w) - target  # gradient of G
     jacobian = None  # the terms of H at w, from the accepted trial's kernel call
     objective = [total_energy(tri, l0, w) - float(target @ w)]
-    residuals = [float(np.abs(grad).max())]
+    residuals = []
+
+    def result(iteration, converged=False):
+        return SolveResult(w, iteration, residuals[-1], objective, residuals, converged)
 
     for iteration in range(opts.max_iter + 1):
-        residual = residuals[-1]
-        result = SolveResult(
-            factors=w,
-            iterations=iteration,
-            residual=residual,
-            objective_trace=objective,
-            residual_trace=residuals,
-            converged=bool(np.all(np.abs(grad) <= tolerance)),
-        )
-        if result.converged:
-            return result
+        error = np.abs(grad)
+        residuals.append(float(error.max()))
+        if np.all(error <= tolerance):
+            return result(iteration, converged=True)
         if iteration == opts.max_iter:
             raise ConvergenceError(
-                f"no convergence in {opts.max_iter} iterations (residual {residual:.3e})",
-                partial=result,
+                f"no convergence in {opts.max_iter} iterations (residual {residuals[-1]:.3e})",
+                partial=result(iteration),
             )
 
-        H = boundary_jacobian(tri, l0, w) if jacobian is None else _jacobian(*jacobian)
-        step = _newton_step(H, grad)  # H step = target - B
-
-        slope = float(grad @ step)
-        alpha = 1.0
-        while alpha >= _MIN_STEP:
-            trial = _merit_gain(tri, l0, target, w, step, alpha)
-            if trial is not None and trial[0] >= _ARMIJO * alpha * slope:
-                break
-            alpha *= _BACKTRACK
-        else:
-            raise ConvergenceError(
-                f"line search failed at iteration {iteration} (residual {residual:.3e})",
-                partial=result,
-            )
+        trial = None
+        if iteration == 0 and start is None:
+            # The jump to the flow's asymptote, tried only where it ascends
+            # G at a finite slope.
+            step = np.maximum(0.0, 0.5 * (np.log(_tail_coefficients(tri, l0)) - np.log(target)))
+            slope, alpha = float(grad @ step), 1.0
+            if 0.0 < slope < math.inf:
+                trial = _armijo_trial(tri, l0, target, w, step, slope, alpha)
+        if trial is None:
+            H = boundary_jacobian(tri, l0, w) if jacobian is None else _jacobian(*jacobian)
+            step = _newton_step(H, grad)  # H step = target - B
+            slope, alpha = float(grad @ step), 1.0
+            while (trial := _armijo_trial(tri, l0, target, w, step, slope, alpha)) is None:
+                alpha *= _BACKTRACK
+                if alpha < _MIN_STEP:
+                    raise ConvergenceError(
+                        f"line search failed at iteration {iteration} (residual {residuals[-1]:.3e})",
+                        partial=result(iteration),
+                    )
 
         gain, B, jacobian = trial
         w, grad = w + alpha * step, B - target
         objective.append(objective[-1] + gain)
-        residuals.append(float(np.abs(grad).max()))

@@ -123,20 +123,20 @@ def validate(tri, l0):
                     f"face {f.face_id} corner on boundary {c} outside 1..{tri.n_boundaries}",
                     f.face_id,
                 )
-        for t in range(3):
-            eid = f.opposite_edges[t]
-            if eid not in seen_edges:
+        c0, c1, c2 = f.corners
+        for t, eid, a, b in zip(range(3), f.opposite_edges, (c1, c2, c0), (c2, c0, c1)):
+            e = seen_edges.get(eid)
+            if e is None:
                 flag("unknown edge", f"face {f.face_id} references undeclared edge {eid}", f.face_id, eid)
                 continue
             slot_use[eid] += 1
-            e = seen_edges[eid]
-            others = sorted((f.corners[(t + 1) % 3], f.corners[(t + 2) % 3]))
-            if others != sorted((e.b_i, e.b_j)):
+            # The other two corners must lie on the edge's ends, in either order.
+            if not (a == e.b_i and b == e.b_j or a == e.b_j and b == e.b_i):
+                low, high = sorted((a, b))
                 flag(
                     "corner/edge mismatch",
                     f"face {f.face_id} slot {t}: edge {eid} joins "
-                    f"{{{e.b_i},{e.b_j}}} but the other corners lie on "
-                    f"{{{others[0]},{others[1]}}}",
+                    f"{{{e.b_i},{e.b_j}}} but the other corners lie on {{{low},{high}}}",
                     f.face_id,
                     eid,
                 )
@@ -181,13 +181,13 @@ def euler_characteristic(tri):
     return len(tri.faces) - len(tri.edges)
 
 
-def _plain(token):
-    """``token`` if it is ASCII without '_'; ValueError otherwise.  int and
-    float also read other scripts' digits and '_' digit separators, which
-    the file grammar does not hold."""
-    if not token.isascii() or "_" in token:
-        raise ValueError(token)
-    return token
+def _plain(text):
+    """``text`` (a token or a whole line) if it is ASCII without '_';
+    ValueError otherwise.  int and float also read other scripts' digits
+    and '_' digit separators, which the file grammar does not hold."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(text)
+    return text
 
 
 def _parse_int(token, line_no, what):
@@ -249,20 +249,32 @@ def parse_surface(text, strict=True):
         elif keyword == "edge":
             if len(tokens) != 5:
                 raise ParseError("edge line needs: edge <id> <b_i> <b_j> <l0>", line_no)
-            eid = _parse_int(tokens[1], line_no, "edge id")
-            b_i = _parse_int(tokens[2], line_no, "boundary index")
-            b_j = _parse_int(tokens[3], line_no, "boundary index")
-            lengths[eid] = _parse_float(tokens[4], line_no, "length")
+            # The whole line is checked once; only a line that fails to read
+            # goes token by token, to name the first token refused.
+            try:
+                _plain(line)
+                eid, b_i, b_j = map(int, tokens[1:4])
+                length = float(tokens[4])
+            except ValueError:
+                eid = _parse_int(tokens[1], line_no, "edge id")
+                b_i = _parse_int(tokens[2], line_no, "boundary index")
+                b_j = _parse_int(tokens[3], line_no, "boundary index")
+                length = _parse_float(tokens[4], line_no, "length")
+            lengths[eid] = length
             edges.append(Edge(eid, b_i, b_j))
         elif keyword == "face":
             if len(tokens) != 8:
                 raise ParseError(
                     "face line needs: face <id> <e0> <e1> <e2> <c0> <c1> <c2>", line_no
                 )
-            fid = _parse_int(tokens[1], line_no, "face id")
-            eids = tuple(_parse_int(t, line_no, "edge id") for t in tokens[2:5])
-            corners = tuple(_parse_int(t, line_no, "boundary index") for t in tokens[5:8])
-            faces.append(Face(fid, eids, corners))
+            try:
+                _plain(line)
+                fid, e0, e1, e2, c0, c1, c2 = map(int, tokens[1:])
+            except ValueError:
+                fid = _parse_int(tokens[1], line_no, "face id")
+                e0, e1, e2 = (_parse_int(t, line_no, "edge id") for t in tokens[2:5])
+                c0, c1, c2 = (_parse_int(t, line_no, "boundary index") for t in tokens[5:8])
+            faces.append(Face(fid, (e0, e1, e2), (c0, c1, c2)))
         else:
             raise ParseError(f"unknown directive {keyword!r}", line_no)
 

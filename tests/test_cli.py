@@ -421,7 +421,7 @@ class TestPrescribeCommand:
             [
                 "prescribe", str(pants_file),
                 "--target", str(target),
-                "--max-iter", "2",
+                "--max-iter", "1",
                 "--out", str(out_file),
             ],
         )
@@ -493,8 +493,10 @@ class TestPrescribeCommand:
 
         jacobian = prescribe.boundary_jacobian
         monkeypatch.setattr(prescribe, "boundary_jacobian", lambda *args: jacobian(*args) * np.nan)
+        # Targets above the tail coefficients K = 1 of pants ask for no
+        # jump, so iteration 1 is a Newton step from w = 0.
         target = tmp_path / "target.csv"
-        target.write_text("1,1.0\n2,0.9\n3,1.1\n")
+        target.write_text("1,1.2\n2,1.1\n3,1.3\n")
         out_file = tmp_path / "w.csv"
         code, out = invoke(capsys, ["prescribe", str(pants_file), "--target", str(target), "--out", str(out_file)])
         assert code == 1

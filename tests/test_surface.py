@@ -150,6 +150,16 @@ class TestParse:
              "expected decimal length, got '1_0.0'", 3),
             (pants_text().replace("boundaries 3", "boundaries \u0663"),
              "expected integer boundary count, got '\u0663'", 2),
+            # An edge or face line that does not read names its first
+            # refused token.
+            (pants_text().replace("edge 1 2 3 ", "edge 1 2_0 x "),
+             "expected integer boundary index, got '2_0'", 3),
+            (pants_text().replace("edge 2 3 1 ", "edge 2 3 \u0661 "),
+             "expected integer boundary index, got '\u0661'", 4),
+            (pants_text().replace("face 2 1 2 3 1 2 3", "face 2 1 2.0 3 1 \u0662 3"),
+             "expected integer edge id, got '2.0'", 7),
+            (pants_text().replace("face 2 1 2 3 1 2 3", "face 2 1 2 3 1 2_0 3"),
+             "expected integer boundary index, got '2_0'", 7),
             # validate's violations, joined, with no line.
             ("surface s\nboundaries 0\n",
              "invalid surface: need at least one boundary component, have 0; "
@@ -168,6 +178,12 @@ class TestParse:
             parse_surface(text)
         assert info.value.line == line
         assert str(info.value) == (message if line is None else f"line {line}: {message}")
+
+    def test_unicode_spaces_separate_tokens(self):
+        # str.split reads a no-break or ideographic space as whitespace, so
+        # such a line is read token by token, to the same surface.
+        text = pants_text().replace("edge 2 3 1 ", "edge 2\u00a03 1 ").replace("face 2 1 2 3 ", "face 2 1\u30002 3 ")
+        assert parse_surface(text) == parse_surface(pants_text())
 
     @pytest.mark.parametrize("edge_id, face_id", [(0, 0), (-1, -5)])
     def test_zero_and_negative_ids_round_trip(self, edge_id, face_id):
@@ -291,7 +307,12 @@ class TestValidate:
         bad_faces = (Face(1, (1, 2, 3), (2, 1, 3)), tri.faces[1])
         report = validate(_corrupt(tri, faces=bad_faces), metric)
         assert not report.ok
-        assert any(v.code == "corner/edge mismatch" for v in report.violations)
+        # Slot 1's other corners, 3 then 2, are worded sorted as {2,3}.
+        # Slot 2's corners 2, 1 match its edge {1,2} reversed.
+        assert [v for v in report.violations if v.code == "corner/edge mismatch"] == [
+            Violation("corner/edge mismatch", "face 1 slot 0: edge 1 joins {2,3} but the other corners lie on {1,3}", (1, 1)),
+            Violation("corner/edge mismatch", "face 1 slot 1: edge 2 joins {3,1} but the other corners lie on {2,3}", (1, 2)),
+        ]
 
     def test_unused_boundary(self, pants):
         tri, metric = pants
