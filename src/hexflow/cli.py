@@ -263,7 +263,9 @@ def _cmd_check_jacobian(args):
             # w_a + w_b + ln cosh(l0/2) by twice itself: lift the margin to 0.1.
             w += 0.5 * (0.1 - margin)
         H = boundary_jacobian(tri, metric, w)
-        scale = float(np.max(np.abs(H)))
+        # An H that underflowed to 0 is measured absolutely; its eigenvalue
+        # 0 fails the definiteness check.
+        scale = float(np.max(np.abs(H))) or 1.0
         sym_worst = max(sym_worst, float(np.max(np.abs(H - H.T))) / scale)
         eig_worst = max(eig_worst, float(np.max(np.linalg.eigvalsh(H))))
         step = 1e-5

@@ -30,7 +30,7 @@ right-hand-side evaluation, so an attempted step costs twelve.
 A step with a stage or trial point outside the domain was too long (the
 exact flow only moves inwards) and is rejected like one that fails the
 error test, as is a last step whose extra dense-output stages, crossing
-search or samples leave the domain.
+search or trace samples leave the domain.
 
 The run ends at the crossing of its stop, not at the first step past it:
 inside the last step, the point where max B reaches cusp_tol (or the
@@ -40,10 +40,12 @@ measured at the step's two ends, one kernel call per iterate, and
 replaces the step's end as the last accepted row.
 
 The samples come from the 7th-order dense output of the accepted steps
-that hold a sample time, but for the last, which is the run's end.  Its
-three extra stages cost a right-hand-side evaluation per row: single
-kernel calls in the last step, batched over the other steps that hold a
-sample.  The sampled geometry is batched too (:func:`.geometry_rows`).
+that hold a sample time, but for the last, which is the run's end.  They
+are taken once, when the last step is checked.  The three extra stages
+cost a right-hand-side evaluation per row: single kernel calls in the
+last step, one batched call each over the other steps that hold a
+sample.  The geometry of all samples is one batched call too
+(:func:`.geometry_rows`).
 """
 
 import io
@@ -232,13 +234,13 @@ class FlowTrace:
     point inside the last step where the stop first holds (max B within
     5e-10 relative below cusp_tol, or the shortest edge as close above
     length_cap).  Whatever the stop, the last sampled row is the last
-    accepted row, bit for bit.  No accepted row, and no sample in the
-    last step, lies outside the domain: a step with such a point is
-    rejected and retried shorter (see :func:`integrate_flow`).
-    ``rhs_evaluations`` counts the kernel evaluations of B that advance
-    the flow: the first-step probe, every stage and trial point, each row
-    of the extra dense-output stages and each iterate of the crossing
-    search, rejected steps included, but not the sampled geometry."""
+    accepted row, bit for bit.  No accepted row, and no sample, lies
+    outside the domain: a step with such a point is rejected and retried
+    shorter (see :func:`integrate_flow`).  ``rhs_evaluations`` counts the
+    kernel evaluations of B that advance the flow: the first-step probe,
+    every stage and trial point, each row of the extra dense-output
+    stages and each iterate of the crossing search, rejected steps
+    included, but not the sampled geometry."""
 
     accepted: TraceTable
     sampled: TraceTable
@@ -298,9 +300,10 @@ def integrate_flow(tri, l0, opts):
     is _MIN_FACTOR times as long.  The points are a stage or the trial
     point of any step, and for the last step (the one that lands on t_end
     or passes a stop) also its extra dense-output stages, an iterate of
-    its crossing search, or a sample it holds (its dense output there,
-    the end itself at the last sample time, so that the last sampled row
-    is the last accepted one).  The error per component
+    its crossing search, an extra dense-output stage of an earlier step
+    that holds a sample, or any sample of the trace (the dense output at
+    a sample time, the end itself at the last, so that the last sampled
+    row is the last accepted one).  The error per component
     is |e5|^2 / hypot(e5, e3 / 10) from the embedded 5th- and 3rd-order
     estimates (as in DOP853), in the max norm; the 8th-order solution is
     kept.  Where e^tau overflows (t_end near the largest float), e^tau / r
@@ -327,15 +330,18 @@ def integrate_flow(tri, l0, opts):
         for s in rows:
             K[s] = _scaled_exp(tau + _C[s] * h, rate) * rhs(w + h * (_A[s, :s] @ K[:s]))
 
+    def stage_rows(w):
+        nonlocal evaluations
+        evaluations += len(w)
+        return geometry_rows(tri, l0, w)
+
     def finish(tau0, h, w0, w1, t, start, end):
         """The end of the run inside its last step (tau0 to tau0 + h, w0
         to w1, stages 0-12 in K; t the time at its end, start and end the
-        geometry rows at its ends): fills in stages 13-15 and lands a stop
-        on its crossing.  Returns the end's (t, w, geometry row), and the
-        sample times, the tau of those before the step and the factors and
-        geometry rows of the rest, the last factor the end's own w.
-        DomainError where a stage, crossing iterate or sample leaves the
-        domain."""
+        geometry rows at its ends): fills in stages 13-15, lands a stop
+        on its crossing and samples the run.  Returns the end's (t, w,
+        geometry row) and the sampled table.  DomainError where a stage,
+        crossing iterate or sample leaves the domain."""
         stages(K, range(13, 16), tau0, h, w0)
         coefficients = _coefficients(h, w0, w1, K)
 
@@ -349,14 +355,8 @@ def integrate_flow(tri, l0, opts):
             if found is not None:
                 x, w, row = found
                 t = _time(tau0 + x * h, rate)
-        times = _grid(t, opts.sample_dt)
-        tau = _log_times(rate, times)
-        # The step holds the times from its start on and the last, the end
-        # itself, which the grid's rounded tau would miss in its last bits.
-        first = np.searchsorted(tau[:-1], tau0)
-        tail = _interpolate(w0, coefficients, ((tau[first:] - tau0) / h)[:, None])
-        tail[-1] = w
-        return (t, w, row), (times, tau[:first], tail, geometry_rows(tri, l0, tail))
+        sampled = _sample(tri, l0, [*steps, (tau0, h, w0, w1, K)], rate, _grid(t, opts.sample_dt), w, stage_rows)
+        return (t, w, row), sampled
 
     n = tri.n_boundaries
     tau = t = 0.0
@@ -424,7 +424,7 @@ def integrate_flow(tri, l0, opts):
             # past a stop.
             last = _stopped(trial, opts) or tau_end - tau_new <= 1e-12 * tau_end
             if last and err <= 1.0:
-                end, samples = finish(tau, h_try, w, w_new, t_new, rows[-1], trial)
+                end, sampled = finish(tau, h_try, w, w_new, t_new, rows[-1], trial)
         except DomainError:
             err = math.inf
         if err > 1.0:
@@ -450,18 +450,12 @@ def integrate_flow(tri, l0, opts):
         h = h_try * (min(1.0, grow) if rejected else grow)
         rejected = False
 
-    stop_reason = _stopped(rows[-1], opts) or "t_end"
-    sample_times, earlier, tail, tail_rows = samples
-    accepted = _table(times, factors, *zip(*rows))
-    head, head_rows, dense_evaluations = _sample(tri, l0, steps, rate, earlier)
-    geometry = map(np.concatenate, zip(head_rows, tail_rows))
-    sampled = _table(sample_times, np.concatenate([head, tail]), *geometry)
     return FlowTrace(
-        accepted=accepted,
+        accepted=_table(times, factors, *zip(*rows)),
         sampled=sampled,
-        stop_reason=stop_reason,
+        stop_reason=_stopped(rows[-1], opts) or "t_end",
         error_estimate=total_err,
-        rhs_evaluations=evaluations + dense_evaluations,
+        rhs_evaluations=evaluations,
     )
 
 
@@ -603,22 +597,29 @@ def _interpolate(w0, F, x):
     return w0 + x * value
 
 
-def _sample(tri, l0, steps, rate, tau):
-    """The factors at the sample times tau (in ln(1 + rate t)) before the
-    last step, from the 7th-order dense output of the accepted step holding
-    each, with their :func:`.geometry_rows`.  Each extra dense-output stage
-    is one batched kernel call, one row per step that holds a sample.
-    Returns the factors, their geometry and the number of those rows."""
+def _sample(tri, l0, steps, rate, times, end, stage_rows):
+    """The sampled table at ``times``, the last of them the run's end at
+    the factor ``end``.  The factor at each earlier time comes from the
+    7th-order dense output of the accepted step that holds it, and the
+    last of ``steps`` is the run's last step, with its stages 13-15
+    formed.  Each extra dense-output stage of the other steps that hold a
+    sample is one ``stage_rows`` call (:func:`.geometry_rows`), one row per
+    step, and the sampled geometry is one :func:`.geometry_rows` call;
+    DomainError where a row leaves the domain."""
     step_tau, step_h, step_w0, step_w1, step_K = (np.array(column) for column in zip(*steps))
-    held, k = np.unique(np.searchsorted(step_tau, tau, side="right") - 1, return_inverse=True)
+    tau = _log_times(rate, times)
+    # The end lies in the last step, though its rounded tau may not.
+    index = np.append(np.searchsorted(step_tau, tau[:-1], side="right") - 1, len(steps) - 1)
+    held, k = np.unique(index, return_inverse=True)
     tau0, h, w0, K = step_tau[held], step_h[held], step_w0[held], step_K[held]
     for s in range(13, 16):
-        stage = w0 + h[:, None] * np.einsum("j,mjn->mn", _A[s, :s], K[:, :s])
-        rates = np.array([_scaled_exp(x, rate) for x in tau0 + _C[s] * h])
-        K[:, s] = rates[:, None] * geometry_rows(tri, l0, stage).boundary
+        stage = w0[:-1] + h[:-1, None] * np.einsum("j,mjn->mn", _A[s, :s], K[:-1, :s])
+        rates = np.array([_scaled_exp(x, rate) for x in tau0[:-1] + _C[s] * h[:-1]])
+        K[:-1, s] = rates[:, None] * stage_rows(stage).boundary
     F = _coefficients(h, w0, step_w1[held], K)[k]
     factors = _interpolate(w0[k], F, ((tau - tau0[k]) / h[k])[:, None])
-    return factors, geometry_rows(tri, l0, factors), 3 * len(held)
+    factors[-1] = end
+    return _table(times, factors, *geometry_rows(tri, l0, factors))
 
 
 def trace_csv(table, n_boundaries):

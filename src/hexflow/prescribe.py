@@ -132,16 +132,20 @@ def _newton_step(H, grad):
     """The step d with -H d = grad: numpy's ``cholesky`` of -H tests that
     -H is positive definite, and ``solve`` gives d.  Where it is
     numerically not (near the domain boundary H can degenerate), the plain
-    gradient-ascent step grad / max|H| instead.  Leaves H and grad as they
-    are; raises ValueError if H is not finite."""
+    gradient-ascent step grad / max|H| instead.  None where the step is
+    not finite, as where H has underflowed to 0.  Leaves H and grad as
+    they are; raises ValueError if H is not finite."""
     if not np.isfinite(H).all():
         raise ValueError("boundary Jacobian must not contain infs or NaNs")
     A = -H
     try:
         np.linalg.cholesky(A)
     except np.linalg.LinAlgError:
-        return grad / float(np.max(np.abs(H)))
-    return np.linalg.solve(A, grad)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = grad / np.max(np.abs(H))
+    else:
+        step = np.linalg.solve(A, grad)
+    return step if np.isfinite(step).all() else None
 
 
 def _armijo_trial(tri, l0, target, w, step, slope, alpha):
@@ -160,9 +164,10 @@ def solve_prescribed(tri, l0, target, opts=None, start=None):
     the Newton step only if the jump fails the line-search test.  A
     caller's ``start`` is used as given, and every iteration from it is a
     Newton step.  Raises ConvergenceError with ``partial`` set when the
-    iteration cap is reached; extreme targets (for example near zero,
-    which push w towards infinity) exist in principle but may exhaust the
-    cap.
+    iteration cap is reached, the line search fails or a step is not
+    finite (where B and H underflow on very long edges); extreme targets
+    (for example near zero, which push w towards infinity) exist in
+    principle but may exhaust the cap.
     """
     opts = opts or SolveOptions()
     target = _factor(tri, target, "target")
@@ -198,14 +203,21 @@ def solve_prescribed(tri, l0, target, opts=None, start=None):
         trial = None
         if iteration == 0 and start is None:
             # The jump to the flow's asymptote, tried only where it ascends
-            # G at a finite slope.
-            step = np.maximum(0.0, 0.5 * (np.log(_tail_coefficients(tri, l0)) - np.log(target)))
+            # G at a finite slope; a component whose K underflows to 0 takes
+            # none.
+            with np.errstate(divide="ignore"):
+                step = np.maximum(0.0, 0.5 * (np.log(_tail_coefficients(tri, l0)) - np.log(target)))
             slope, alpha = float(grad @ step), 1.0
             if 0.0 < slope < math.inf:
                 trial = _armijo_trial(tri, l0, target, w, step, slope, alpha)
         if trial is None:
             H = boundary_jacobian(tri, l0, w) if jacobian is None else _jacobian(*jacobian)
             step = _newton_step(H, grad)  # H step = target - B
+            if step is None:
+                raise ConvergenceError(
+                    f"step not finite at iteration {iteration} (residual {residuals[-1]:.3e})",
+                    partial=result(iteration),
+                )
             slope, alpha = float(grad @ step), 1.0
             while (trial := _armijo_trial(tri, l0, target, w, step, slope, alpha)) is None:
                 alpha *= _BACKTRACK

@@ -262,6 +262,30 @@ class TestTinyBaseLength:
         assert "base length" not in out
 
 
+def test_underflowed_lengths_are_one_error_line_or_none(capsys, tmp_path):
+    # At base edges of 1490 every boundary length and every entry of H at
+    # w = 0 underflows to 0.  Each command still ends in its exit code.
+    surface = tmp_path / "long.surf"
+    surface.write_text(pants_text(1490.0))
+    target = tmp_path / "target.csv"
+    target.write_text("1,1.0\n2,1.0\n3,1.0\n")
+    out_file = str(tmp_path / "out.csv")
+    codes = []
+    for argv in (
+        ["validate"],
+        ["lengths"],
+        ["flow", "--t-end", "10", "--out", out_file],
+        ["prescribe", "--target", str(target), "--out", out_file],
+        ["check-jacobian", "--samples", "3"],
+    ):
+        code, out = invoke(capsys, [argv[0], str(surface), *argv[1:]])
+        errors = [line for line in out.splitlines() if line.startswith("ERROR")]
+        assert errors == ([] if code == 0 else [out.splitlines()[-1]])
+        assert code == 0 or errors[0].startswith(f"ERROR {code}:")
+        codes.append(code)
+    assert codes == [0, 0, 1, 2, 2]
+
+
 class TestFlowCommand:
     def test_run_and_trace(self, capsys, tmp_path, pants_file):
         out_file = tmp_path / "trace.csv"

@@ -381,14 +381,14 @@ class TestIntegrateFlow:
             assert len(calls) == 1 and 1 <= calls[0] <= most
 
     def test_samples_take_one_kernel_call_per_block(self, monkeypatch, kernel_calls):
-        # The samples the last step holds are one batched geometry call, made
-        # when the step is checked.  The others take one batched call for
-        # each of the three extra dense-output stages, over the steps before
-        # the last that hold a sample, and one for their geometry.  Each
-        # runs in blocks of block_rows(tri) rows.
+        # The samples are taken once, when the last step is checked: one
+        # batched call for each of the three extra dense-output stages, over
+        # the steps before the last that hold a sample, and one for the
+        # geometry of every sample.  Each runs in blocks of block_rows(tri)
+        # rows.
         tri, l0 = generated(200, 3)
-        batches = []
-        geometry_rows = flow_module.geometry_rows
+        batches, samples = [], []
+        geometry_rows, sample = flow_module.geometry_rows, flow_module._sample
 
         def recorded(tri, l0, w):
             before = len(kernel_calls)
@@ -396,18 +396,23 @@ class TestIntegrateFlow:
             batches.append((len(w), kernel_calls[before:]))
             return result
 
+        def counted(*args):
+            samples.append(args)
+            return sample(*args)
+
         monkeypatch.setattr(flow_module, "geometry_rows", recorded)
+        monkeypatch.setattr(flow_module, "_sample", counted)
         trace = integrate_flow(tri, l0, FlowOptions(t_end=1e6, cusp_tol=1e-4))
+        assert len(samples) == 1
         rows = block_rows(tri)
         for m, calls in batches:
             assert calls == [min(rows, m - start) for start in range(0, m, rows)]
-        (last, _), (steps, _), *_, (earlier, _) = batches
+        (steps, _), *_ = batches
         times = trace.sampled.times
-        assert [m for m, _ in batches] == [last, steps, steps, steps, earlier]
-        assert last == np.count_nonzero(times >= trace.accepted.times[-2])
-        assert earlier == len(times) - last
-        held = np.unique(np.searchsorted(trace.accepted.times, times[:earlier], side="right") - 1)
-        assert steps == len(held) and held[-1] < len(trace.accepted) - 2
+        assert [m for m, _ in batches] == [steps, steps, steps, len(times)]
+        # The last step starts at the second-to-last accepted time.
+        held = np.searchsorted(trace.accepted.times, times[:-1], side="right") - 1
+        assert steps == len(np.unique(held[held < len(trace.accepted) - 2]))
         assert 1 < steps < len(trace.accepted)
         # Every other kernel call is one right-hand-side evaluation, and so
         # is each row of the extra stages; the sampled geometry is not.
@@ -456,6 +461,36 @@ class TestDomainRejections:
         trace = integrate_flow(tri, l0, FlowOptions(t_end=1e6, cusp_tol=1e-4))
         assert trace.stop_reason == "cusp_tol"
         np.testing.assert_allclose(points[2], flow_module._MIN_FACTOR * points[1], rtol=1e-15)
+
+    def test_earlier_sample_outside_the_domain_rejects_the_last_step(self, monkeypatch):
+        # The samples' geometry, the t = 0 row first, is refused once: the
+        # last step is rejected, retried a fifth as long, and the run goes
+        # on to its stop.
+        tri, l0 = generated(20, 1)
+        geometry_rows, sample = flow_module.geometry_rows, flow_module._sample
+        refused, calls = [], []
+
+        def refuse_once(tri, l0, w):
+            if not refused and len(w) and not np.any(w[0]):
+                refused.append(len(w))
+                raise DomainError("refused")
+            return geometry_rows(tri, l0, w)
+
+        def counted(tri, l0, steps, *args):
+            calls.append([step[:2] for step in steps])
+            return sample(tri, l0, steps, *args)
+
+        monkeypatch.setattr(flow_module, "geometry_rows", refuse_once)
+        monkeypatch.setattr(flow_module, "_sample", counted)
+        trace = integrate_flow(tri, l0, FlowOptions(t_end=1e6, cusp_tol=1e-4))
+        assert trace.stop_reason == "cusp_tol"
+        assert refused == [101] and len(calls) == 2
+        # The step from the refused last step's start is a fifth as long.
+        tau, h = calls[0][-1]
+        assert dict(calls[1])[tau] == flow_module._MIN_FACTOR * h
+        assert not np.any(trace.sampled.factors[0])
+        n = tri.n_boundaries
+        assert trace_csv(trace.sampled, n).splitlines()[-1] == trace_csv(trace.accepted, n).splitlines()[-1]
 
 
 class TestCrossing:

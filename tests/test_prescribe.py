@@ -9,11 +9,12 @@ from hexflow import (
     SolveOptions,
     boundary_lengths,
     flow_limit,
+    parse_surface,
     solve_prescribed,
 )
 from hexflow import conformal, prescribe
 
-from conftest import generated, random_in_domain
+from conftest import generated, pants_text, random_in_domain
 
 
 class TestSolveOptions:
@@ -363,6 +364,18 @@ class TestNewtonStep:
         monkeypatch.setattr(prescribe, "_newton_step", with_nan)
         with pytest.raises(ValueError, match="finite"):
             solve_prescribed(tri, l0, [1.0, 0.9, 1.1])
+
+    @pytest.mark.parametrize("length", [1490.0, 1500.0])
+    def test_underflowed_jacobian_ends_in_convergence_error(self, length):
+        # Edges this long put B and H at w = 0 at or below the subnormal
+        # range (at 1500 the tail coefficients underflow to 0 too), so the
+        # step is not finite: the solve stops at its start.
+        tri, l0 = parse_surface(pants_text(length))
+        with pytest.raises(ConvergenceError, match="step not finite at iteration 0") as info:
+            solve_prescribed(tri, l0, [1.0, 1.0, 1.0])
+        partial = info.value.partial
+        assert partial.iterations == 0 and not partial.converged
+        assert np.array_equal(partial.factors, np.zeros(3))
 
     def test_non_finite_jacobian_is_a_value_error(self, monkeypatch, pants):
         tri, l0 = pants
