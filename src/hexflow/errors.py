@@ -25,9 +25,10 @@ class QuadratureError(HexflowError):
 
 
 class ConvergenceError(HexflowError):
-    """An iterative solver failed: iteration cap, step-size underflow or an
-    unusable linear system. ``partial`` holds the best result so far when
-    one exists."""
+    """An iterative solver failed: iteration cap, step-size underflow, a
+    Newton step that is no ascent direction, or boundary lengths that
+    underflow to 0 at the flow's start. ``partial`` holds the best result
+    so far when one exists."""
 
     def __init__(self, message, partial=None):
         self.partial = partial

@@ -307,7 +307,9 @@ def integrate_flow(tri, l0, opts):
     is |e5|^2 / hypot(e5, e3 / 10) from the embedded 5th- and 3rd-order
     estimates (as in DOP853), in the max norm; the 8th-order solution is
     kept.  Where e^tau overflows (t_end near the largest float), e^tau / r
-    is formed as e^(tau - ln r).
+    is formed as e^(tau - ln r).  Raises ConvergenceError where every
+    B_i(0) underflows to 0 (base edges of about 1490 and longer), so that
+    the rate r = max B(0) is 0 and no cusp_tol lies below it.
     """
     check = in_domain(tri, l0, np.zeros(tri.n_boundaries))
     if not check.ok:  # pragma: no cover - a positive metric always admits 0
@@ -364,6 +366,8 @@ def integrate_flow(tri, l0, opts):
     row = geometry_at(w)
     B = row[0]
     rate = float(np.max(B))
+    if rate == 0.0:
+        raise ConvergenceError("every boundary length underflows to 0 at w = 0, so the flow has no rate")
     if not opts.cusp_tol < rate:
         raise ValueError(
             f"cusp_tol {opts.cusp_tol!r} must lie below the initial max "

@@ -8,11 +8,12 @@ gradient of the strictly concave objective
 
 so solving B(w) = target means maximizing G.  The iteration solves
 H(w) d = target - B(w) with the (negative-definite) boundary Jacobian H
-through numpy's LAPACK: ``cholesky`` of -H tests that it is positive
-definite and ``solve`` gives the step (where -H is numerically not
-positive definite it takes the gradient-ascent step (B - target) / max|H|
-instead).  It then backtracks until the trial point is safely
-admissible and the merit satisfies an Armijo increase.
+by one LAPACK ``solve`` of numpy's.  The step is taken only where it
+ascends G, at a positive and finite slope <B - target, d>; where H is
+numerically singular or not definite (as at the domain wall, or where B
+and H underflow) the solve stops there.  Otherwise the iteration
+backtracks until the trial point is safely admissible and the merit
+satisfies an Armijo increase.
 Since the gradient of G is B - target, the merit change along a step is
 the line integral
 
@@ -129,23 +130,19 @@ def _merit_gain(tri, l0, target, w, step, alpha):
 
 
 def _newton_step(H, grad):
-    """The step d with -H d = grad: numpy's ``cholesky`` of -H tests that
-    -H is positive definite, and ``solve`` gives d.  Where it is
-    numerically not (near the domain boundary H can degenerate), the plain
-    gradient-ascent step grad / max|H| instead.  None where the step is
-    not finite, as where H has underflowed to 0.  Leaves H and grad as
-    they are; raises ValueError if H is not finite."""
+    """The step d with -H d = grad, by numpy's LAPACK ``solve``.  None
+    where d is no ascent direction of the merit: where the solve finds H
+    singular, or the slope <grad, d> is not positive and finite (a step
+    with an inf or NaN has no finite slope), as near the domain wall or
+    where H has underflowed.  Leaves H and grad as they are; raises
+    ValueError if H is not finite."""
     if not np.isfinite(H).all():
         raise ValueError("boundary Jacobian must not contain infs or NaNs")
-    A = -H
     try:
-        np.linalg.cholesky(A)
+        step = np.linalg.solve(-H, grad)
     except np.linalg.LinAlgError:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = grad / np.max(np.abs(H))
-    else:
-        step = np.linalg.solve(A, grad)
-    return step if np.isfinite(step).all() else None
+        return None
+    return step if 0.0 < float(grad @ step) < math.inf else None
 
 
 def _armijo_trial(tri, l0, target, w, step, slope, alpha):
@@ -164,10 +161,12 @@ def solve_prescribed(tri, l0, target, opts=None, start=None):
     the Newton step only if the jump fails the line-search test.  A
     caller's ``start`` is used as given, and every iteration from it is a
     Newton step.  Raises ConvergenceError with ``partial`` set when the
-    iteration cap is reached, the line search fails or a step is not
-    finite (where B and H underflow on very long edges); extreme targets
-    (for example near zero, which push w towards infinity) exist in
-    principle but may exhaust the cap.
+    iteration cap is reached, the line search fails, or the Newton step is
+    no ascent direction (``no ascent step at iteration k``: H singular to
+    working precision, as at a base metric next to the domain wall or
+    where B and H underflow on very long edges); extreme targets (for
+    example near zero, which push w towards infinity) exist in principle
+    but may exhaust the cap.
     """
     opts = opts or SolveOptions()
     target = _factor(tri, target, "target")
@@ -215,7 +214,7 @@ def solve_prescribed(tri, l0, target, opts=None, start=None):
             step = _newton_step(H, grad)  # H step = target - B
             if step is None:
                 raise ConvergenceError(
-                    f"step not finite at iteration {iteration} (residual {residuals[-1]:.3e})",
+                    f"no ascent step at iteration {iteration} (residual {residuals[-1]:.3e})",
                     partial=result(iteration),
                 )
             slope, alpha = float(grad @ step), 1.0

@@ -283,7 +283,7 @@ def test_underflowed_lengths_are_one_error_line_or_none(capsys, tmp_path):
         assert errors == ([] if code == 0 else [out.splitlines()[-1]])
         assert code == 0 or errors[0].startswith(f"ERROR {code}:")
         codes.append(code)
-    assert codes == [0, 0, 1, 2, 2]
+    assert codes == [0, 0, 2, 2, 2]
 
 
 class TestFlowCommand:
@@ -473,6 +473,25 @@ class TestPrescribeCommand:
             f"partial factors written to {out_file}",
             f"ERROR 2: line search failed at iteration 0 (residual {residual:.3e})",
         ]
+        assert out_file.read_text() == "boundary_index,w\n1,0\n2,0\n3,0\n"
+
+    def test_singular_jacobian_at_the_wall_writes_the_start(self, capsys, tmp_path):
+        # At a base edge of 1e-100, H at w = 0 is singular to working
+        # precision: numpy's solve finds it exactly singular.
+        text = pants_text().replace(f"edge 1 2 3 {PANTS_EDGE!r}", "edge 1 2 3 1e-100")
+        surface = tmp_path / "wall.surf"
+        surface.write_text(text)
+        tri, l0 = hexflow.parse_surface(text)
+        values = hexflow.boundary_lengths(tri, l0, np.full(3, 0.1))
+        target = tmp_path / "target.csv"
+        target.write_text("".join(f"{i},{v!r}\n" for i, v in enumerate(values.tolist(), start=1)))
+        out_file = tmp_path / "w.csv"
+        code, out = invoke(capsys, ["prescribe", str(surface), "--target", str(target), "--out", str(out_file)])
+        assert code == 2
+        errors = [line for line in out.splitlines() if line.startswith("ERROR")]
+        assert errors == [out.splitlines()[-1]]
+        assert errors[0].startswith("ERROR 2: no ascent step at iteration 0")
+        assert f"partial factors written to {out_file}" in out
         assert out_file.read_text() == "boundary_index,w\n1,0\n2,0\n3,0\n"
 
     @pytest.mark.parametrize("tol", ["inf", "nan", "0"])

@@ -19,6 +19,7 @@ from hexflow import (
     geometry_rows,
     hexagon_arcs,
     integrate_flow,
+    parse_surface,
     surface_geometry,
     total_energy,
     trace_csv,
@@ -26,7 +27,7 @@ from hexflow import (
 from hexflow import conformal
 from hexflow import flow as flow_module
 
-from conftest import PANTS_EDGE, block_rows, generated
+from conftest import PANTS_EDGE, block_rows, generated, pants_text
 
 PANTS_B0 = 2.0 * math.acosh(7.0 / 6.0)
 FIXTURES = ("pants", "tetra", "torus", "twin_pants", "second_pants")
@@ -72,6 +73,18 @@ class TestFlowOptions:
         tri, l0 = pants
         with pytest.raises(ValueError, match="cusp_tol"):
             integrate_flow(tri, l0, FlowOptions(t_end=1.0, cusp_tol=10.0))
+
+    @pytest.mark.filterwarnings("error")
+    def test_underflowed_lengths_are_a_convergence_error(self):
+        # At base edges of 1490 every B_i(0) underflows to 0: no cusp_tol
+        # lies below max B(0), and the refusal names the underflow.  At 1400
+        # max B(0) is 3.9e-304 and the cusp_tol refusal stands.
+        tri, l0 = parse_surface(pants_text(1490.0))
+        with pytest.raises(ConvergenceError, match="underflows to 0 at w = 0"):
+            integrate_flow(tri, l0, FlowOptions(t_end=10.0))
+        tri, l0 = parse_surface(pants_text(1400.0))
+        with pytest.raises(ValueError, match="cusp_tol 1e-06 must lie below"):
+            integrate_flow(tri, l0, FlowOptions(t_end=10.0))
 
     def test_length_cap_must_exceed_initial_shortest_edge(self, pants):
         # A cap the run starts past would stop it inside its first step.

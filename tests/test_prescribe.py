@@ -327,28 +327,34 @@ class TestNewtonStep:
             reference = scipy.linalg.cho_solve(scipy.linalg.cho_factor(-H), grad)
             assert np.max(np.abs(step - reference)) <= 1e-13 * np.max(np.abs(reference))
 
-    def test_indefinite_jacobian_takes_the_gradient_step(self, monkeypatch):
+    def test_indefinite_jacobian_is_no_ascent_step(self, monkeypatch):
         tri, l0 = generated(8, 2)
         w_star = np.random.default_rng(3).uniform(0.0, 0.5, tri.n_boundaries)
-        target = boundary_lengths(tri, l0, w_star)
         jacobian = prescribe.boundary_jacobian
-        bad = []
 
-        def once_indefinite(*args):
+        def indefinite(*args):
             H = jacobian(*args)
-            if not bad:
-                H[0, 0] = -H[0, 0]  # a positive diagonal entry: -H is not positive definite
-                bad.append(H)
+            H[0, 0] = -H[0, 0]  # a positive diagonal entry: -H is not positive definite
             return H
 
-        monkeypatch.setattr(prescribe, "boundary_jacobian", once_indefinite)
-        steps = []
-        merit_gain = prescribe._merit_gain
-        monkeypatch.setattr(prescribe, "_merit_gain", lambda *args: steps.append(args[4]) or merit_gain(*args))
-        result = solve_prescribed(tri, l0, target, start=np.zeros(tri.n_boundaries))
-        grad = boundary_lengths(tri, l0, np.zeros(tri.n_boundaries)) - target
-        assert np.array_equal(steps[0], grad / np.max(np.abs(bad[0])))
-        assert np.max(np.abs(result.factors - w_star)) < 1e-8
+        monkeypatch.setattr(prescribe, "boundary_jacobian", indefinite)
+        start = np.zeros(tri.n_boundaries)
+        with pytest.raises(ConvergenceError, match="no ascent step at iteration 0") as info:
+            solve_prescribed(tri, l0, boundary_lengths(tri, l0, w_star), start=start)
+        partial = info.value.partial
+        assert partial.iterations == 0 and not partial.converged
+        assert np.array_equal(partial.factors, start)
+
+    def test_singular_jacobian_ends_in_convergence_error(self, monkeypatch, pants):
+        # numpy's solve raises LinAlgError on an exactly singular H; the
+        # solve reports it as its own failure, not as a linear-algebra one.
+        tri, l0 = pants
+        monkeypatch.setattr(prescribe, "boundary_jacobian", lambda *args: np.zeros((3, 3)))
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(np.zeros((3, 3)), np.ones(3))
+        with pytest.raises(ConvergenceError, match="no ascent step at iteration 0") as info:
+            solve_prescribed(tri, l0, [1.0, 0.9, 1.1], start=np.zeros(3))
+        assert np.array_equal(info.value.partial.factors, np.zeros(3))
 
     def test_nan_trial_point_is_a_value_error(self, monkeypatch, pants):
         # Read as "inside the cushion", a NaN slack would backtrack down to
@@ -371,7 +377,7 @@ class TestNewtonStep:
         # range (at 1500 the tail coefficients underflow to 0 too), so the
         # step is not finite: the solve stops at its start.
         tri, l0 = parse_surface(pants_text(length))
-        with pytest.raises(ConvergenceError, match="step not finite at iteration 0") as info:
+        with pytest.raises(ConvergenceError, match="no ascent step at iteration 0") as info:
             solve_prescribed(tri, l0, [1.0, 1.0, 1.0])
         partial = info.value.partial
         assert partial.iterations == 0 and not partial.converged
