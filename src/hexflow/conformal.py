@@ -76,9 +76,13 @@ from .hexagon import (
 # table is exact, and cheaper.
 _FAR_SLACK = _logcosh(0.5 * _FAR_SIDE)
 # A block of factor rows holds at most this many edge values (rows x E),
-# and always at least one row.  On a 2-vCPU VM, 101 rows at E = 300 took
-# 2.5-3.4 ms in blocks of 4096, 2.9-4.0 ms at 1024 and 3.2-4.6 ms at 8192.
-_BLOCK_EDGES = 4096
+# and always at least one row.  At E = 300 a block holds 6 rows, so the
+# flow's 101 sampled rows keep about half the temporaries of 13-row blocks
+# (about 0.35 MiB less peak RSS).  On a 2-vCPU VM (geometry_rows, best of
+# 3 x 20 calls, median of 12 interleaved rounds), 101 rows took 2.63 ms in
+# blocks of 4096, 2.78 ms at 2048 and 3.70 ms at 1024; 10 rows took
+# 0.43, 0.30 and 0.40 ms.
+_BLOCK_EDGES = 2048
 
 
 class DomainCheck(NamedTuple):

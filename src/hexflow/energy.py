@@ -35,8 +35,29 @@ from .hexagon import hexagon_arcs
 
 # Adaptive Gauss-Legendre controls: an order-32 rule per panel, absolute
 # agreement 1e-12 between successive refinements (halved per bisection),
-# and at most 12 levels of bisection.
-_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(32)
+# and at most 12 levels of bisection.  The rule's nodes and weights on
+# [-1, 1] are the values of numpy's leggauss(32), written out as shortest
+# round-trip floats so that no command imports numpy.polynomial.
+_NODES = np.array([
+    -0.9972638618494816, -0.9856115115452684, -0.9647622555875064, -0.9349060759377397,
+    -0.8963211557660521, -0.84936761373257, -0.7944837959679424, -0.7321821187402897,
+    -0.6630442669302152, -0.5877157572407623, -0.5068999089322294, -0.42135127613063533,
+    -0.33186860228212767, -0.23928736225213706, -0.1444719615827965, -0.048307665687738324,
+    0.048307665687738324, 0.1444719615827965, 0.23928736225213706, 0.33186860228212767,
+    0.42135127613063533, 0.5068999089322294, 0.5877157572407623, 0.6630442669302152,
+    0.7321821187402897, 0.7944837959679424, 0.84936761373257, 0.8963211557660521,
+    0.9349060759377397, 0.9647622555875064, 0.9856115115452684, 0.9972638618494816,
+])
+_WEIGHTS = np.array([
+    0.007018610009470506, 0.016274394730905743, 0.025392065309262024, 0.034273862913021765,
+    0.042835898022226836, 0.05099805926237609, 0.058684093478535565, 0.06582222277636168,
+    0.07234579410884834, 0.07819389578707023, 0.08331192422694671, 0.08765209300440378,
+    0.09117387869576378, 0.09384439908080451, 0.09563872007927471, 0.09654008851472766,
+    0.09654008851472766, 0.09563872007927471, 0.09384439908080451, 0.09117387869576378,
+    0.08765209300440378, 0.08331192422694671, 0.07819389578707023, 0.07234579410884834,
+    0.06582222277636168, 0.058684093478535565, 0.05099805926237609, 0.042835898022226836,
+    0.034273862913021765, 0.025392065309262024, 0.016274394730905743, 0.007018610009470506,
+])
 _TOLERANCE = 1e-12
 _MAX_DEPTH = 12
 

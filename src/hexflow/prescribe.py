@@ -107,10 +107,19 @@ class SolveResult:
     converged: bool = True
 
 
-# Nodes and weights on [-1, 1] of the rule that integrates the merit change,
+# Nodes and weights on [-1, 1] of the 8-point Gauss-Legendre rule that
+# integrates the merit change, the values of numpy's leggauss(8) written out
+# as shortest round-trip floats, so that no command imports numpy.polynomial;
 # and the points of one trial step as fractions of its length: the nodes
 # mapped to [0, 1], then the trial point itself.
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
+_GL_NODES = np.array([
+    -0.9602898564975362, -0.7966664774136267, -0.525532409916329, -0.18343464249564978,
+    0.18343464249564978, 0.525532409916329, 0.7966664774136267, 0.9602898564975362,
+])
+_GL_WEIGHTS = np.array([
+    0.10122853629037706, 0.22238103445337443, 0.3137066458778869, 0.36268378337836166,
+    0.36268378337836166, 0.3137066458778869, 0.22238103445337443, 0.10122853629037706,
+])
 _GL_POINTS = np.append(0.5 * (1.0 + _GL_NODES), 1.0)
 
 

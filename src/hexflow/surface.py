@@ -21,14 +21,14 @@ from typing import Mapping, Tuple
 from .errors import ParseError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Edge:
     edge_id: int
     b_i: int
     b_j: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Face:
     face_id: int
     opposite_edges: Tuple[int, int, int]
@@ -170,7 +170,7 @@ def validate(tri, l0):
         if eid not in seen_edges:
             flag("metric mismatch", f"length given for undeclared edge {eid}", eid)
     for eid, value in sorted(l0.items()):
-        if not (isfinite(value) and value > 0.0):
+        if not _positive(value):
             flag("non-positive length", f"edge {eid} has length {value!r}, must be > 0", eid)
 
     return ValidationReport(ok=not violations, violations=tuple(violations))
@@ -179,6 +179,10 @@ def validate(tri, l0):
 def euler_characteristic(tri):
     """|F| - |E|; negative for every valid ideal triangulation."""
     return len(tri.faces) - len(tri.edges)
+
+
+def _positive(length):
+    return isfinite(length) and length > 0.0
 
 
 def _plain(text):
@@ -211,7 +215,9 @@ def parse_surface(text, strict=True):
     ``edge <id> <b_i> <b_j> <l0>``, ``face <id> <e0> <e1> <e2> <c0> <c1> <c2>``;
     '#' starts a comment, blank lines are ignored.  Edge and face ids are
     arbitrary integers, zero and negative ones included, and are kept
-    exactly as written.
+    exactly as written.  A repeated edge id keeps its last length, unless
+    one of its lines declares a length that is not positive and finite;
+    then it keeps the first such, for :func:`validate` to report.
 
     The parser refuses only faults of this grammar, naming the line: a
     wrong token count, a token that is not an ASCII integer or decimal
@@ -260,7 +266,10 @@ def parse_surface(text, strict=True):
                 b_i = _parse_int(tokens[2], line_no, "boundary index")
                 b_j = _parse_int(tokens[3], line_no, "boundary index")
                 length = _parse_float(tokens[4], line_no, "length")
-            lengths[eid] = length
+            # A repeated id keeps the first length that is not positive and
+            # finite, so that validate flags it along with the duplicate.
+            if eid not in lengths or _positive(lengths[eid]):
+                lengths[eid] = length
             edges.append(Edge(eid, b_i, b_j))
         elif keyword == "face":
             if len(tokens) != 8:

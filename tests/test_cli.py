@@ -744,12 +744,13 @@ class TestConsecutiveRuns:
 class TestFootprint:
     """One fresh interpreter per command, since this process has loaded
     scipy.linalg already.  No command loads scipy.linalg (~27 MiB of peak
-    RSS; ``prescribe`` solves with numpy's LAPACK) or scipy.integrate
-    (~23 MiB), which the benchmarks' peak_rss_mb bound would reject."""
+    RSS; ``prescribe`` solves with numpy's LAPACK), scipy.integrate
+    (~23 MiB) or numpy.polynomial (~1.2 MiB; the Gauss-Legendre rules are
+    written out), which the benchmarks' peak_rss_mb bound would reject."""
 
     def loaded(self, tmp_path, argv):
-        """Exit code, stdout and the scipy.linalg and scipy.integrate
-        module lists (as printed) after ``run(argv)``."""
+        """Exit code, stdout and the scipy.linalg, scipy.integrate and
+        numpy.polynomial module lists (as printed) after ``run(argv)``."""
         source = str(Path(hexflow.__file__).resolve().parents[1])
         script = (
             "import contextlib, io, sys\n"
@@ -760,13 +761,14 @@ class TestFootprint:
             "print(code)\n"
             "print(sorted(name for name in sys.modules if name.startswith('scipy.linalg')))\n"
             "print(sorted(name for name in sys.modules if name.startswith('scipy.integrate')))\n"
+            "print(sorted(name for name in sys.modules if name.startswith('numpy.polynomial')))\n"
             "print(out.getvalue(), end='')\n"
         )
         result = subprocess.run(
             [sys.executable, "-c", script], capture_output=True, text=True, check=True, cwd=tmp_path
         )
-        code, linalg, integrate, out = result.stdout.split("\n", 3)
-        return int(code), out, linalg, integrate
+        code, linalg, integrate, polynomial, out = result.stdout.split("\n", 4)
+        return int(code), out, linalg, integrate, polynomial
 
     @pytest.mark.parametrize(
         "argv",
@@ -781,10 +783,12 @@ class TestFootprint:
     )
     def test_command_leaves_scipy_linalg_and_integrate_unloaded(self, tmp_path, pants_file, argv):
         (tmp_path / "target.csv").write_text("1,1.0\n2,0.9\n3,1.1\n")
-        code, out, linalg, integrate = self.loaded(tmp_path, [argv[0], str(pants_file)] + argv[1:])
+        argv = [argv[0], str(pants_file)] + argv[1:]
+        code, out, linalg, integrate, polynomial = self.loaded(tmp_path, argv)
         assert code == 0
         assert linalg == "[]"
         assert integrate == "[]"
+        assert polynomial == "[]"
         if argv[0] == "flow":
             assert "stop_reason=cusp_tol" in out.splitlines()
         if argv[0] == "prescribe":

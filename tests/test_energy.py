@@ -90,6 +90,11 @@ class TestFaceEnergy:
         with pytest.raises(DomainError):
             face_energy(L0_SIDES, (-0.5, -0.5, 0.0))
 
+    def test_rule_is_numpys_leggauss(self):
+        nodes, weights = np.polynomial.legendre.leggauss(32)
+        assert energy._NODES.tobytes() == nodes.tobytes()
+        assert energy._WEIGHTS.tobytes() == weights.tobytes()
+
     def test_quadrature_failure_reported(self, monkeypatch):
         nodes, weights = np.polynomial.legendre.leggauss(2)
         monkeypatch.setattr(energy, "_NODES", nodes)

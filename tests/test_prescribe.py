@@ -207,6 +207,12 @@ def test_tiny_targets_never_converge_off_target():
     assert converged >= 45
 
 
+def test_merit_rule_is_numpys_leggauss():
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+    assert prescribe._GL_NODES.tobytes() == nodes.tobytes()
+    assert prescribe._GL_WEIGHTS.tobytes() == weights.tobytes()
+
+
 def test_one_kernel_call_per_trial_step(monkeypatch, kernel_calls):
     tri, l0 = generated(20, 3)
     w_star = np.random.default_rng(43).uniform(0.0, 0.5, tri.n_boundaries)

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import inspect
 import math
 import re
@@ -80,6 +81,14 @@ class TestParse:
             "edge id 1 declared twice; edge 1 appears in 0 face slots, expected exactly 2; "
             "boundary count 3 > 3 * face count 0: some component carries no corner"
         )
+
+    @pytest.mark.parametrize("lines", [("-1.0", "1.0"), ("1.0", "-1.0"), ("nan", "1.0"), ("1.0", "inf")])
+    def test_repeated_edge_id_keeps_a_bad_length(self, lines):
+        first, second = lines
+        text = pants_text(1.0).replace("edge 1 2 3 1.0", f"edge 1 2 3 {first}\nedge 1 2 3 {second}")
+        tri, metric = parse_surface(text, strict=False)
+        codes = {v.code for v in validate(tri, metric).violations}
+        assert {"counts", "duplicate id", "non-positive length"} <= codes
 
     def test_duplicate_face_id(self):
         base = pants_text().replace("face 2", "face 1")
@@ -251,6 +260,25 @@ def test_violation_codes_are_the_flagged_ones():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     sentence = readme.split("under one of these codes:", 1)[1].split(".", 1)[0]
     assert {" ".join(code.split()) for code in re.findall(r"`([^`]+)`", sentence)} == flagged
+
+
+class TestSlots:
+    def test_edge_and_face_hold_no_dict(self):
+        edge, face = Edge(1, 2, 3), Face(1, (1, 2, 3), (1, 2, 3))
+        for item, name in ((edge, "b_i"), (face, "corners")):
+            assert not hasattr(item, "__dict__")
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(item, name, 4)
+
+    def test_equality_hashing_and_replace(self):
+        edge, face = Edge(1, 2, 3), Face(1, (1, 2, 3), (1, 2, 3))
+        assert edge == Edge(1, 2, 3) != Edge(1, 3, 2)
+        assert face == Face(1, (1, 2, 3), (1, 2, 3)) != Face(2, (1, 2, 3), (1, 2, 3))
+        assert hash(edge) == hash(Edge(1, 2, 3)) == hash((1, 2, 3))
+        assert hash(face) == hash((1, (1, 2, 3), (1, 2, 3)))
+        assert len({edge, Edge(1, 2, 3), face, Face(1, (1, 2, 3), (1, 2, 3))}) == 2
+        assert dataclasses.replace(edge, b_j=1) == Edge(1, 2, 1)
+        assert dataclasses.replace(face, face_id=2) == Face(2, (1, 2, 3), (1, 2, 3))
 
 
 class TestSerializeRoundTrip:
