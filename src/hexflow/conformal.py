@@ -28,7 +28,8 @@ slacks are all <= ln cosh(100) (sides <= 200) the arcs and H read the
 table S = sinh^2(l/2) = expm1(2u), x = e^u, s = sqrt(S) through the face
 formulas :func:`.hexagon._half_angle` and :func:`.hexagon._coefficient_row`;
 the other faces take their arcs and their block of H from the far form
-:func:`.hexagon._far_arcs` of their three slacks.  Edge lengths
+:func:`.hexagon._far_arcs` of their three slacks, with each corner's
+exponent formed from the factor itself (:func:`_far_exponents`).  Edge lengths
 2 arccosh(e^u) are formed only where they are read.  B is one
 ``bincount`` over the corners, slot by slot and then face by face; H
 sums face by face.  Every evaluator (B, H, geometry, energy) refuses a
@@ -67,6 +68,7 @@ from .hexagon import (
     _far_arcs,
     _half_angle,
     _logcosh,
+    _two_sum,
     arc_jacobian,  # noqa: F401 - a site the tracer in bench/tracing.py wraps
     hexagon_arcs,  # noqa: F401 - a site the tracer in bench/tracing.py wraps
 )
@@ -118,6 +120,7 @@ class _Compiled(NamedTuple):
     table: np.ndarray
     corners: np.ndarray  # (3F,) 0-based component of each corner, slot by slot
     pairs: np.ndarray  # (9F,) flat position in H of each face-block entry
+    far_base: np.ndarray  # (F, 3) c_t - c_(t+1) - c_(t+2), c = ln cosh(l0/2) of slot t
 
 
 def _base_slack(l0):
@@ -142,12 +145,14 @@ def _compile(tri, l0):
     ).reshape(-1, 3)
     corners = np.array([f.corners for f in tri.faces], dtype=np.intp).reshape(-1, 3) - 1
     window = slot.T[[0, 1, 2, 0, 1]]
+    c = log_cosh0[slot]
     return _Compiled(
         ends=ends,
         log_cosh0=log_cosh0,
         table=np.concatenate([window, window[1:] + len(tri.edges), window[1:] + 2 * len(tri.edges)]),
         corners=corners.T.ravel(),
         pairs=(corners[:, :, None] * n + corners[:, None, :]).ravel(),
+        far_base=c - c[:, [1, 2, 0]] - c[:, [2, 0, 1]],
     )
 
 
@@ -218,12 +223,25 @@ def _arc_terms(compiled, u):
     return G[..., :5, :], N, Q
 
 
-def _face_arcs(compiled, u, largest, jacobian=False):
-    """(..., 3, F) arcs of the (..., E) slacks, whose largest is
-    ``largest``, row t the arcs opposite slot t; each face of each row
-    takes the far form iff a slack exceeds ln cosh(100).  Returned with
-    what H needs of the last row's :func:`_arc_terms` when ``jacobian``
-    is set (S, and N and Q of the arc opposite slot 2), else None."""
+def _far_exponents(compiled, w, far):
+    """(d, delta), each (k, 3), of the k far faces ``far`` of the factor
+    (n,) or stack (m, n) w, an index into its (..., F) faces: the far
+    exponent u_t - u_(t+1) - u_(t+2) of corner t, whose factors of the
+    other two corners cancel, formed as d + delta = c_t - c_(t+1) -
+    c_(t+2) - 2 w_t by two-sum.  Formed from the slacks instead, it would
+    carry their rounding, about eps |w| (at w_t = 1e17 the other arcs
+    would be wrong in the first digit)."""
+    corner_w = w.take(compiled.corners.reshape(3, -1).T, axis=-1)[far]
+    return _two_sum(compiled.far_base[far[-1]], -2.0 * corner_w)
+
+
+def _face_arcs(compiled, w, u, largest, jacobian=False):
+    """(..., 3, F) arcs of the (..., E) slacks u of the factor (n,) or
+    stack (m, n) w, whose largest is ``largest``, row t the arcs opposite
+    slot t; each face of each row takes the far form iff a slack exceeds
+    ln cosh(100).  Returned with what H needs of the last row's
+    :func:`_arc_terms` when ``jacobian`` is set (S, and N and Q of the arc
+    opposite slot 2), else None."""
     large = largest > _FAR_SLACK
     # Clipped slacks keep the direct pass finite; its values on the far
     # faces are overwritten.
@@ -239,7 +257,7 @@ def _face_arcs(compiled, u, largest, jacobian=False):
     if large:
         face_u = u.take(compiled.table[:3].T, axis=-1)
         far = np.nonzero(face_u.max(axis=-1) > _FAR_SLACK)
-        arcs.swapaxes(-1, -2)[far] = _far_arcs(face_u[far])
+        arcs.swapaxes(-1, -2)[far] = _far_arcs(face_u[far], exponent=_far_exponents(compiled, w, far))
     return arcs, terms
 
 
@@ -276,7 +294,7 @@ def _geometry(compiled, w, corners=None, u=None, jacobian=False):
     stack takes ``corners``, the corners of row r offset by n r, for at
     least the rows of w, and may take its slacks ``u`` ready made."""
     u, largest = _checked(compiled, w, u)
-    arcs, terms = _face_arcs(compiled, u, largest, jacobian)
+    arcs, terms = _face_arcs(compiled, w, u, largest, jacobian)
     corners = compiled.corners if corners is None else corners[: arcs.size]
     B = np.bincount(corners, weights=arcs.ravel(), minlength=w.size)
     return u, arcs.swapaxes(-1, -2), B.reshape(w.shape), terms
@@ -429,13 +447,15 @@ def _trial_rows(tri, l0, w, margin):
     for part, _, _, rows, terms in _blocks(tri, l0, w, u, jacobian=True):
         B[part] = rows
     # The trial point is the last row of the last block.
-    return B, (compiled, tri.n_boundaries, u[-1], *terms)
+    return B, (compiled, w[-1], u[-1], *terms)
 
 
-def _jacobian(compiled, n, u, S, N, Q):
-    """H of :func:`boundary_jacobian` at one factor, from its slacks u (E,)
-    and the arc terms of :func:`_arc_terms` at u clipped to ln cosh(100):
-    S (5, F), and N and Q of the arc opposite slot 2, each (F,)."""
+def _jacobian(compiled, w, u, S, N, Q):
+    """H of :func:`boundary_jacobian` at one factor w (n,), from its slacks
+    u (E,) and the arc terms of :func:`_arc_terms` at u clipped to
+    ln cosh(100): S (5, F), and N and Q of the arc opposite slot 2, each
+    (F,)."""
+    n = len(w)
     M = np.concatenate(_coefficient_row(S[0:3], S[1:4], S[2:5]))
     # -2 / (sinh theta_k sinh l_ki sinh l_jk) = -1 / sqrt(N (N + 4Q)),
     # theta_k the arc opposite slot 2, whose neighbours are slots 0 and 1.
@@ -443,8 +463,8 @@ def _jacobian(compiled, n, u, S, N, Q):
     blocks = M.T[:, _BLOCK_LAYOUT]
     if u.max() > _FAR_SLACK:
         face_u = u[compiled.table[:3].T]
-        far = np.flatnonzero(face_u.max(axis=1) > _FAR_SLACK)
-        blocks[far] = _far_arcs(face_u[far], jacobian=True)[1]
+        far = np.nonzero(face_u.max(axis=1) > _FAR_SLACK)
+        blocks[far] = _far_arcs(face_u[far], jacobian=True, exponent=_far_exponents(compiled, w, far))[1]
     return np.bincount(compiled.pairs, weights=blocks.ravel(), minlength=n * n).reshape(n, n)
 
 
@@ -456,9 +476,11 @@ def boundary_jacobian(tri, l0, w):
     corners (self-edges) accumulate per slot, face by face in row-major
     block order.  H is symmetric bit-for-bit and negative definite on the
     admissible domain.  Faces with a slack beyond ln cosh(100) (a side
-    beyond 200) take their block from the far form of their slacks.
+    beyond 200) take their block from the far form of their slacks, with
+    the exponents of :func:`_far_exponents`.
     """
     compiled = _compiled(tri, l0)
-    u, largest = _checked(compiled, _factor(tri, w))
+    w = _factor(tri, w)
+    u, largest = _checked(compiled, w)
     S, N, Q = _arc_terms(compiled, np.minimum(u, _FAR_SLACK) if largest > _FAR_SLACK else u)
-    return _jacobian(compiled, tri.n_boundaries, u, S, N[2], Q[2])
+    return _jacobian(compiled, w, u, S, N[2], Q[2])

@@ -132,7 +132,7 @@ def _rotations(x):
     return np.moveaxis(x[..., _ROTATIONS], -2, 0)
 
 
-def _far_arcs(u, jacobian=False):
+def _far_arcs(u, jacobian=False, exponent=None):
     """Arcs of faces given by their (..., 3) slot slacks u > 0, with
     cosh(l/2) = e^u; column t is the arc opposite slot t.  With
     ``jacobian``, returns them with the (..., 3, 3) blocks
@@ -148,17 +148,22 @@ def _far_arcs(u, jacobian=False):
 
     positive terms that never form e^u.  The exponent u_c - u_a - u_b is
     summed by two-sum as d plus its rounding error delta, so
-    e^d (1 + delta) keeps full relative accuracy however long the sides
-    (Dekker 1971; Ogita, Rump & Oishi 2005).  Past d = 350 the arc is
+    e^d (1 + delta) keeps full relative accuracy in the slacks however
+    long the sides (Dekker 1971; Ogita, Rump & Oishi 2005).  A caller
+    that holds the exponent in a better form passes it as ``exponent``,
+    the (..., 3) pair (d, delta).  Past d = 350 the arc is
     2 (d + delta) - ln(sigma_a sigma_b) to float precision.  Corner s
     moves the slacks of the two slots other than s.
     """
     sigma2 = -np.expm1(-2.0 * u)
     E = np.exp(-2.0 * u)
-    (uc, ua, ub), (sc, sa, sb), (_, Ea, Eb) = (_rotations(x) for x in (u, np.sqrt(sigma2), E))
-    d, e1 = _two_sum(uc, -ua)
-    d, e2 = _two_sum(d, -ub)
-    delta = e1 + e2
+    (sc, sa, sb), (_, Ea, Eb) = (_rotations(x) for x in (np.sqrt(sigma2), E))
+    if exponent is None:
+        uc, ua, ub = _rotations(u)
+        d, e1 = _two_sum(uc, -ua)
+        d, e2 = _two_sum(d, -ub)
+        exponent = d, e1 + e2
+    d, delta = exponent
     root, one_ss = np.sqrt(sa * sb), 1.0 + sa * sb
     A = np.exp(np.minimum(d, 350.0)) * (1.0 + delta) * sc / root
     Bt = (Eb + sb * sb * Ea) / (root * one_ss)

@@ -50,7 +50,6 @@ from dataclasses import dataclass, field
 from typing import List
 
 import numpy as np
-import scipy  # noqa: F401 - on the path of sites the tracer in bench/tracing.py wraps
 
 from .conformal import (
     _factor,
@@ -62,6 +61,20 @@ from .conformal import (
 )
 from .energy import total_energy
 from .errors import ConvergenceError
+
+
+def __getattr__(name):
+    """The scipy package as ``hexflow.prescribe.scipy``, imported on first
+    read: the path of the two sites on ``scipy.linalg`` that the tracer in
+    bench/tracing.py wraps, which no untraced run reads.  Python calls
+    this only for a name the module lacks, and the package is returned,
+    never bound here, so this module's namespace is the same before and
+    after a traced run.  It goes when those sites go."""
+    if name == "scipy":
+        import scipy
+
+        return scipy
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # Line search: backtracking factor, smallest step scale tried, strict
@@ -151,7 +164,11 @@ def _newton_step(H, grad):
         step = np.linalg.solve(-H, grad)
     except np.linalg.LinAlgError:
         return None
-    return step if 0.0 < float(grad @ step) < math.inf else None
+    # Past float range (a target near 1e300, or H near 1e-300) the slope
+    # overflows to inf, or meets inf - inf: no ascent step, not a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        slope = float(grad @ step)
+    return step if 0.0 < slope < math.inf else None
 
 
 def _armijo_trial(tri, l0, target, w, step, slope, alpha):

@@ -24,6 +24,14 @@ def invoke(capsys, argv):
     return code, out
 
 
+def run_fresh(tmp_path, body, check=True):
+    """Run the Python source ``body`` in a fresh interpreter, in tmp_path,
+    with this package first on the path."""
+    source = str(Path(hexflow.__file__).resolve().parents[1])
+    script = f"import sys\nsys.path.insert(0, {source!r})\n{body}"
+    return subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=check, cwd=tmp_path)
+
+
 class TestValidateCommand:
     def test_ok_summary(self, capsys, pants_file):
         code, out = invoke(capsys, ["validate", str(pants_file)])
@@ -494,6 +502,18 @@ class TestPrescribeCommand:
         assert f"partial factors written to {out_file}" in out
         assert out_file.read_text() == "boundary_index,w\n1,0\n2,0\n3,0\n"
 
+    def test_slope_past_float_range_is_one_error_line(self, tmp_path, pants_file):
+        # A fresh interpreter, where numpy's warnings go to stderr.
+        target = tmp_path / "target.csv"
+        target.write_text("1,1e300\n2,1.0\n3,1.0\n")
+        out_file = tmp_path / "w.csv"
+        argv = ["prescribe", str(pants_file), "--target", str(target), "--out", str(out_file)]
+        result = run_fresh(tmp_path, f"from hexflow.cli import run\nsys.exit(run({argv!r}))\n", check=False)
+        assert result.returncode == 2
+        assert result.stderr == ""
+        assert result.stdout.splitlines()[-1].startswith("ERROR 2: no ascent step at iteration 1")
+        assert out_file.exists()
+
     @pytest.mark.parametrize("tol", ["inf", "nan", "0"])
     def test_non_finite_or_nonpositive_tol_rejected(self, capsys, tmp_path, pants_file, tol):
         target = tmp_path / "target.csv"
@@ -743,32 +763,31 @@ class TestConsecutiveRuns:
 
 class TestFootprint:
     """One fresh interpreter per command, since this process has loaded
-    scipy.linalg already.  No command loads scipy.linalg (~27 MiB of peak
-    RSS; ``prescribe`` solves with numpy's LAPACK), scipy.integrate
-    (~23 MiB) or numpy.polynomial (~1.2 MiB; the Gauss-Legendre rules are
-    written out), which the benchmarks' peak_rss_mb bound would reject."""
+    scipy already.  The runtime dependency is numpy alone: no command, and
+    no import of the package, loads any scipy module (the bare package
+    adds about 0.6 MiB of peak RSS, scipy.linalg about 27 MiB and
+    scipy.integrate about 23 MiB; ``prescribe`` solves with numpy's
+    LAPACK, the flow is its own DOP853), nor numpy.polynomial (~1.2 MiB;
+    the Gauss-Legendre rules are written out), which the benchmarks'
+    peak_rss_mb bound would reject."""
+
+    SCIPY = "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n"
 
     def loaded(self, tmp_path, argv):
-        """Exit code, stdout and the scipy.linalg, scipy.integrate and
-        numpy.polynomial module lists (as printed) after ``run(argv)``."""
-        source = str(Path(hexflow.__file__).resolve().parents[1])
-        script = (
-            "import contextlib, io, sys\n"
-            f"sys.path.insert(0, {source!r})\n"
+        """Exit code, stdout and the scipy and numpy.polynomial module
+        lists (as printed) after ``run(argv)``."""
+        body = (
+            "import contextlib, io\n"
             "from hexflow.cli import run\n"
             "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
             f"    code = run({argv!r})\n"
             "print(code)\n"
-            "print(sorted(name for name in sys.modules if name.startswith('scipy.linalg')))\n"
-            "print(sorted(name for name in sys.modules if name.startswith('scipy.integrate')))\n"
-            "print(sorted(name for name in sys.modules if name.startswith('numpy.polynomial')))\n"
+            + self.SCIPY
+            + "print(sorted(name for name in sys.modules if name.startswith('numpy.polynomial')))\n"
             "print(out.getvalue(), end='')\n"
         )
-        result = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True, check=True, cwd=tmp_path
-        )
-        code, linalg, integrate, polynomial, out = result.stdout.split("\n", 4)
-        return int(code), out, linalg, integrate, polynomial
+        code, scipy, polynomial, out = run_fresh(tmp_path, body).stdout.split("\n", 3)
+        return int(code), out, scipy, polynomial
 
     @pytest.mark.parametrize(
         "argv",
@@ -784,15 +803,17 @@ class TestFootprint:
     def test_command_leaves_scipy_linalg_and_integrate_unloaded(self, tmp_path, pants_file, argv):
         (tmp_path / "target.csv").write_text("1,1.0\n2,0.9\n3,1.1\n")
         argv = [argv[0], str(pants_file)] + argv[1:]
-        code, out, linalg, integrate, polynomial = self.loaded(tmp_path, argv)
+        code, out, scipy, polynomial = self.loaded(tmp_path, argv)
         assert code == 0
-        assert linalg == "[]"
-        assert integrate == "[]"
+        assert scipy == "[]"
         assert polynomial == "[]"
         if argv[0] == "flow":
             assert "stop_reason=cusp_tol" in out.splitlines()
         if argv[0] == "prescribe":
             assert re.fullmatch(r"iterations=[1-9]\d*", out.splitlines()[1])  # it took a Newton step
+
+    def test_import_loads_no_scipy(self, tmp_path):
+        assert run_fresh(tmp_path, "import hexflow, hexflow.cli\n" + self.SCIPY).stdout == "[]\n"
 
 
 class TestUsageErrors:

@@ -23,7 +23,7 @@ from hexflow import (
 from hexflow.hexagon import _logcosh
 
 from conftest import PANTS_EDGE, block_rows, fd_jacobian, generated, pants_text, random_in_domain
-from mp_reference import float_slacks, mp_slack_arcs, mp_slack_H
+from mp_reference import float_slacks, mp_B, mp_H, mp_slack_arcs, mp_slack_H
 
 ACOSH2 = math.acosh(2.0)
 # closed form for the equilateral pants at w = 0: each face is the
@@ -31,6 +31,8 @@ ACOSH2 = math.acosh(2.0)
 PANTS_B0 = 2.0 * math.acosh(7.0 / 6.0)
 PANTS_H0_DIAG = -28.0 / (3.0 * math.sqrt(13.0))
 PANTS_H0_OFF = -2.0 / (3.0 * math.sqrt(13.0))
+# A base length whose float slack ln cosh(l0/2) is exactly 1.0.
+EXACT_SLACK_EDGE = 3.3149089083061547
 
 
 class TestEdgeLength:
@@ -362,11 +364,11 @@ class TestArrayKernelOracle:
             np.linalg.cholesky(-H)
 
     @staticmethod
-    def _pants_at_slacks(tri, target):
-        """The pants factor whose edge slacks are the three targets, and
-        the float slacks the kernel sees.  Pants edge t joins the two
-        components other than t."""
-        c = _logcosh(0.5 * PANTS_EDGE)
+    def _pants_at_slacks(tri, target, edge=PANTS_EDGE):
+        """The factor of the pants with base length ``edge`` whose edge
+        slacks are the three targets, and the float slacks the kernel
+        sees.  Pants edge t joins the two components other than t."""
+        c = _logcosh(0.5 * edge)
         w = 0.5 * (target.sum() - 3.0 * c) - target + c
         return w, [w[e.b_i - 1] + w[e.b_j - 1] + c for e in tri.edges]
 
@@ -386,10 +388,10 @@ class TestArrayKernelOracle:
             target[b] = max(target[far] - target[a] + rng.uniform(-3.0, 3.0), 1e-12)
         return target
 
-    def _worst_arc_ulps(self, tri, l0, targets):
+    def _worst_arc_ulps(self, tri, l0, targets, edge=PANTS_EDGE):
         worst = 0.0
         for target in targets:
-            w, u = self._pants_at_slacks(tri, target)
+            w, u = self._pants_at_slacks(tri, target, edge)
             arcs = surface_geometry(tri, l0, w).arcs[0]
             for arc, ref in zip(arcs, mp_slack_arcs(u)):
                 worst = max(worst, float(abs(mp.mpf(float(arc)) - ref)) / np.spacing(float(ref)))
@@ -405,11 +407,20 @@ class TestArrayKernelOracle:
         targets = [10.0 ** rng.uniform(-12.0, math.log10(_logcosh(100.0)), 3) for _ in range(200)]
         assert self._worst_arc_ulps(tri, l0, targets) <= 8.0
 
-    def test_far_arcs_within_8_ulp_of_the_slack_reference(self, pants):
-        tri, l0 = pants
+    def test_far_arcs_within_8_ulp_of_the_slack_reference(self):
+        # A far face forms its exponents from the factor, not from the
+        # slacks, so the slacks are snapped to a grid of 2^-40 on a pants
+        # whose base slack is 1.0: then the kernel forms each of them
+        # exactly, and the reference at the float slacks is the one at
+        # the factor.
+        assert _logcosh(0.5 * EXACT_SLACK_EDGE) == 1.0
+        tri, l0 = parse_surface(pants_text(EXACT_SLACK_EDGE))
         rng = np.random.default_rng(33)
-        targets = [self._far_slacks(rng) for _ in range(40)]
-        assert self._worst_arc_ulps(tri, l0, targets) <= 8.0
+        grid = 2.0**-40
+        targets = [np.maximum(np.round(self._far_slacks(rng) / grid), 1.0) * grid for _ in range(40)]
+        for target in targets:
+            assert self._pants_at_slacks(tri, target, EXACT_SLACK_EDGE)[1] == target.tolist()
+        assert self._worst_arc_ulps(tri, l0, targets, EXACT_SLACK_EDGE) <= 8.0
 
     def test_far_jacobian_against_the_slack_reference(self, pants):
         tri, l0 = pants
@@ -443,6 +454,34 @@ class TestArrayKernelOracle:
                 else:
                     kernel(tri, l0, w)
         assert 0 < outside < 200
+
+
+class TestFarFactor:
+    """One factor W far beyond the others.  A far face forms the exponent
+    of corner t as c_t - c_(t+1) - c_(t+2) - 2 w_t, in which the factors
+    of the other two corners cancel, so B on the other components keeps
+    its digits however large W is; formed from slacks rounded at about
+    eps W, it lost them (relative errors of 7e-13 at W = 1e4 and above
+    0.1 from W = 1e17).  The reference works at enough digits to hold
+    W + w_2 exactly."""
+
+    @pytest.mark.parametrize("W", [1e4, 1e10, 1e17, 1e300])
+    @pytest.mark.parametrize("surface", ["pants", "generated-20-1"])
+    def test_other_components_match_the_exact_reference(self, request, surface, W):
+        tri, l0 = request.getfixturevalue("pants") if surface == "pants" else generated(20, 1)
+        w = np.linspace(0.2, 0.6, tri.n_boundaries)
+        w[0] = W
+        ref = [float(b) for b in mp_B(tri, l0, w, dps=int(math.log10(W)) + 40)]
+        np.testing.assert_allclose(boundary_lengths(tri, l0, w)[1:], ref[1:], rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("W", [1e4, 1e17, 1e300])
+    def test_jacobian_matches_the_exact_reference(self, pants, W):
+        tri, l0 = pants
+        w = np.array([W, 0.2, 0.6])
+        # mp_H steps w by 10^(-dps/3), which W + step must still hold.
+        ref = np.array(mp_H(tri, l0, w, dps=2 * int(math.log10(W)) + 60).tolist(), dtype=float)[1:, 1:]
+        H = boundary_jacobian(tri, l0, w)[1:, 1:]
+        assert np.max(np.abs(H - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 class TestFactorEntryChecks:

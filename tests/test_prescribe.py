@@ -14,7 +14,7 @@ from hexflow import (
 )
 from hexflow import conformal, prescribe
 
-from conftest import generated, pants_text, random_in_domain
+from conftest import PANTS_EDGE, generated, pants_text, random_in_domain
 
 
 class TestSolveOptions:
@@ -207,6 +207,19 @@ def test_tiny_targets_never_converge_off_target():
     assert converged >= 45
 
 
+def test_scipy_is_a_lazy_attribute():
+    # The tracer's sites on scipy.linalg resolve through the module, and
+    # reading them leaves its namespace as it was.
+    before = dict(vars(prescribe))
+    assert prescribe.scipy is scipy
+    assert prescribe.scipy.linalg.cho_factor is scipy.linalg.cho_factor
+    after = vars(prescribe)
+    assert after.keys() == before.keys()
+    assert all(after[name] is value for name, value in before.items())
+    with pytest.raises(AttributeError, match="no attribute 'sci'"):
+        prescribe.sci
+
+
 def test_merit_rule_is_numpys_leggauss():
     nodes, weights = np.polynomial.legendre.leggauss(8)
     assert prescribe._GL_NODES.tobytes() == nodes.tobytes()
@@ -388,6 +401,20 @@ class TestNewtonStep:
         partial = info.value.partial
         assert partial.iterations == 0 and not partial.converged
         assert np.array_equal(partial.factors, np.zeros(3))
+
+    @pytest.mark.parametrize(
+        "length, target",
+        [(PANTS_EDGE, [1e300, 1.0, 1.0]), (PANTS_EDGE, [1.7e308, 1.0, 1.0]), (PANTS_EDGE, [1e300] * 3), (1400.0, [1e3] * 3)],
+        ids=["1e300", "1.7e308", "all-1e300", "edge-1400"],
+    )
+    def test_slope_past_float_range_ends_in_convergence_error(self, length, target):
+        # A target near 1e300, or H near 1e-300 (base edges of 1400), puts
+        # the Newton slope <grad, d> past float range: the solve stops
+        # there, with no overflow warning (the suite turns warnings into
+        # errors).
+        tri, l0 = parse_surface(pants_text(length))
+        with pytest.raises(ConvergenceError, match="no ascent step at iteration"):
+            solve_prescribed(tri, l0, target)
 
     def test_non_finite_jacobian_is_a_value_error(self, monkeypatch, pants):
         tri, l0 = pants
